@@ -12,7 +12,7 @@ Subpackage map:
 """
 
 from .wire import (ImpulseEvent, WindModel, WireParams, WireState,
-                   simulate_trajectory, solve_equilibrium, step, wind_velocity)
+                   simulate_trajectory, solve_equilibrium, step)
 from .channel import (ArrayConfig, BeamOrientation, ChannelConfig,
                       DepartureGeometry, aod_geometry, array_factor,
                       element_gain, received_power)

@@ -12,6 +12,15 @@ is what makes the stability bound dt < 2/sqrt(4*k0*N/m) meaningful for
 the stiff spring term.  All randomness is injected by the caller, so a
 fixed seed reproduces a trajectory bit for bit.
 
+`step` advances a whole block of substeps per call: noise of shape
+(n, N-2, 3) means n substeps, and an (N-2, 3) array is the one-substep
+case.  The block runs in place on one copy of the state, so its cost per
+substep is the arithmetic rather than per-call set-up, and it is bit for
+bit the same as n one-substep calls.  Wind and impulses are still
+evaluated at the start of every substep, and any number of impulses may
+act at once.  `simulate_trajectory` advances one sample stride per call;
+the tracking environment makes one call per substep.
+
 Point numbering follows the P1..PN convention: user-facing indices are
 1-based, array storage is 0-based.
 """
@@ -119,20 +128,10 @@ class WindModel:
     def velocity(self, t: float) -> np.ndarray:
         if self.mean_velocity_fn is not None:
             return np.asarray(self.mean_velocity_fn(t), dtype=float)
-        p = self.periods
-        return self.amplitude * np.array(
-            [math.sin(2.0 * math.pi * t / p[0]),
-             math.sin(2.0 * math.pi * t / p[1]),
-             math.sin(2.0 * math.pi * t / p[2])]
-        )
-
-
-STILL_AIR = WindModel(amplitude=0.0)
-
-
-def wind_velocity(model: WindModel, t: float) -> np.ndarray:
-    """Mean wind velocity [m/s] at time t."""
-    return model.velocity(t)
+        a, p = self.amplitude, self.periods
+        return np.array([a * math.sin(2.0 * math.pi * t / p[0]),
+                         a * math.sin(2.0 * math.pi * t / p[1]),
+                         a * math.sin(2.0 * math.pi * t / p[2])])
 
 
 @dataclass(frozen=True)
@@ -179,18 +178,23 @@ class ImpulseEvent:
 
 
 def interior_acceleration(state: WireState, params: WireParams,
-                          impulse: ImpulseEvent | None = None,
+                          impulses: Sequence[ImpulseEvent] = (),
                           dt: float | None = None) -> np.ndarray:
-    """Acceleration of the interior points: gravity + tensile coupling (+ impulse).
+    """Acceleration of the interior points: gravity + tensile coupling (+ impulses).
 
-    Returns an (N-2, 3) array.  The impulse contributes only when a substep
-    length dt is supplied and the event is active during [state.time, +dt).
+    Returns a new (N-2, 3) array.  The impulses contribute only when a
+    substep length dt is supplied; every event active during
+    [state.time, +dt) adds its force.
     """
     x = state.positions
-    acc = params.gravity + params.spring_accel_coeff * (x[2:] + x[:-2] - 2.0 * x[1:-1])
-    if impulse is not None and dt is not None and impulse.active_at(state.time, dt):
-        acc = acc.copy()
-        acc[impulse.point_number - 2] += (params.n_points / params.mass_total) * impulse.force
+    acc = x[2:] + x[:-2]
+    acc -= 2.0 * x[1:-1]
+    acc *= params.spring_accel_coeff
+    acc += params.gravity
+    if dt is not None:
+        for ev in impulses:
+            if ev.active_at(state.time, dt):
+                acc[ev.point_number - 2] += (params.n_points / params.mass_total) * ev.force
     return acc
 
 
@@ -237,36 +241,67 @@ def sag_depth(params: WireParams) -> float:
 
 
 def step(state: WireState, params: WireParams, wind: WindModel,
-         impulse: ImpulseEvent | None, dt: float, noise: np.ndarray) -> WireState:
-    """One Euler-Maruyama substep of length dt.
+         impulses: Sequence[ImpulseEvent], dt: float, noise: np.ndarray) -> WireState:
+    """Advance a block of Euler-Maruyama substeps of length dt.
 
-    noise is an (N-2, 3) array of standard normal draws supplied by the
-    caller.  Endpoints are never touched.
+    noise holds standard normal draws supplied by the caller: an (n, N-2, 3)
+    array advances n substeps, an (N-2, 3) array one.  Every event in
+    `impulses` that is active during a substep adds its force there.
+    Endpoints are never touched, and the input state is not modified.
+
+    Raises IntegrationDivergedError naming the first non-finite point and
+    the start time of the substep that produced it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n = params.n_points
-    if noise.shape != (n - 2, 3):
-        raise ValueError(f"noise must have shape ({n - 2}, 3), got {noise.shape}")
+    n_int = params.n_points - 2
+    if noise.ndim not in (2, 3) or noise.shape[-2:] != (n_int, 3):
+        raise ValueError(f"noise must have shape ({n_int}, 3) or (n, {n_int}, 3), "
+                         f"got {noise.shape}")
 
-    acc = interior_acceleration(state, params, impulse, dt)
-    v_o = wind.velocity(state.time)
-    v_int = state.velocities[1:-1]
     with np.errstate(invalid="ignore", over="ignore"):
-        v_new = (v_int
-                 + (acc - params.drag_c * (v_int - v_o)) * dt
-                 + math.sqrt(dt) * (noise @ params.wind_diffusion.T))
-        x_new = state.positions[1:-1] + v_new * dt
+        kicks = noise.reshape(-1, n_int, 3) @ params.wind_diffusion.T
+        kicks *= math.sqrt(dt)
+        out = state.copy()
+        _substeps(out, params, wind, impulses, dt, kicks)
+        # a non-finite velocity makes the position it moves non-finite, and
+        # any inf or nan makes a sum non-finite; a finite sum that overflows
+        # only sends the block through the exact check below
+        if math.isfinite(out.positions[1:-1].sum()):
+            return out
+        # a non-finite value stays non-finite, so replay one substep at a
+        # time from the start to find the substep that produced it
+        out = state.copy()
+        for k in range(len(kicks)):
+            t = out.time
+            _substeps(out, params, wind, impulses, dt, kicks[k:k + 1])
+            bad = ~(np.isfinite(out.positions[1:-1]).all(axis=1)
+                    & np.isfinite(out.velocities[1:-1]).all(axis=1))
+            if bad.any():
+                raise IntegrationDivergedError(int(np.argmax(bad)) + 2, t)
+    return out
 
-    bad = ~(np.isfinite(x_new).all(axis=1) & np.isfinite(v_new).all(axis=1))
-    if bad.any():
-        raise IntegrationDivergedError(int(np.argmax(bad)) + 2, state.time)
 
-    positions = state.positions.copy()
-    velocities = state.velocities.copy()
-    positions[1:-1] = x_new
-    velocities[1:-1] = v_new
-    return WireState(time=state.time + dt, positions=positions, velocities=velocities)
+def _substeps(state: WireState, params: WireParams, wind: WindModel,
+              impulses: Sequence[ImpulseEvent], dt: float, kicks: np.ndarray):
+    """Advance `state` in place by one substep per row of the scaled noise.
+
+    The velocity update is v + (acc - c*(v - v_o))*dt + kick, then
+    x + v*dt; each operation keeps the operand order of that expression,
+    so a block is bit for bit the same as one substep per call.
+    """
+    x = state.positions[1:-1]
+    v = state.velocities[1:-1]
+    for kick in kicks:
+        acc = interior_acceleration(state, params, impulses, dt)
+        drag = v - wind.velocity(state.time)
+        drag *= params.drag_c
+        acc -= drag
+        acc *= dt
+        v += acc
+        v += kick
+        x += v * dt
+        state.time += dt
 
 
 def simulate_trajectory(params: WireParams, wind: WindModel,
@@ -293,20 +328,14 @@ def simulate_trajectory(params: WireParams, wind: WindModel,
 
     rng = np.random.default_rng(seed)
     state = initial.copy() if initial is not None else solve_equilibrium(params)
-    samples = [state.copy()]
+    samples = [state]
     n_steps = int(round(duration / dt))
-    for k in range(n_steps):
-        active = [ev for ev in impulses if ev.active_at(state.time, dt)]
-        noise = rng.standard_normal((params.n_points - 2, 3))
-        ev = active[0] if active else None
-        state = step(state, params, wind, ev, dt, noise)
-        if len(active) > 1:
-            # simultaneous events are rare; fold the rest in as extra kicks
-            for extra in active[1:]:
-                dv = (params.n_points / params.mass_total) * extra.force * dt
-                state.velocities[extra.point_number - 1] += dv
-        if (k + 1) % stride == 0:
-            samples.append(state.copy())
+    for start in range(0, n_steps, stride):
+        block = min(stride, n_steps - start)
+        noise = rng.standard_normal((block, params.n_points - 2, 3))
+        state = step(state, params, wind, impulses, dt, noise)
+        if block == stride:
+            samples.append(state)
     return samples
 
 

@@ -79,7 +79,7 @@ class TestStep:
     def test_equilibrium_is_a_fixed_point(self):
         params = quiet_params()
         eq = wire.solve_equilibrium(params)
-        out = wire.step(eq, params, STILL, None, 1e-3, np.zeros((19, 3)))
+        out = wire.step(eq, params, STILL, (), 1e-3, np.zeros((19, 3)))
         np.testing.assert_allclose(out.positions, eq.positions, atol=1e-12)
         np.testing.assert_allclose(out.velocities, eq.velocities, atol=1e-12)
 
@@ -90,7 +90,7 @@ class TestStep:
         eq = wire.solve_equilibrium(params)
         st = eq.copy()
         st.positions[1, 2] = delta
-        out = wire.step(st, params, STILL, None, dt, np.zeros((1, 3)))
+        out = wire.step(st, params, STILL, (), dt, np.zeros((1, 3)))
         coeff = params.spring_accel_coeff
         v_expected = -2.0 * coeff * delta * dt
         z_expected = delta + v_expected * dt
@@ -105,7 +105,7 @@ class TestStep:
         v0 = np.array([0.3, -0.2, 0.1])
         st.velocities[1:-1] = v0
         for _ in range(k):
-            st = wire.step(st, params, STILL, None, dt, np.zeros((3, 3)))
+            st = wire.step(st, params, STILL, (), dt, np.zeros((3, 3)))
         expected = v0 * (1.0 - params.drag_c * dt) ** k
         np.testing.assert_allclose(st.velocities[1:-1], np.tile(expected, (3, 1)),
                                    rtol=1e-9)
@@ -116,7 +116,7 @@ class TestStep:
         st = wire.solve_equilibrium(params)
         p0, pn = st.positions[0].copy(), st.positions[-1].copy()
         for _ in range(100):
-            st = wire.step(st, params, wire.WindModel(), None, 1e-3,
+            st = wire.step(st, params, wire.WindModel(), (), 1e-3,
                            rng.standard_normal((19, 3)))
         assert np.array_equal(st.positions[0], p0)
         assert np.array_equal(st.positions[-1], pn)
@@ -143,7 +143,7 @@ class TestStep:
         st = wire.solve_equilibrium(params)
         st.positions[5, 2] = np.inf
         with pytest.raises(wire.IntegrationDivergedError) as err:
-            wire.step(st, params, STILL, None, 1e-3, np.zeros((19, 3)))
+            wire.step(st, params, STILL, (), 1e-3, np.zeros((19, 3)))
         assert "P" in str(err.value)
 
     def test_drag_dissipates_energy(self):
@@ -157,7 +157,7 @@ class TestStep:
         point_mass = params.mass_total / params.n_points
         ke = []
         for _ in range(n_steps):
-            st = wire.step(st, params, STILL, None, dt, np.zeros((19, 3)))
+            st = wire.step(st, params, STILL, (), dt, np.zeros((19, 3)))
             ke.append(0.5 * point_mass * float((st.velocities ** 2).sum()))
         window = 500  # > half the fundamental period, smooths the KE/PE exchange
         means = [np.mean(ke[i:i + window]) for i in range(window, n_steps - window, window)]
@@ -165,24 +165,96 @@ class TestStep:
             assert b <= a * (1.0 + 1e-9)
 
 
+def single_substeps(state, params, wind, impulses, dt, noise):
+    """Reference: one wire.step call per substep."""
+    for block in noise:
+        state = wire.step(state, params, wind, impulses, dt, block)
+    return state
+
+
+def assert_same_state(a, b):
+    assert a.time == b.time
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.velocities, b.velocities)
+
+
+# symmetric positive definite, with off-diagonal coupling between axes
+COUPLED_DIFFUSION = np.array([[0.20, 0.05, -0.03],
+                              [0.05, 0.10, 0.02],
+                              [-0.03, 0.02, 0.15]])
+
+
+class TestBlockStep:
+    """A block of n substeps is bit for bit n single substeps."""
+
+    @pytest.mark.parametrize("case", ["coupled_diffusion", "straddling_impulse",
+                                      "custom_wind"])
+    def test_block_equals_single_substeps(self, case):
+        params, wind, impulses = table_params(), wire.WindModel(), ()
+        if case == "coupled_diffusion":
+            params = table_params(wind_diffusion=COUPLED_DIFFUSION)
+        elif case == "straddling_impulse":
+            # force held for substeps 5..14: across the boundary of two blocks
+            impulses = [wire.ImpulseEvent(point_number=4, force=[30.0, -10.0, 470.0],
+                                          apply_time=0.005, duration_s=0.01),
+                        wire.ImpulseEvent(point_number=12, force=[0.0, 0.0, -200.0],
+                                          apply_time=0.009)]
+        else:
+            wind = wire.WindModel(mean_velocity_fn=lambda t: np.array(
+                [3.0 * math.cos(7.0 * t), 1.0 + t, -2.0 * t * t]))
+        dt = 1e-3
+        noise = np.random.default_rng(5).standard_normal((20, 19, 3))
+        start = wire.solve_equilibrium(params)
+
+        blocks = start
+        for block in (noise[:10], noise[10:]):
+            blocks = wire.step(blocks, params, wind, impulses, dt, block)
+        assert_same_state(blocks, single_substeps(start, params, wind, impulses, dt, noise))
+        assert blocks.time == pytest.approx(0.02)
+
+    def test_divergence_mid_block_names_the_same_point_and_time(self):
+        # dt = 1 ms is past the stability bound for k0 = 1e6; a large
+        # displacement of P6 overflows after tens of substeps
+        params = quiet_params(spring_k=1e6)
+        dt, n = 1e-3, 200
+        start = wire.solve_equilibrium(params)
+        start.positions[5, 2] += 1e250
+        noise = np.zeros((n, 19, 3))
+
+        with pytest.raises(wire.IntegrationDivergedError) as single:
+            single_substeps(start, params, STILL, (), dt, noise)
+        with pytest.raises(wire.IntegrationDivergedError) as block:
+            wire.step(start, params, STILL, (), dt, noise)
+        assert 0 < single.value.time < (n - 1) * dt
+        assert block.value.point_number == single.value.point_number
+        assert block.value.time == single.value.time
+
+    @pytest.mark.parametrize("shape", [(19, 2), (18, 3), (4, 18, 3), (2, 2, 19, 3)])
+    def test_bad_noise_shape_rejected(self, shape):
+        params = table_params()
+        with pytest.raises(ValueError, match="noise must have shape"):
+            wire.step(wire.solve_equilibrium(params), params, STILL, (), 1e-3,
+                      np.zeros(shape))
+
+
 class TestWindModel:
     def test_zero_at_t0(self):
-        np.testing.assert_allclose(wire.wind_velocity(wire.WindModel(), 0.0), 0.0,
+        np.testing.assert_allclose(wire.WindModel().velocity(0.0), 0.0,
                                    atol=1e-15)
 
     def test_values_at_t1_and_t2(self):
-        v1 = wire.wind_velocity(wire.WindModel(), 1.0)
+        v1 = wire.WindModel().velocity(1.0)
         np.testing.assert_allclose(v1, [5.0, 4.3301, 3.5355], atol=1e-4)
         np.testing.assert_allclose(
             v1, [5 * math.sin(math.pi / 2), 5 * math.sin(math.pi / 3),
                  5 * math.sin(math.pi / 4)], rtol=1e-12)
-        v2 = wire.wind_velocity(wire.WindModel(), 2.0)
+        v2 = wire.WindModel().velocity(2.0)
         assert abs(v2[0]) < 1e-12
         np.testing.assert_allclose(v2[1:], [4.3301, 5.0], atol=1e-4)
 
     def test_custom_fn_overrides(self):
         model = wire.WindModel(mean_velocity_fn=lambda t: np.array([t, 0.0, 0.0]))
-        np.testing.assert_allclose(wire.wind_velocity(model, 2.5), [2.5, 0, 0])
+        np.testing.assert_allclose(model.velocity(2.5), [2.5, 0, 0])
 
 
 class TestImpulse:
@@ -198,7 +270,7 @@ class TestImpulse:
         dt = 1e-3
         ev = wire.ImpulseEvent(point_number=4, force=[0, 0, 470.0], apply_time=0.0)
         eq = wire.solve_equilibrium(params)
-        out = wire.step(eq, params, STILL, ev, dt, np.zeros((19, 3)))
+        out = wire.step(eq, params, STILL, [ev], dt, np.zeros((19, 3)))
         kick = 470.0 * dt * params.n_points / params.mass_total
         assert out.velocities[3, 2] == pytest.approx(kick, rel=1e-12)
         # other points see only the equilibrium solve's rounding residual
@@ -248,6 +320,33 @@ class TestTrajectory:
         dz = np.array([np.abs(s.positions[:, 2] - eq.positions[:, 2]) for s in samples])
         peak_steps = [int(np.argmax(dz[:, p - 1])) for p in range(4, 11)]
         assert all(b >= a for a, b in zip(peak_steps, peak_steps[1:]))
+
+    def test_simultaneous_impulses_add_their_forces(self):
+        params = quiet_params()
+        force = np.array([20.0, -40.0, 470.0])
+
+        def run(impulses):
+            return wire.simulate_trajectory(params, STILL, impulses, 0.05, 1e-3, 0,
+                                            sample_every=0.01)
+
+        def hit(f, **kw):
+            return wire.ImpulseEvent(point_number=6, force=f, apply_time=0.003, **kw)
+
+        for kw in ({}, {"duration_s": 0.01}):
+            one = run([hit(force, **kw)])
+            two = run([hit(force / 2, **kw), hit(force / 2, **kw)])
+            for a, b in zip(one, two):
+                np.testing.assert_allclose(b.positions, a.positions, rtol=1e-12)
+                np.testing.assert_allclose(b.velocities, a.velocities, rtol=1e-12)
+
+    def test_samples_every_stride_and_drops_a_partial_last_one(self):
+        params = table_params()
+        samples = wire.simulate_trajectory(params, wire.WindModel(), [], 0.025, 1e-3, 3,
+                                           sample_every=0.01)
+        assert [round(s.time, 9) for s in samples] == [0.0, 0.01, 0.02]
+        every = wire.simulate_trajectory(params, wire.WindModel(), [], 0.025, 1e-3, 3)
+        assert len(every) == 26
+        assert_same_state(samples[2], every[20])
 
     def test_csv_export_columns(self, tmp_path):
         params = table_params()
