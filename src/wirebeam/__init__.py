@@ -18,9 +18,8 @@ from .channel import (ArrayConfig, BeamOrientation, ChannelConfig,
                       element_gain, received_power)
 from .env import (BeamTrackingEnv, EnvConfig, StepOutcome, apply_action,
                   assemble_state, proxy_reward)
-from .dqn import (AdamState, MlpParams, ReplayBuffer, TrainConfig, Transition,
-                  adam_step, forward, grad, huber, select_action, td_target,
-                  train)
+from .dqn import (AdamState, MlpParams, ReplayBuffer, TrainConfig, forward,
+                  huber, select_action, train)
 from .policies import PolicyKind, fixed_action, oracle_action
 from .config import ExperimentConfig, SweepSpec, default_config, load_config
 from .bench import MetricsRecord, run_eval, run_sweep, run_train

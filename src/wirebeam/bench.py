@@ -233,7 +233,6 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec | None = None,
             cell_cfg = sweep_cell_config(cfg, sweep.axis, value, cell_seed)
             cell_dir = out / f"cell_{sweep.axis}_{value:g}_rep{rep}"
             cell_dir.mkdir(parents=True, exist_ok=True)
-            ckpt = None
             for policy_name in sweep.policies:
                 metrics_path = cell_dir / f"metrics_{policy_name}.json"
                 entry = {"axis": sweep.axis, "value": value, "rep": rep,
@@ -243,19 +242,13 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec | None = None,
                     cells.append(entry)
                     continue
                 try:
-                    if policy_name == "dqn":
+                    kind, ckpt = PolicyKind(policy_name), None
+                    if kind is PolicyKind.DQN_GREEDY:
                         ckpt = cell_dir / "checkpoint.bin"
                         if not ckpt.exists():
                             run_train(cell_cfg, cell_dir)
-                        record = run_eval(cell_cfg, ckpt, PolicyKind.DQN_GREEDY,
-                                          cell_cfg.eval_episodes, cell_dir,
-                                          write_traces=False)
-                    else:
-                        kind = (PolicyKind.ORACLE if policy_name == "oracle"
-                                else PolicyKind.FIXED_BEAM)
-                        record = run_eval(cell_cfg, None, kind,
-                                          cell_cfg.eval_episodes, cell_dir,
-                                          write_traces=False)
+                    record = run_eval(cell_cfg, ckpt, kind, cell_cfg.eval_episodes,
+                                      cell_dir, write_traces=False)
                     metrics_path.write_text(record.to_json())
                     entry["status"] = "ok"
                 except Exception as e:  # record the failure, keep sweeping

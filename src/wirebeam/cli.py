@@ -10,13 +10,9 @@ import argparse
 import sys
 
 from . import bench
-from .config import (ConfigError, SweepSpec, apply_smoke, build_config,
-                     _parse_file)
+from .config import (SWEEP_AXES, ConfigError, SweepSpec, apply_smoke,
+                     build_config, _parse_file)
 from .policies import PolicyKind
-
-_POLICY_FLAGS = {"oracle": PolicyKind.ORACLE,
-                 "fixed": PolicyKind.FIXED_BEAM,
-                 "dqn": PolicyKind.DQN_GREEDY}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,6 +21,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                             "messenger wire: training, "
                                             "evaluation and sweeps")
     sub = p.add_subparsers(dest="verb", required=True)
+    policy_names = [k.value for k in PolicyKind]
 
     def common(sp):
         sp.add_argument("--config", required=True, help="key=value config file")
@@ -38,18 +35,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="evaluate a policy over seeded episodes")
     common(sp)
-    sp.add_argument("--policy", choices=sorted(_POLICY_FLAGS), required=True)
+    sp.add_argument("--policy", choices=policy_names, required=True)
     sp.add_argument("--checkpoint", default=None, help="required for --policy dqn")
     sp.add_argument("--episodes", type=int, default=None,
                     help="override eval.episodes")
 
     sp = sub.add_parser("sweep", help="run the configured parameter sweep")
     common(sp)
-    sp.add_argument("--axis", choices=("mass", "spring_k", "lookback"), default=None)
+    sp.add_argument("--axis", choices=SWEEP_AXES, default=None)
     sp.add_argument("--values", default=None, help="comma-separated axis values")
     sp.add_argument("--reps", type=int, default=None)
     sp.add_argument("--policies", default=None,
-                    help="comma-separated subset of oracle,fixed,dqn")
+                    help=f"comma-separated subset of {','.join(policy_names)}")
 
     sp = sub.add_parser("pattern", help="export the beam-pattern CSV")
     common(sp)
@@ -88,7 +85,7 @@ def main(argv=None) -> int:
         elif args.verb == "eval":
             episodes = args.episodes if args.episodes is not None else cfg.eval_episodes
             record = bench.run_eval(cfg, args.checkpoint,
-                                    _POLICY_FLAGS[args.policy], episodes, args.out)
+                                    PolicyKind(args.policy), episodes, args.out)
             print(record.to_json())
         elif args.verb == "sweep":
             sweep = cfg.sweep
@@ -99,7 +96,7 @@ def main(argv=None) -> int:
                     values=tuple(float(v) for v in args.values.split(","))
                     if args.values else sweep.values,
                     repetitions=args.reps if args.reps is not None else sweep.repetitions,
-                    policies=tuple(args.policies.split(","))
+                    policies=tuple(p.strip() for p in args.policies.split(","))
                     if args.policies else sweep.policies)
             summary = bench.run_sweep(cfg, sweep, args.out)
             print(f"sweep summary: {summary}")

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import wire as wire_mod
 from .channel import ArrayConfig, ChannelConfig, boresight_power
-from .env import ConfigError, EnvConfig
+from .env import ConfigError, EnvConfig, check_invariants
 from .dqn import TrainConfig
+from .policies import PolicyKind
 
 SCENARIOS = ("wind_only", "wind_plus_impulse")
 STATE_MODES = ("single_point", "expanded")
@@ -95,7 +96,7 @@ DEFAULTS: dict[str, str] = {
     "sweep.axis": "lookback",
     "sweep.values": "0.02, 0.04, 0.08",
     "sweep.repetitions": "3",
-    "sweep.policies": "oracle, fixed, dqn",
+    "sweep.policies": ", ".join(k.value for k in PolicyKind),
 }
 
 # notes attached to defaults that encode a modelling choice
@@ -112,7 +113,7 @@ class SweepSpec:
     axis: str
     values: tuple[float, ...]
     repetitions: int
-    policies: tuple[str, ...] = ("oracle", "fixed", "dqn")
+    policies: tuple[str, ...] = tuple(k.value for k in PolicyKind)
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -121,6 +122,11 @@ class SweepSpec:
             raise ConfigError("sweep.values must be non-empty")
         if self.repetitions < 1:
             raise ConfigError("sweep.repetitions must be >= 1")
+        for p in self.policies:
+            try:
+                PolicyKind(p)
+            except ValueError:
+                raise ConfigError(f"sweep.policies: unknown policy {p!r}") from None
 
 
 @dataclass
@@ -370,9 +376,6 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
                       values=r.float_list("sweep.values"),
                       repetitions=r.intv("sweep.repetitions"),
                       policies=r.str_list("sweep.policies"))
-    for p in sweep.policies:
-        if p not in ("oracle", "fixed", "dqn"):
-            raise ConfigError(f"sweep.policies: unknown policy {p!r}")
 
     eval_episodes = r.intv("eval.episodes")
     if eval_episodes < 0:
@@ -411,19 +414,7 @@ def _as_float(raw, key):
 
 
 def _cross_validate(cfg: ExperimentConfig):
-    dt = cfg.env.substep_dt
-    bound = cfg.wire.max_stable_dt()
-    if dt >= bound:
-        raise ConfigError(
-            f"wire.substep_dt_s = {dt} violates the stability bound "
-            f"dt < 2/sqrt(4*k0*N/m) = {bound:.6f} s")
-    for p in cfg.env.sense_points:
-        if not 1 <= p <= cfg.wire.n_points:
-            raise ConfigError(f"env.sense_points: P{p} outside 1..{cfg.wire.n_points}")
-    if not 1 < cfg.env.tx_point < cfg.wire.n_points:
-        raise ConfigError("env.tx_point must be an interior point")
-    if cfg.env.impulse_enabled and not 1 < cfg.env.impulse_point < cfg.wire.n_points:
-        raise ConfigError("wire.impulse_point must be an interior point")
+    check_invariants(cfg.env, cfg.wire)
     if cfg.sweep.axis == "lookback":
         for v in cfg.sweep.values:
             ratio = v / cfg.env.tau

@@ -35,37 +35,44 @@ class TrainingDivergedError(RuntimeError):
 # network
 # --------------------------------------------------------------------------
 
-@dataclass
 class MlpParams:
-    """Weight matrices (fan_in x fan_out) and bias vectors, input to output."""
+    """Network parameters held in one float64 vector `flat`.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    `flat` lays out every weight matrix (fan_in x fan_out, row-major), then
+    every bias vector, input to output, which is the checkpoint body's
+    order.  `weights` and `biases` are views into `flat`, built once here.
+    Without `flat` the network is all zeros.
+    """
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
+    def __init__(self, dims: tuple[int, ...], flat: np.ndarray | None = None):
+        self.dims = tuple(int(d) for d in dims)
+        shapes = [*zip(self.dims[:-1], self.dims[1:]), *((d,) for d in self.dims[1:])]
+        sizes = [math.prod(shape) for shape in shapes]
+        self.n_weights = sum(sizes[:len(self.dims) - 1])
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        if self.flat.shape != (sum(sizes),):
+            raise ValueError(f"flat vector of shape {self.flat.shape} does not fit "
+                             f"dims {self.dims} ({sum(sizes)} parameters)")
+        views = [part.reshape(shape) for part, shape in
+                 zip(np.split(self.flat, np.cumsum(sizes)[:-1]), shapes)]
+        self.weights = views[:len(self.dims) - 1]
+        self.biases = views[len(self.dims) - 1:]
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
+        return MlpParams(self.dims, self.flat.copy())
 
-    def allclose(self, other: "MlpParams") -> bool:
-        return (all(np.array_equal(a, b) for a, b in zip(self.weights, other.weights))
-                and all(np.array_equal(a, b) for a, b in zip(self.biases, other.biases)))
+    def equals(self, other: "MlpParams") -> bool:
+        """Exact equality of architecture and every parameter."""
+        return self.dims == other.dims and np.array_equal(self.flat, other.flat)
 
 
 def init_mlp(dims: tuple[int, ...], rng: np.random.Generator) -> MlpParams:
     """He-uniform hidden layers, small-uniform output layer, zero biases."""
-    weights, biases = [], []
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        if i == len(dims) - 2:
-            bound = 1e-3
-        else:
-            bound = math.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases)
+    params = MlpParams(dims)
+    for i, w in enumerate(params.weights):
+        bound = 1e-3 if i == len(params.weights) - 1 else math.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -73,9 +80,8 @@ def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, float)
     single = x.ndim == 1
     h = x[None, :] if single else x
-    if h.shape[1] != params.weights[0].shape[0]:
-        raise ValueError(f"input dim {h.shape[1]} != network input "
-                         f"{params.weights[0].shape[0]}")
+    if h.shape[1] != params.dims[0]:
+        raise ValueError(f"input dim {h.shape[1]} != network input {params.dims[0]}")
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         h = np.maximum(h @ w + b, 0.0)
     q = h @ params.weights[-1] + params.biases[-1]
@@ -111,21 +117,6 @@ def huber_grad(x):
     return np.clip(x, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One replay record."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
-
-    def __post_init__(self):
-        if not -1.0 - 1e-9 <= self.reward <= 1.0 + 1e-9:
-            raise ValueError(f"reward {self.reward} outside the clipped range [-1, 1]")
-
-
 @dataclass
 class TransitionBatch:
     states: np.ndarray       # (B, D)
@@ -138,13 +129,6 @@ class TransitionBatch:
         return self.states.shape[0]
 
 
-def td_target(tr: Transition, target_params: MlpParams, gamma: float) -> float:
-    """r + gamma * max_a' Q_target(s', a'); the bootstrap drops when terminal."""
-    if tr.terminal:
-        return float(tr.reward)
-    return float(tr.reward + gamma * forward(target_params, tr.next_state).max())
-
-
 def _batch_td_targets(batch: TransitionBatch, target_params: MlpParams,
                       gamma: float) -> np.ndarray:
     boot = forward(target_params, batch.next_states).max(axis=1)
@@ -152,41 +136,26 @@ def _batch_td_targets(batch: TransitionBatch, target_params: MlpParams,
 
 
 def _loss_and_grad(params: MlpParams, batch: TransitionBatch,
-                   target_params: MlpParams, gamma: float):
-    """Mean Huber TD loss and its gradient; no gradient flows to the target."""
+                   target_params: MlpParams, gamma: float, grads: MlpParams) -> float:
+    """Mean Huber TD loss; its gradient is written into `grads`, an
+    MlpParams shaped like params.  No gradient flows to the target."""
+    if len(batch) == 0:
+        raise ValueError("minibatch must be non-empty")
     y = _batch_td_targets(batch, target_params, gamma)
     q, pre, act = _forward_cached(params, batch.states)
     rows = np.arange(len(batch))
     resid = q[rows, batch.actions] - y
     loss = float(np.mean(huber(resid)))
 
-    dq = np.zeros_like(q)
-    dq[rows, batch.actions] = huber_grad(resid) / len(batch)
+    dz = np.zeros_like(q)
+    dz[rows, batch.actions] = huber_grad(resid) / len(batch)
 
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
-    grads_w[-1] = act[-1].T @ dq
-    grads_b[-1] = dq.sum(axis=0)
-    dh = dq @ params.weights[-1].T
-    for layer in range(len(params.weights) - 2, -1, -1):
-        dz = dh * (pre[layer] > 0.0)
-        grads_w[layer] = act[layer].T @ dz
-        grads_b[layer] = dz.sum(axis=0)
+    for layer in range(len(params.weights) - 1, -1, -1):
+        np.matmul(act[layer].T, dz, out=grads.weights[layer])
+        dz.sum(axis=0, out=grads.biases[layer])
         if layer > 0:
-            dh = dz @ params.weights[layer].T
-    return loss, grads_w, grads_b
-
-
-def grad(params: MlpParams, batch: TransitionBatch, target_params: MlpParams,
-         gamma: float):
-    """Gradient of the mean Huber TD loss over the minibatch.
-
-    Returns (weight gradients, bias gradients) shaped like the parameters.
-    """
-    if len(batch) == 0:
-        raise ValueError("minibatch must be non-empty")
-    _, gw, gb = _loss_and_grad(params, batch, target_params, gamma)
-    return gw, gb
+            dz = (dz @ params.weights[layer].T) * (pre[layer - 1] > 0.0)
+    return loss
 
 
 # --------------------------------------------------------------------------
@@ -195,50 +164,40 @@ def grad(params: MlpParams, batch: TransitionBatch, target_params: MlpParams,
 
 @dataclass
 class AdamState:
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
-    t: int = 0
+    """First and second moments, each one vector shaped like MlpParams.flat.
 
-    def copy(self) -> "AdamState":
-        return AdamState([a.copy() for a in self.m_w], [a.copy() for a in self.v_w],
-                         [a.copy() for a in self.m_b], [a.copy() for a in self.v_b],
-                         self.t)
+    `work` is scratch for the update's temporaries: fresh vectors of this
+    size on every update cost page faults that dominate the arithmetic.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
+    t: int = 0
+    work: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.work = np.empty((2, self.m.size))
 
 
 def init_adam(params: MlpParams) -> AdamState:
-    return AdamState([np.zeros_like(w) for w in params.weights],
-                     [np.zeros_like(w) for w in params.weights],
-                     [np.zeros_like(b) for b in params.biases],
-                     [np.zeros_like(b) for b in params.biases])
+    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def _adam_update_inplace(params: MlpParams, state: AdamState, grads_w, grads_b,
+def _adam_update_inplace(params: MlpParams, state: AdamState, grad: np.ndarray,
                          lr: float, beta1: float, beta2: float, eps: float):
+    """One bias-corrected Adam step over the whole flat vector, in place."""
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    for arrs, moments1, moments2, grads in (
-            (params.weights, state.m_w, state.v_w, grads_w),
-            (params.biases, state.m_b, state.v_b, grads_b)):
-        for a, m, v, g in zip(arrs, moments1, moments2, grads):
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * (g * g)
-            a -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-
-
-def adam_step(params: MlpParams, state: AdamState, grads,
-              cfg: "TrainConfig") -> tuple[MlpParams, AdamState]:
-    """Pure bias-corrected Adam step; inputs are left untouched."""
-    grads_w, grads_b = grads
-    new_params, new_state = params.copy(), state.copy()
-    _adam_update_inplace(new_params, new_state, grads_w, grads_b,
-                         cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2,
-                         cfg.adam_eps)
-    return new_params, new_state
+    m, v, (num, den) = state.m, state.v, state.work
+    m *= beta1
+    m += np.multiply(1.0 - beta1, grad, out=num)
+    v *= beta2
+    v += np.multiply(1.0 - beta2, np.multiply(grad, grad, out=num), out=num)
+    np.sqrt(np.divide(v, c2, out=den), out=den)
+    den += eps
+    params.flat -= np.divide(np.multiply(lr, np.divide(m, c1, out=num), out=num),
+                             den, out=num)
 
 
 # --------------------------------------------------------------------------
@@ -284,9 +243,6 @@ class ReplayBuffer:
         self._terminals[i] = terminal
         self._head = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
-
-    def push_transition(self, tr: Transition):
-        self.push(tr.state, tr.action, tr.reward, tr.next_state, tr.terminal)
 
     def sample(self, rng: np.random.Generator, n: int) -> TransitionBatch:
         if n > self._size:
@@ -393,6 +349,7 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
 
     params = init_mlp((input_dim, *cfg.hidden_sizes, N_ACTIONS), rng)
     target = params.copy()
+    grads = MlpParams(params.dims)
     adam = init_adam(params)
     buffer = ReplayBuffer(cfg.replay_capacity, input_dim)
     result = TrainResult(params=params, adam=adam)
@@ -408,7 +365,7 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
             s = np.asarray(env.state_vector, float).copy()
 
         if global_step % cfg.target_sync_steps == 0:
-            target = params.copy()
+            target.flat[:] = params.flat
 
         if global_step % cfg.update_period_steps == 0 and len(buffer) >= cfg.sample_block:
             phase += 1
@@ -422,14 +379,14 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
                         mb = TransitionBatch(block.states[idx], block.actions[idx],
                                              block.rewards[idx], block.next_states[idx],
                                              block.terminals[idx])
-                        loss, gw, gb = _loss_and_grad(params, mb, target, cfg.discount)
+                        loss = _loss_and_grad(params, mb, target, cfg.discount, grads)
                         if not math.isfinite(loss):
                             raise TrainingDivergedError(
                                 "non-finite loss",
                                 {"global_step": global_step, "phase": phase,
                                  "loss": loss,
                                  "q_max": float(np.max(np.abs(forward(params, mb.states))))})
-                        _adam_update_inplace(params, adam, gw, gb,
+                        _adam_update_inplace(params, adam, grads.flat,
                                              cfg.learning_rate, cfg.adam_beta1,
                                              cfg.adam_beta2, cfg.adam_eps)
                         losses.append(loss)
@@ -456,10 +413,17 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
 # checkpoints
 # --------------------------------------------------------------------------
 
+def _body(params: MlpParams, adam: AdamState) -> tuple[np.ndarray, ...]:
+    """The checkpoint body in file order: the parameter vector, the weight
+    parts of m and of v, then their bias parts."""
+    nw = params.n_weights
+    return params.flat, adam.m[:nw], adam.v[:nw], adam.m[nw:], adam.v[nw:]
+
+
 def save_checkpoint(path, params: MlpParams, adam: AdamState, global_step: int,
                     config_json: str = "{}"):
-    """Versioned flat binary: dims, weights/biases row-major, Adam state,
-    step counter, and the configuration echo."""
+    """Versioned flat binary: dims, Adam step, global step, the
+    configuration echo, then the little-endian float64 body."""
     dims = params.dims
     blob = config_json.encode("utf-8")
     with open(path, "wb") as fh:
@@ -468,10 +432,8 @@ def save_checkpoint(path, params: MlpParams, adam: AdamState, global_step: int,
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
         fh.write(struct.pack("<QQQ", adam.t, global_step, len(blob)))
         fh.write(blob)
-        for arrs in (params.weights, params.biases, adam.m_w, adam.v_w,
-                     adam.m_b, adam.v_b):
-            for a in arrs:
-                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        for part in _body(params, adam):
+            fh.write(np.ascontiguousarray(part, dtype="<f8"))
 
 
 def load_checkpoint(path) -> tuple[MlpParams, AdamState, int, str]:
@@ -484,19 +446,11 @@ def load_checkpoint(path) -> tuple[MlpParams, AdamState, int, str]:
         dims = struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims))
         adam_t, global_step, blob_len = struct.unpack("<QQQ", fh.read(24))
         config_json = fh.read(blob_len).decode("utf-8")
-
-        def read_arrays(shapes):
-            out = []
-            for shape in shapes:
-                count = int(np.prod(shape))
-                data = np.frombuffer(fh.read(8 * count), dtype="<f8").copy()
-                out.append(data.reshape(shape))
-            return out
-
-        w_shapes = list(zip(dims[:-1], dims[1:]))
-        b_shapes = [(d,) for d in dims[1:]]
-        weights = read_arrays(w_shapes)
-        biases = read_arrays(b_shapes)
-        adam = AdamState(read_arrays(w_shapes), read_arrays(w_shapes),
-                         read_arrays(b_shapes), read_arrays(b_shapes), adam_t)
-    return MlpParams(weights, biases), adam, global_step, config_json
+        n = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+        params = MlpParams(dims, np.empty(n, dtype="<f8"))
+        adam = AdamState(np.empty(n, dtype="<f8"), np.empty(n, dtype="<f8"), adam_t)
+        found = sum(fh.readinto(part) for part in _body(params, adam)) + len(fh.read())
+    if found != 3 * 8 * n:
+        raise ValueError(f"{path}: checkpoint body is {found} bytes, expected "
+                         f"{3 * 8 * n} for dims {dims}")
+    return params, adam, global_step, config_json

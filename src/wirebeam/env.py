@@ -94,6 +94,27 @@ class EnvConfig:
         return 6 * len(self.sense_points) + 3
 
 
+def check_invariants(env_cfg: EnvConfig, wire_params: wire.WireParams):
+    """Invariants tying the task to its wire: the substep below the
+    stability bound, sense points on the wire, interior radio and impulse
+    points.  Raises ConfigError."""
+    bound = wire_params.max_stable_dt()
+    if env_cfg.substep_dt >= bound:
+        raise ConfigError(
+            f"substep {env_cfg.substep_dt} s violates the stability bound "
+            f"dt < 2/sqrt(4*k0*N/m) = {bound:.6f} s "
+            f"(k0*N/m = {wire_params.spring_accel_coeff:.1f})")
+    n = wire_params.n_points
+    for p in env_cfg.sense_points:
+        if not 1 <= p <= n:
+            raise ConfigError(f"sense point P{p} outside 1..{n}")
+    if not 1 < env_cfg.tx_point < n:
+        raise ConfigError(f"tx_point P{env_cfg.tx_point} must be interior (2..{n - 1})")
+    if env_cfg.impulse_enabled and not 1 < env_cfg.impulse_point < n:
+        raise ConfigError(f"impulse point P{env_cfg.impulse_point} must be "
+                          f"interior (2..{n - 1})")
+
+
 def _is_multiple(value: float, unit: float) -> bool:
     if value < 0:
         return False
@@ -157,7 +178,6 @@ class StepOutcome:
     proxy_reward: float
     raw_power_dbm: float
     episode_done: bool
-    optimal_power_dbm: float  # continuous perfect aim, for logging
 
 
 class BeamTrackingEnv:
@@ -170,17 +190,7 @@ class BeamTrackingEnv:
     def __init__(self, env_cfg: EnvConfig, wire_params: wire.WireParams,
                  wind: wire.WindModel, channel_cfg: ChannelConfig,
                  array_cfg: ArrayConfig, seed: int = 0):
-        if env_cfg.substep_dt >= wire_params.max_stable_dt():
-            raise ConfigError(
-                f"substep {env_cfg.substep_dt} s >= stability bound "
-                f"{wire_params.max_stable_dt():.6f} s for k0*N/m = "
-                f"{wire_params.spring_accel_coeff:.1f}")
-        for p in env_cfg.sense_points:
-            if not 1 <= p <= wire_params.n_points:
-                raise ConfigError(f"sense point P{p} outside 1..{wire_params.n_points}")
-        if not 1 < env_cfg.tx_point < wire_params.n_points:
-            raise ConfigError("tx_point must be an interior point")
-
+        check_invariants(env_cfg, wire_params)
         self.cfg = env_cfg
         self.wire_params = wire_params
         self.wind = wind
@@ -205,13 +215,11 @@ class BeamTrackingEnv:
 
         self._impulses = ()
         if impulse_time is not None:
-            impulse = wire.ImpulseEvent(
+            self._impulses = (wire.ImpulseEvent(
                 point_number=self.cfg.impulse_point,
                 force=np.asarray(self.cfg.impulse_force, float),
                 apply_time=impulse_time,
-                duration_s=self.cfg.impulse_duration_s)
-            impulse.validate_for(self.wire_params)
-            self._impulses = (impulse,)
+                duration_s=self.cfg.impulse_duration_s),)
 
         self.state = self._equilibrium.copy()
         self.step_count = 0
@@ -278,8 +286,7 @@ class BeamTrackingEnv:
         return StepOutcome(next_state=self.state_vector,
                            proxy_reward=reward,
                            raw_power_dbm=raw,
-                           episode_done=self.done,
-                           optimal_power_dbm=self.optimal_power_dbm())
+                           episode_done=self.done)
 
 
 @dataclass
@@ -313,7 +320,7 @@ def trace_row(env: BeamTrackingEnv, action: int, out: StepOutcome) -> TraceRow:
                     theta_s_deg=math.degrees(env.beam.theta_s),
                     phi_s_deg=math.degrees(env.beam.phi_s),
                     raw_power_dbm=out.raw_power_dbm,
-                    optimal_power_dbm=out.optimal_power_dbm,
+                    optimal_power_dbm=env.optimal_power_dbm(),
                     proxy_reward=out.proxy_reward,
                     node_x=float(node[0]), node_y=float(node[1]), node_z=float(node[2]))
 

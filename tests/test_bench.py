@@ -205,6 +205,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mean_power_dbm" in out
 
+    def test_sweep_with_unknown_policy_writes_nothing(self, tmp_path, capsys):
+        # a typo must not fall through to another policy
+        cfg = self.write_cfg(tmp_path, "eval.episodes = 1\n"
+                                       "env.episode_duration_s = 0.2\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "mass",
+                     "--values", "10", "--reps", "1", "--policies", "orcale"]) == 1
+        assert "unknown policy 'orcale'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_smoke_verb(self, tmp_path):
         text = "\n".join(f"{k} = {v}" for k, v in TINY_TRAIN.items()) + "\n"
         cfg = self.write_cfg(tmp_path, text)

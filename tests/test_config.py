@@ -7,7 +7,8 @@ import pytest
 
 from wirebeam import config as cfgmod
 from wirebeam.channel import boresight_power
-from wirebeam.config import ConfigError, build_config, default_config, load_config
+from wirebeam.config import (ConfigError, SweepSpec, build_config, default_config,
+                             load_config)
 from wirebeam.wire import solve_equilibrium
 
 
@@ -100,6 +101,14 @@ env.lookback_s = 0.08
         with pytest.raises(ConfigError, match=":2"):
             load_config(path)
 
+    def test_wire_invariants_shared_with_the_env(self):
+        # the env's own check runs at load time, with the env's message
+        with pytest.raises(ConfigError, match="impulse point P21 must be interior"):
+            default_config(scenario="wind_plus_impulse", **{"wire.impulse_point": "21"})
+        default_config(**{"wire.impulse_point": "21"})  # no impulses: not checked
+        with pytest.raises(ConfigError, match="sense point P30 outside 1..21"):
+            default_config(state_mode="expanded", **{"env.sense_points": "10, 30"})
+
     def test_stability_bound_violation(self):
         with pytest.raises(ConfigError, match="stability"):
             default_config(**{"wire.spring_k_n_per_m": "1e6"})
@@ -145,3 +154,10 @@ env.lookback_s = 0.08
         cfg = default_config(**{"sweep.axis": "mass", "sweep.values": "5, 10, 15",
                                 "sweep.repetitions": "2"})
         assert cfg.sweep.values == (5.0, 10.0, 15.0)
+
+    def test_sweep_policies_must_name_a_policy_kind(self):
+        assert default_config().sweep.policies == ("oracle", "fixed", "dqn")
+        with pytest.raises(ConfigError, match="unknown policy 'orcale'"):
+            default_config(**{"sweep.policies": "oracle, orcale"})
+        with pytest.raises(ConfigError, match="unknown policy 'orcale'"):
+            SweepSpec(axis="mass", values=(10.0,), repetitions=1, policies=("orcale",))

@@ -1,15 +1,50 @@
 """DQN numerics: forward/backward, Adam, exploration, replay, training."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from wirebeam import dqn
-from wirebeam.dqn import (AdamState, MlpParams, ReplayBuffer, TrainConfig,
-                          Transition, TransitionBatch, adam_step, forward, grad,
-                          huber, init_adam, init_mlp, select_action, td_target)
+from wirebeam.dqn import (MlpParams, ReplayBuffer, TrainConfig, TransitionBatch,
+                          forward, huber, init_adam, init_mlp, select_action)
 from wirebeam.env import StepOutcome
+
+
+@dataclass(frozen=True)
+class Transition:
+    """One replay record: the per-sample reference for the batched loss."""
+
+    state: np.ndarray
+    action: int
+    reward: float
+    next_state: np.ndarray
+    terminal: bool
+
+    def __post_init__(self):
+        if not -1.0 - 1e-9 <= self.reward <= 1.0 + 1e-9:
+            raise ValueError(f"reward {self.reward} outside the clipped range [-1, 1]")
+
+
+def td_target(tr: Transition, target_params: MlpParams, gamma: float) -> float:
+    """r + gamma * max_a' Q_target(s', a'); the bootstrap drops when terminal."""
+    if tr.terminal:
+        return float(tr.reward)
+    return float(tr.reward + gamma * forward(target_params, tr.next_state).max())
+
+
+def grad(params, batch, target, gamma) -> np.ndarray:
+    """The flat gradient vector of the mean Huber TD loss."""
+    grads = MlpParams(params.dims)
+    dqn._loss_and_grad(params, batch, target, gamma, grads)
+    return grads.flat
+
+
+def adam_update(params, state, grad, lr=1e-4):
+    cfg = TrainConfig(learning_rate=lr, total_steps=1)
+    dqn._adam_update_inplace(params, state, grad, cfg.learning_rate, cfg.adam_beta1,
+                             cfg.adam_beta2, cfg.adam_eps)
 
 
 class ConstantRewardEnv:
@@ -20,8 +55,7 @@ class ConstantRewardEnv:
 
     def step(self, action):
         return StepOutcome(next_state=self.state_vector.copy(), proxy_reward=1.0,
-                           raw_power_dbm=-40.0, episode_done=False,
-                           optimal_power_dbm=-40.0)
+                           raw_power_dbm=-40.0, episode_done=False)
 
 
 def tiny_params(rng, dims=(3, 4, 3, 4, 9)) -> MlpParams:
@@ -36,16 +70,37 @@ def batch_of(transitions) -> TransitionBatch:
                            np.array([t.terminal for t in transitions]))
 
 
+class TestMlpParams:
+    def test_layout_is_weights_then_biases_as_views(self):
+        params = tiny_params(np.random.default_rng(14))
+        dims = params.dims
+        parts = [w.ravel() for w in params.weights] + params.biases
+        np.testing.assert_array_equal(np.concatenate(parts), params.flat)
+        assert params.n_weights == sum(a * b for a, b in zip(dims[:-1], dims[1:]))
+        assert all(np.shares_memory(a, params.flat) for a in parts)
+        params.biases[-1][0] = 5.0
+        assert params.flat[-len(params.biases[-1])] == 5.0
+
+    def test_copy_is_independent_and_equal(self):
+        params = tiny_params(np.random.default_rng(15))
+        twin = params.copy()
+        assert twin.equals(params)
+        twin.weights[0][0, 0] += 1.0
+        assert not twin.equals(params)
+
+    def test_wrong_flat_size_rejected(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            MlpParams((3, 4, 9), np.zeros(10))
+
+
 class TestForward:
     def test_zero_network_outputs_zero(self):
-        dims = (4, 8, 8, 8, 9)
-        params = MlpParams([np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])],
-                           [np.zeros(b) for b in dims[1:]])
+        params = MlpParams((4, 8, 8, 8, 9))
         np.testing.assert_array_equal(forward(params, np.ones(4)), np.zeros(9))
 
     def test_relu_gates_negative_signal(self):
-        params = MlpParams([np.ones((1, 1)) for _ in range(4)],
-                           [np.zeros(1) for _ in range(4)])
+        params = MlpParams((1, 1, 1, 1, 1))
+        params.flat[:4] = 1.0  # the four 1x1 weights; biases stay zero
         assert forward(params, np.array([-2.0]))[0] == 0.0
         assert forward(params, np.array([3.0]))[0] == 3.0
 
@@ -92,17 +147,13 @@ class TestTdTarget:
         assert td_target(tr, tiny_params(rng), 0.99) == pytest.approx(0.3)
 
     def test_zero_target_network(self):
-        dims = (3, 4, 3, 4, 9)
-        zero = MlpParams([np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])],
-                         [np.zeros(b) for b in dims[1:]])
+        zero = MlpParams((3, 4, 3, 4, 9))
         tr = Transition(np.zeros(3), 0, 0.7, np.ones(3), False)
         assert td_target(tr, zero, 0.99) == pytest.approx(0.7)
 
     def test_constructed_target_values(self):
         # zero weights, output biases [1..9]: the max is 9 by construction
-        dims = (3, 4, 3, 4, 9)
-        net = MlpParams([np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])],
-                        [np.zeros(b) for b in dims[1:]])
+        net = MlpParams((3, 4, 3, 4, 9))
         net.biases[-1][:] = np.arange(1.0, 10.0)
         tr = Transition(np.zeros(3), 0, 0.0, np.ones(3), False)
         assert td_target(tr, net, 0.99) == pytest.approx(0.99 * 9.0)
@@ -137,23 +188,19 @@ def _margins_ok(params, batch, target, gamma, margin=1e-3):
 
 class TestGradient:
     def test_zero_residual_gives_zero_gradient(self):
-        dims = (3, 4, 3, 4, 9)
-        zero = MlpParams([np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])],
-                         [np.zeros(b) for b in dims[1:]])
+        zero = MlpParams((3, 4, 3, 4, 9))
         trs = [Transition(np.ones(3), 2, 0.0, np.ones(3), True) for _ in range(4)]
-        gw, gb = grad(zero, batch_of(trs), zero, 0.99)
-        assert all(np.all(g == 0) for g in gw + gb)
+        assert np.all(grad(zero, batch_of(trs), zero, 0.99) == 0)
 
     def test_batch_gradient_is_mean_of_singles(self):
         rng = np.random.default_rng(3)
         params, target = tiny_params(rng), tiny_params(rng)
         t1 = Transition(rng.normal(size=3), 1, 0.4, rng.normal(size=3), False)
         t2 = Transition(rng.normal(size=3), 7, -0.2, rng.normal(size=3), False)
-        gw12, gb12 = grad(params, batch_of([t1, t2]), target, 0.9)
-        gw1, gb1 = grad(params, batch_of([t1]), target, 0.9)
-        gw2, gb2 = grad(params, batch_of([t2]), target, 0.9)
-        for g12, g1, g2 in zip(gw12 + gb12, gw1 + gb1, gw2 + gb2):
-            np.testing.assert_allclose(g12, 0.5 * (g1 + g2), rtol=1e-12, atol=1e-15)
+        g12 = grad(params, batch_of([t1, t2]), target, 0.9)
+        g1 = grad(params, batch_of([t1]), target, 0.9)
+        g2 = grad(params, batch_of([t2]), target, 0.9)
+        np.testing.assert_allclose(g12, 0.5 * (g1 + g2), rtol=1e-12, atol=1e-15)
 
     def test_matches_central_finite_differences(self):
         # 50 random tiny nets, every parameter, away from kinks
@@ -168,23 +215,30 @@ class TestGradient:
             batch = batch_of([tr])
             if not _margins_ok(params, batch, target, 0.95):
                 continue
-            gw, gb = grad(params, batch, target, 0.95)
+            g = grad(params, batch, target, 0.95)
             worst = 0.0
-            for arrs, grads in ((params.weights, gw), (params.biases, gb)):
-                for a, g in zip(arrs, grads):
-                    flat_a, flat_g = a.ravel(), g.ravel()
-                    for i in range(flat_a.size):
-                        orig = flat_a[i]
-                        flat_a[i] = orig + step
-                        up = _fd_loss(params, batch, target, 0.95)
-                        flat_a[i] = orig - step
-                        down = _fd_loss(params, batch, target, 0.95)
-                        flat_a[i] = orig
-                        fd = (up - down) / (2 * step)
-                        scale = max(abs(fd), abs(flat_g[i]), 1e-8)
-                        worst = max(worst, abs(fd - flat_g[i]) / scale)
+            for i in range(params.flat.size):
+                orig = params.flat[i]
+                params.flat[i] = orig + step
+                up = _fd_loss(params, batch, target, 0.95)
+                params.flat[i] = orig - step
+                down = _fd_loss(params, batch, target, 0.95)
+                params.flat[i] = orig
+                fd = (up - down) / (2 * step)
+                scale = max(abs(fd), abs(g[i]), 1e-8)
+                worst = max(worst, abs(fd - g[i]) / scale)
             assert worst < 1e-4
             checked += 1
+
+    def test_every_gradient_entry_is_overwritten(self):
+        # the training loop reuses one gradient buffer across minibatches
+        rng = np.random.default_rng(19)
+        params, target = tiny_params(rng), tiny_params(rng)
+        batch = batch_of([Transition(rng.normal(size=3), 3, 0.1, rng.normal(size=3),
+                                     False)])
+        stale = MlpParams(params.dims, np.full(params.flat.size, np.nan))
+        dqn._loss_and_grad(params, batch, target, 0.9, stale)
+        np.testing.assert_array_equal(stale.flat, grad(params, batch, target, 0.9))
 
     def test_empty_minibatch_rejected(self):
         rng = np.random.default_rng(4)
@@ -192,49 +246,66 @@ class TestGradient:
         empty = TransitionBatch(np.zeros((0, 3)), np.zeros(0, int), np.zeros(0),
                                 np.zeros((0, 3)), np.zeros(0, bool))
         with pytest.raises(ValueError):
-            grad(params, empty, params, 0.99)
+            dqn._loss_and_grad(params, empty, params, 0.99, MlpParams(params.dims))
 
 
 class TestAdam:
-    def cfg(self, lr=1e-4):
-        return TrainConfig(learning_rate=lr, total_steps=1)
-
     def test_zero_gradient_only_advances_counter(self):
         rng = np.random.default_rng(5)
         params = tiny_params(rng)
+        before = params.copy()
         state = init_adam(params)
-        zeros = ([np.zeros_like(w) for w in params.weights],
-                 [np.zeros_like(b) for b in params.biases])
-        new_params, new_state = adam_step(params, state, zeros, self.cfg())
-        assert new_state.t == 1
-        assert new_params.allclose(params)
+        adam_update(params, state, np.zeros_like(params.flat))
+        assert state.t == 1
+        assert params.equals(before)
 
     def test_one_step_closed_form(self):
         # scalar parameter, constant gradient: delta = -lr * g / (|g| + eps)
         g = 0.37
-        params = MlpParams([np.array([[2.0]])], [np.array([0.5])])
+        params = MlpParams((1, 1))
+        params.flat[:] = (2.0, 0.5)  # the weight, then the bias
         state = init_adam(params)
-        cfg = self.cfg(lr=1e-4)
-        new_params, _ = adam_step(params, state, ([np.array([[g]])],
-                                                  [np.array([0.0])]), cfg)
-        expected = 2.0 - 1e-4 * g / (abs(g) + cfg.adam_eps)
-        assert new_params.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
-        assert new_params.weights[0][0, 0] == pytest.approx(2.0 - 1e-4 * np.sign(g),
-                                                            rel=1e-6)
+        adam_update(params, state, np.array([g, 0.0]), lr=1e-4)
+        expected = 2.0 - 1e-4 * g / (abs(g) + TrainConfig().adam_eps)
+        assert params.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
+        assert params.weights[0][0, 0] == pytest.approx(2.0 - 1e-4 * np.sign(g),
+                                                        rel=1e-6)
+        assert params.biases[0][0] == 0.5
+
+    def test_matches_the_textbook_expression_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        params = tiny_params(rng)
+        p, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+        state = init_adam(params)
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        for t in range(1, 6):
+            g = rng.normal(size=p.shape)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            p = p - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            dqn._adam_update_inplace(params, state, g, lr, b1, b2, eps)
+            np.testing.assert_array_equal(params.flat, p)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
 
     def test_purity_and_repeatability(self):
+        # the update leaves its gradient untouched, and equal starting
+        # points give identical parameters and moments
         rng = np.random.default_rng(6)
         params = tiny_params(rng)
-        state = init_adam(params)
-        grads = ([rng.normal(size=w.shape) for w in params.weights],
-                 [rng.normal(size=b.shape) for b in params.biases])
-        before = params.copy()
-        out1 = adam_step(params, state, grads, self.cfg())
-        out2 = adam_step(params, state, grads, self.cfg())
-        assert params.allclose(before)          # inputs untouched
-        assert state.t == 0
-        assert out1[0].allclose(out2[0])        # identical results
-        assert out1[1].t == out2[1].t == 1
+        g = rng.normal(size=params.flat.shape)
+        g_before = g.copy()
+        runs = []
+        for _ in range(2):
+            p, state = params.copy(), init_adam(params)
+            adam_update(p, state, g)
+            runs.append((p, state))
+        np.testing.assert_array_equal(g, g_before)
+        (p1, s1), (p2, s2) = runs
+        assert p1.equals(p2) and not p1.equals(params)
+        np.testing.assert_array_equal(s1.m, s2.m)
+        np.testing.assert_array_equal(s1.v, s2.v)
+        assert s1.t == s2.t == 1
 
 
 class TestSelectAction:
@@ -338,7 +409,7 @@ class TestTraining:
         cfg = stub_cfg(total_steps=150)
         r1 = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=42)
         r2 = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=42)
-        assert r1.params.allclose(r2.params)
+        assert r1.params.equals(r2.params)
         assert r1.log == r2.log
 
     def test_target_network_isolated_between_syncs(self):
@@ -348,8 +419,8 @@ class TestTraining:
         rng = np.random.default_rng(3)
         rng.integers(2 ** 63)  # the factory seed draw precedes initialization
         init = init_mlp((5, 16, 16, 16, 9), rng)
-        assert result.target_params.allclose(init)
-        assert not result.params.allclose(init)
+        assert result.target_params.equals(init)
+        assert not result.params.equals(init)
 
     def test_constant_reward_drives_q_to_fixed_point(self):
         # geometric series: Q -> 1/(1-gamma) = 100 within 2 percent; uniform
@@ -369,13 +440,51 @@ class TestCheckpoint:
         params = tiny_params(rng)
         adam = init_adam(params)
         adam.t = 17
-        adam.m_w[0] += 0.5
+        adam.m += rng.normal(size=adam.m.shape)
+        adam.v += rng.uniform(size=adam.v.shape)
         path = tmp_path / "ckpt.bin"
         dqn.save_checkpoint(path, params, adam, 1234, '{"seed": 9}')
         loaded, adam2, step, blob = dqn.load_checkpoint(path)
-        assert loaded.allclose(params)
+        assert loaded.equals(params)
         assert adam2.t == 17 and step == 1234 and blob == '{"seed": 9}'
-        np.testing.assert_array_equal(adam2.m_w[0], adam.m_w[0])
+        np.testing.assert_array_equal(adam2.m, adam.m)
+        np.testing.assert_array_equal(adam2.v, adam.v)
+
+    def test_body_layout(self, tmp_path):
+        # the body is the parameter vector, then the weight parts of m and
+        # v, then their bias parts: the layout of the format's first version
+        rng = np.random.default_rng(16)
+        params = tiny_params(rng)
+        adam = init_adam(params)
+        adam.m += rng.normal(size=adam.m.shape)
+        adam.v += rng.uniform(size=adam.v.shape)
+        path = tmp_path / "ckpt.bin"
+        dqn.save_checkpoint(path, params, adam, 0, "{}")
+        n, nw = params.flat.size, params.n_weights
+        body = np.frombuffer(path.read_bytes()[-24 * n:], dtype="<f8")
+        parts = [*params.weights, *params.biases]
+        m_w, v_w = adam.m[:nw], adam.v[:nw]
+        m_b, v_b = adam.m[nw:], adam.v[nw:]
+        expected = np.concatenate([a.ravel() for a in parts] + [m_w, v_w, m_b, v_b])
+        np.testing.assert_array_equal(body, expected)
+
+    def test_truncated_body_names_byte_counts(self, tmp_path):
+        params = tiny_params(np.random.default_rng(17))
+        path = tmp_path / "ckpt.bin"
+        dqn.save_checkpoint(path, params, init_adam(params), 0, "{}")
+        full = 24 * params.flat.size
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(ValueError, match=f"{full - 5} bytes, expected {full}"):
+            dqn.load_checkpoint(path)
+
+    def test_trailing_junk_rejected(self, tmp_path):
+        params = tiny_params(np.random.default_rng(18))
+        path = tmp_path / "ckpt.bin"
+        dqn.save_checkpoint(path, params, init_adam(params), 0, "{}")
+        full = 24 * params.flat.size
+        path.write_bytes(path.read_bytes() + b"\x00" * 16)
+        with pytest.raises(ValueError, match=f"{full + 16} bytes, expected {full}"):
+            dqn.load_checkpoint(path)
 
     def test_byte_identical_saves(self, tmp_path):
         rng = np.random.default_rng(13)

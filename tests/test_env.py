@@ -132,6 +132,15 @@ class TestEnvConfigValidation:
             BeamTrackingEnv(EnvConfig(), params, wire.WindModel(),
                             channel_cfg(wire_params()), ArrayConfig(), 0)
 
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(sense_points=(10, 22)), "sense point P22 outside 1..21"),
+        (dict(tx_point=21, sense_points=(21,)), "tx_point P21 must be interior"),
+        (dict(impulse_enabled=True, impulse_point=1), "impulse point P1 must be interior"),
+    ])
+    def test_points_must_fit_the_wire(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            make_env(**overrides)
+
     def test_state_dim(self):
         assert EnvConfig().state_dim == 9
         expanded = EnvConfig(sense_points=(2, 4, 6, 8, 10, 12, 14, 16, 18))
@@ -194,7 +203,7 @@ class TestStepping:
         expected = received_power(e.true_node_position, e.beam,
                                   e.channel_cfg, e.array_cfg)
         assert out.raw_power_dbm == pytest.approx(expected, abs=1e-9)
-        assert out.raw_power_dbm <= out.optimal_power_dbm + 1e-12
+        assert out.raw_power_dbm <= e.optimal_power_dbm() + 1e-12
 
     def test_episode_ends_exactly_at_step_300(self):
         e = make_env(seed=4, quiet=True)
