@@ -11,7 +11,7 @@ import numpy as np
 
 from wirebeam.bench import make_env, policy_callable, rollout_episode
 from wirebeam.config import default_config
-from wirebeam.env import write_trace_csv
+from wirebeam.env import angle_error_deg, write_trace_csv
 from wirebeam.policies import PolicyKind
 
 OUT = Path("demo_out")
@@ -20,25 +20,29 @@ OUT.mkdir(exist_ok=True)
 cfg = default_config()
 SEED = 11
 
-results = {}
+results, errors = {}, {}
 for kind in (PolicyKind.ORACLE, PolicyKind.FIXED_BEAM):
     env = make_env(cfg, SEED)
     results[kind] = rollout_episode(env, policy_callable(cfg, kind))
-    write_trace_csv(OUT / f"episode_{kind.value}.csv", results[kind].rows)
+    errors[kind] = [angle_error_deg(r.node, r.beam, env.rx_position)
+                    for r in results[kind].rows]
+    write_trace_csv(OUT / f"episode_{kind.value}.csv", results[kind].rows,
+                    cfg.channel, cfg.array)
 
 print("time    oracle dBm   fixed dBm   oracle err   fixed err")
 for k in range(0, 300, 30):
     ro = results[PolicyKind.ORACLE]
     rf = results[PolicyKind.FIXED_BEAM]
+    eo, ef = errors[PolicyKind.ORACLE], errors[PolicyKind.FIXED_BEAM]
     print(f"{(k + 1) * 0.01:4.2f}s  {ro.rows[k].raw_power_dbm:10.2f} "
           f"{rf.rows[k].raw_power_dbm:11.2f} "
-          f"{ro.angle_errors_deg[k]:10.2f}d {rf.angle_errors_deg[k]:10.2f}d")
+          f"{eo[k]:10.2f}d {ef[k]:10.2f}d")
 
 for kind, res in results.items():
     powers = [r.raw_power_dbm for r in res.rows]
     print(f"\n{kind.value:>6}: mean {np.mean(powers):7.2f} dBm, "
           f"worst {np.min(powers):7.2f} dBm, "
-          f"mean angle error {np.mean(res.angle_errors_deg):.2f} deg")
+          f"mean angle error {np.mean(errors[kind]):.2f} deg")
 
 print(f"\nper-step traces written to {OUT}/episode_*.csv")
 print("the gap between the two curves is what a learned tracker can recover.")

@@ -17,7 +17,7 @@ from .channel import (ArrayConfig, BeamOrientation, ChannelConfig,
                       DepartureGeometry, aod_geometry, array_factor,
                       element_gain, received_power)
 from .env import (BeamTrackingEnv, EnvConfig, StepOutcome, apply_action,
-                  assemble_state, proxy_reward)
+                  assemble_state, proxy_reward, rollout)
 from .dqn import (AdamState, MlpParams, ReplayBuffer, TrainConfig, forward,
                   huber, select_action, train)
 from .policies import PolicyKind, fixed_action, oracle_action

@@ -1,14 +1,17 @@
 """Experiment orchestration: seeded runs, sweeps, metrics, and file outputs.
 
-Every artifact embeds the full config echo and seed in its header, so a
-result is re-derivable from the file alone.  Policy comparisons inside a
-sweep cell share identical environment seeds (paired-seed discipline),
-and completed sweep cells are skipped on re-run.
+The checkpoint, training log, metrics and sweep summary embed the full
+config echo and seed, so such a result is re-derivable from the file
+alone.  Policy comparisons inside a sweep cell share identical environment
+seeds (paired-seed discipline), and completed sweep cells are skipped on
+re-run: metrics files and checkpoints land whole or not at all, and a
+metrics file that does not parse is recomputed.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -18,8 +21,9 @@ import numpy as np
 
 from . import dqn
 from .channel import write_pattern_csv
-from .config import ExperimentConfig, SweepSpec, build_config
-from .env import BeamTrackingEnv, angle_error_deg, trace_row, write_trace_csv
+from .config import SWEEP_AXES, ExperimentConfig, build_config
+from .env import (BeamTrackingEnv, StepOutcome, angle_error_deg, rollout,
+                  write_trace_csv)
 from .policies import PolicyKind, fixed_action, oracle_action
 from .wire import ImpulseEvent, simulate_trajectory, write_trajectory_csv
 
@@ -53,7 +57,7 @@ def policy_callable(cfg: ExperimentConfig, kind: PolicyKind,
         return lambda env: fixed_action()
     if params is None:
         raise EvalError("dqn policy requires trained parameters")
-    return lambda env: int(np.argmax(dqn.forward(params, env.state_vector)))
+    return dqn.greedy_policy(params)
 
 
 # --------------------------------------------------------------------------
@@ -62,19 +66,13 @@ def policy_callable(cfg: ExperimentConfig, kind: PolicyKind,
 
 @dataclass
 class EpisodeResult:
-    rows: list
-    angle_errors_deg: list[float]
+    rows: list[StepOutcome]  # one per step, from the episode's start
     impulse_time: float | None
 
 
 def rollout_episode(env: BeamTrackingEnv, policy_fn) -> EpisodeResult:
-    rows, errors = [], []
-    while not env.done:
-        action = policy_fn(env)
-        out = env.step(action)
-        rows.append(trace_row(env, action, out))
-        errors.append(angle_error_deg(env))
-    return EpisodeResult(rows=rows, angle_errors_deg=errors,
+    """The whole episode under `policy_fn`, from a freshly reset env."""
+    return EpisodeResult(rows=rollout(env, policy_fn, env.cfg.episode_steps),
                          impulse_time=env.schedule.impulse_time)
 
 
@@ -108,7 +106,8 @@ class MetricsRecord:
 def aggregate_metrics(cfg: ExperimentConfig, policy: str,
                       results: list[EpisodeResult]) -> MetricsRecord:
     powers = [r.raw_power_dbm for res in results for r in res.rows]
-    errors = [e for res in results for e in res.angle_errors_deg]
+    rx = cfg.channel.rx_position
+    errors = [angle_error_deg(r.node, r.beam, rx) for res in results for r in res.rows]
     windows = [post_impulse_window(res, cfg.env.tau) for res in results]
     window_means = [float(np.mean(w)) for w in windows if w]
     post = float(np.mean(window_means)) if window_means else None
@@ -189,40 +188,50 @@ def run_eval(cfg: ExperimentConfig, checkpoint, policy: PolicyKind,
         results.append(res)
         if write_traces:
             out.mkdir(parents=True, exist_ok=True)
-            write_trace_csv(out / f"trace_{policy.value}_ep{ep:03d}.csv", res.rows)
+            write_trace_csv(out / f"trace_{policy.value}_ep{ep:03d}.csv", res.rows,
+                            cfg.channel, cfg.array)
 
     record = aggregate_metrics(cfg, policy.value, results)
     if write_traces:
-        (out / f"metrics_{policy.value}.json").write_text(record.to_json())
+        _write_metrics(out / f"metrics_{policy.value}.json", record)
     return record
+
+
+def _write_metrics(path, record: MetricsRecord):
+    with dqn.atomic_open(path) as fh:
+        fh.write(record.to_json())
+
+
+def _read_metrics(path) -> dict | None:
+    """The metrics record stored at `path`, or None when there is no whole one."""
+    try:
+        rec = json.loads(Path(path).read_text())
+    except (OSError, ValueError):
+        return None
+    return rec if isinstance(rec, dict) and "mean_power_dbm" in rec else None
 
 
 # --------------------------------------------------------------------------
 # sweeps
 # --------------------------------------------------------------------------
 
-_AXIS_KEYS = {"mass": "wire.mass_total_kg",
-              "spring_k": "wire.spring_k_n_per_m",
-              "lookback": "env.lookback_s"}
-
-
 def sweep_cell_config(cfg: ExperimentConfig, axis: str, value: float,
                       seed: int) -> ExperimentConfig:
     """Re-materialize the config with one axis value and a cell seed."""
     values = dict(cfg.values)
-    values[_AXIS_KEYS[axis]] = repr(float(value))
+    values[SWEEP_AXES[axis]] = repr(float(value))
     values["seed"] = str(seed)
     return build_config(values)
 
 
-def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec | None = None,
-              out_dir=None) -> Path:
-    """One MetricsRecord per (value, repetition, policy), plus a summary.
+def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
+    """One MetricsRecord per (value, repetition, policy) of cfg.sweep, plus
+    a summary.
 
-    Completed cells (existing metrics files) are not recomputed.  Failures
-    are recorded per cell and the sweep continues.
+    Completed cells (metrics files that parse) are not recomputed.
+    Failures are recorded per cell and the sweep continues.
     """
-    sweep = sweep if sweep is not None else cfg.sweep
+    sweep = cfg.sweep
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -237,7 +246,7 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec | None = None,
                 metrics_path = cell_dir / f"metrics_{policy_name}.json"
                 entry = {"axis": sweep.axis, "value": value, "rep": rep,
                          "policy": policy_name, "path": str(metrics_path)}
-                if metrics_path.exists():
+                if _read_metrics(metrics_path) is not None:
                     entry["status"] = "cached"
                     cells.append(entry)
                     continue
@@ -249,7 +258,7 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec | None = None,
                             run_train(cell_cfg, cell_dir)
                     record = run_eval(cell_cfg, ckpt, kind, cell_cfg.eval_episodes,
                                       cell_dir, write_traces=False)
-                    metrics_path.write_text(record.to_json())
+                    _write_metrics(metrics_path, record)
                     entry["status"] = "ok"
                 except Exception as e:  # record the failure, keep sweeping
                     entry["status"] = f"failed: {e}"
@@ -271,10 +280,9 @@ def _write_sweep_summary(path, cfg, sweep, cells):
             for entry in cells:
                 if entry["value"] != value or entry["policy"] != policy_name:
                     continue
-                p = Path(entry["path"])
-                if not p.exists():
+                rec = _read_metrics(entry["path"])
+                if rec is None:
                     continue
-                rec = json.loads(p.read_text())
                 for k in stats:
                     if rec.get(k) is not None:
                         stats[k].append(rec[k])
@@ -293,26 +301,6 @@ def _write_sweep_summary(path, cfg, sweep, cells):
                     "mean_power_post_impulse_dbm", "std_power_post_impulse_dbm",
                     "mean_angle_error_deg", "std_angle_error_deg"])
         w.writerows(rows)
-
-
-def spearman_rank_corr(x, y) -> float:
-    """Spearman correlation via average ranks; NaN when either side is constant."""
-    def ranks(v):
-        v = np.asarray(v, float)
-        order = np.argsort(v, kind="stable")
-        r = np.empty(len(v))
-        r[order] = np.arange(1, len(v) + 1)
-        # average ranks over ties
-        for val in np.unique(v):
-            mask = v == val
-            if mask.sum() > 1:
-                r[mask] = r[mask].mean()
-        return r
-    rx, ry = ranks(x), ranks(y)
-    sx, sy = rx.std(), ry.std()
-    if sx == 0 or sy == 0:
-        return math.nan
-    return float(np.mean((rx - rx.mean()) * (ry - ry.mean())) / (sx * sy))
 
 
 # --------------------------------------------------------------------------
@@ -342,11 +330,7 @@ def export_trajectory(cfg: ExperimentConfig, out_dir=None, duration: float = 0.5
     wind = cfg.wind if with_wind else type(cfg.wind)(amplitude=0.0)
     params = cfg.wire
     if not with_wind:
-        params = type(params)(n_points=params.n_points, mass_total=params.mass_total,
-                              spring_k=params.spring_k, drag_c=params.drag_c,
-                              gravity=params.gravity,
-                              wind_diffusion=np.zeros((3, 3)),
-                              endpoint_separation=params.endpoint_separation)
+        params = dataclasses.replace(params, wind_diffusion=np.zeros((3, 3)))
     samples = simulate_trajectory(params, wind, [impulse], duration,
                                   cfg.env.substep_dt, cfg.seed,
                                   sample_every=cfg.env.tau)

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import bench
-from .config import (SWEEP_AXES, ConfigError, SweepSpec, apply_smoke,
+from .config import (DEFAULTS, SWEEP_AXES, ConfigError, apply_smoke,
                      build_config, _parse_file)
 from .policies import PolicyKind
 
@@ -22,6 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                             "evaluation and sweeps")
     sub = p.add_subparsers(dest="verb", required=True)
     policy_names = [k.value for k in PolicyKind]
+    # an option whose dest is a config key overrides that key (see _load)
 
     def common(sp):
         sp.add_argument("--config", required=True, help="key=value config file")
@@ -37,15 +38,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--policy", choices=policy_names, required=True)
     sp.add_argument("--checkpoint", default=None, help="required for --policy dqn")
-    sp.add_argument("--episodes", type=int, default=None,
+    sp.add_argument("--episodes", dest="eval.episodes", type=int, default=None,
                     help="override eval.episodes")
 
     sp = sub.add_parser("sweep", help="run the configured parameter sweep")
     common(sp)
-    sp.add_argument("--axis", choices=SWEEP_AXES, default=None)
-    sp.add_argument("--values", default=None, help="comma-separated axis values")
-    sp.add_argument("--reps", type=int, default=None)
-    sp.add_argument("--policies", default=None,
+    sp.add_argument("--axis", dest="sweep.axis", choices=tuple(SWEEP_AXES), default=None)
+    sp.add_argument("--values", dest="sweep.values", default=None,
+                    help="comma-separated axis values")
+    sp.add_argument("--reps", dest="sweep.repetitions", type=int, default=None)
+    sp.add_argument("--policies", dest="sweep.policies", default=None,
                     help=f"comma-separated subset of {','.join(policy_names)}")
 
     sp = sub.add_parser("pattern", help="export the beam-pattern CSV")
@@ -65,8 +67,8 @@ def _load(args) -> "ExperimentConfig":
     values = _parse_file(args.config)
     if args.smoke:
         values = apply_smoke(values)
-    if args.seed is not None:
-        values["seed"] = str(args.seed)
+    values.update({key: str(v) for key, v in vars(args).items()
+                   if key in DEFAULTS and v is not None})
     return build_config(values)
 
 
@@ -83,22 +85,11 @@ def main(argv=None) -> int:
             ckpt, log = bench.run_train(cfg, args.out)
             print(f"checkpoint: {ckpt}\ntraining log: {log}")
         elif args.verb == "eval":
-            episodes = args.episodes if args.episodes is not None else cfg.eval_episodes
-            record = bench.run_eval(cfg, args.checkpoint,
-                                    PolicyKind(args.policy), episodes, args.out)
+            record = bench.run_eval(cfg, args.checkpoint, PolicyKind(args.policy),
+                                    cfg.eval_episodes, args.out)
             print(record.to_json())
         elif args.verb == "sweep":
-            sweep = cfg.sweep
-            if any(v is not None for v in (args.axis, args.values, args.reps,
-                                           args.policies)):
-                sweep = SweepSpec(
-                    axis=args.axis or sweep.axis,
-                    values=tuple(float(v) for v in args.values.split(","))
-                    if args.values else sweep.values,
-                    repetitions=args.reps if args.reps is not None else sweep.repetitions,
-                    policies=tuple(p.strip() for p in args.policies.split(","))
-                    if args.policies else sweep.policies)
-            summary = bench.run_sweep(cfg, sweep, args.out)
+            summary = bench.run_sweep(cfg, args.out)
             print(f"sweep summary: {summary}")
         elif args.verb == "pattern":
             print(bench.export_pattern(cfg, args.out, args.span_deg, args.step_deg))

@@ -25,7 +25,10 @@ from .policies import PolicyKind
 
 SCENARIOS = ("wind_only", "wind_plus_impulse")
 STATE_MODES = ("single_point", "expanded")
-SWEEP_AXES = ("mass", "spring_k", "lookback")
+# sweep axis -> the config key it sets
+SWEEP_AXES = {"mass": "wire.mass_total_kg",
+              "spring_k": "wire.spring_k_n_per_m",
+              "lookback": "env.lookback_s"}
 
 # default value strings, parsed through the same path as file values
 DEFAULTS: dict[str, str] = {
@@ -117,7 +120,8 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
-            raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}")
+            raise ConfigError(f"sweep.axis must be one of {tuple(SWEEP_AXES)}, "
+                              f"got {self.axis!r}")
         if not self.values:
             raise ConfigError("sweep.values must be non-empty")
         if self.repetitions < 1:
@@ -372,7 +376,7 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     except ValueError as e:
         raise ConfigError(f"train: {e}") from e
 
-    sweep = SweepSpec(axis=r.choice("sweep.axis", SWEEP_AXES),
+    sweep = SweepSpec(axis=r.raw("sweep.axis"),
                       values=r.float_list("sweep.values"),
                       repetitions=r.intv("sweep.repetitions"),
                       policies=r.str_list("sweep.policies"))

@@ -9,15 +9,18 @@ fixed seed reproduces parameters bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .env import N_ACTIONS
+from .env import N_ACTIONS, rollout
 
 CHECKPOINT_MAGIC = b"WBQN"
 CHECKPOINT_VERSION = 1
@@ -204,6 +207,12 @@ def _adam_update_inplace(params: MlpParams, state: AdamState, grad: np.ndarray,
 # exploration and replay
 # --------------------------------------------------------------------------
 
+def greedy_policy(params: MlpParams):
+    """callable(env) -> the action with the highest value for env.state_vector;
+    ties take the lowest index."""
+    return lambda env: int(np.argmax(forward(params, env.state_vector)))
+
+
 def select_action(qvalues: np.ndarray, epsilon: float,
                   rng: np.random.Generator) -> int:
     """Epsilon-greedy over the action values; greedy ties take the lowest index."""
@@ -304,29 +313,11 @@ class TrainResult:
     target_params: MlpParams | None = None
 
 
-def _greedy_segment(env, params: MlpParams, steps: int):
-    """Run a greedy (epsilon = 0) segment; returns (mean power, mean reward)."""
-    powers, rewards = [], []
-    s = env.state_vector
-    for _ in range(steps):
-        out = env.step(int(np.argmax(forward(params, s))))
-        powers.append(out.raw_power_dbm)
-        rewards.append(out.proxy_reward)
-        s = out.next_state
-        if out.episode_done:
-            break
-    return float(np.mean(powers)), float(np.mean(rewards))
-
-
-def _policy_segment(env, policy_fn, steps: int) -> float:
-    """Mean raw power of a scripted policy over up to `steps` steps."""
-    powers = []
-    for _ in range(steps):
-        out = env.step(policy_fn(env))
-        powers.append(out.raw_power_dbm)
-        if out.episode_done:
-            break
-    return float(np.mean(powers))
+def _segment(env, policy_fn, steps: int) -> tuple[float, float]:
+    """(mean raw power, mean proxy reward) of a policy over up to `steps` steps."""
+    outcomes = rollout(env, policy_fn, steps)
+    return (float(np.mean([o.raw_power_dbm for o in outcomes])),
+            float(np.mean([o.proxy_reward for o in outcomes])))
 
 
 def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
@@ -392,16 +383,16 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
                         losses.append(loss)
 
             eval_seed = int(rng.integers(2 ** 63))
-            mean_power, mean_reward = _greedy_segment(env_factory(eval_seed),
-                                                      params, cfg.eval_steps)
+            mean_power, mean_reward = _segment(env_factory(eval_seed),
+                                               greedy_policy(params), cfg.eval_steps)
             row = {"global_step": global_step, "phase": phase,
                    "mean_eval_power_dbm": mean_power,
                    "mean_proxy_reward": mean_reward,
                    "loss": float(np.mean(losses)),
                    "eval_seed": eval_seed}
             for name, fn in (baseline_policies or {}).items():
-                row[f"mean_{name}_power_dbm"] = _policy_segment(
-                    env_factory(eval_seed), fn, cfg.eval_steps)
+                row[f"mean_{name}_power_dbm"] = _segment(
+                    env_factory(eval_seed), fn, cfg.eval_steps)[0]
             result.log.append(row)
 
     result.total_steps = cfg.total_steps
@@ -412,6 +403,21 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
 # --------------------------------------------------------------------------
 # checkpoints
 # --------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temporary file beside `path` that replaces `path` only once it
+    is written and closed, so a run cut short never leaves a partial file
+    under the final name."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
 
 def _body(params: MlpParams, adam: AdamState) -> tuple[np.ndarray, ...]:
     """The checkpoint body in file order: the parameter vector, the weight
@@ -426,7 +432,7 @@ def save_checkpoint(path, params: MlpParams, adam: AdamState, global_step: int,
     configuration echo, then the little-endian float64 body."""
     dims = params.dims
     blob = config_json.encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(dims)))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
@@ -436,16 +442,23 @@ def save_checkpoint(path, params: MlpParams, adam: AdamState, global_step: int,
             fh.write(np.ascontiguousarray(part, dtype="<f8"))
 
 
+def _read_header(fh, path, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"{path}: checkpoint header is cut short")
+    return data
+
+
 def load_checkpoint(path) -> tuple[MlpParams, AdamState, int, str]:
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
-        version, n_dims = struct.unpack("<II", fh.read(8))
+        version, n_dims = struct.unpack("<II", _read_header(fh, path, 8))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        dims = struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims))
-        adam_t, global_step, blob_len = struct.unpack("<QQQ", fh.read(24))
-        config_json = fh.read(blob_len).decode("utf-8")
+        dims = struct.unpack(f"<{n_dims}I", _read_header(fh, path, 4 * n_dims))
+        adam_t, global_step, blob_len = struct.unpack("<QQQ", _read_header(fh, path, 24))
+        config_json = _read_header(fh, path, blob_len).decode("utf-8")
         n = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
         params = MlpParams(dims, np.empty(n, dtype="<f8"))
         adam = AdamState(np.empty(n, dtype="<f8"), np.empty(n, dtype="<f8"), adam_t)

@@ -3,9 +3,11 @@
 Each step covers one beam-refinement interval tau: the chosen steering
 action is applied first, the wire physics then advances tau/dt substeps
 (injecting the scheduled impulse when its time falls inside the interval),
-a fresh sensor snapshot is recorded, and the agent observes the snapshot
-taken `lookback` seconds ago together with the current steering vector.
-The reward is the received power mapped through an affine clip to [-1, 1].
+the post-step wire state joins the sensor history, and the agent observes
+the sensed points of the state from `lookback` seconds ago together with
+the current steering vector.  The reward is the received power mapped
+through an affine clip to [-1, 1].  `rollout` steps a policy and returns
+one `StepOutcome` per step; every evaluation path records steps that way.
 
 The observation vector is, per sensed point, [position (3), velocity (3)],
 blocks in sense-point order, followed by the unit steering vector (3).
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import wire
 from .channel import (ArrayConfig, BeamOrientation, ChannelConfig,
-                      look_angles, received_power)
+                      boresight_power, look_angles, received_power)
 
 N_ACTIONS = 9
 CENTER_ACTION = 4  # (0, 0): decode(4) leaves the steering unchanged
@@ -159,25 +161,28 @@ class EpisodeSchedule:
     noise_seed: int
 
 
-@dataclass
-class SensorSnapshot:
-    time: float
-    positions: np.ndarray   # (|sense_points|, 3)
-    velocities: np.ndarray  # (|sense_points|, 3)
-
-
-def assemble_state(delayed: SensorSnapshot, beam: BeamOrientation) -> np.ndarray:
-    """Flat observation: per-point [pos, vel] blocks, then the beam vector."""
-    blocks = np.concatenate([delayed.positions, delayed.velocities], axis=1)
+def assemble_state(delayed: wire.WireState, sense_idx: np.ndarray,
+                   beam: BeamOrientation) -> np.ndarray:
+    """Flat observation: [pos, vel] blocks of the sensed points (0-based
+    `sense_idx`, in that order) of the delayed state, then the beam vector."""
+    blocks = np.concatenate([delayed.positions[sense_idx],
+                             delayed.velocities[sense_idx]], axis=1)
     return np.concatenate([blocks.ravel(), beam.unit_vector()])
 
 
 @dataclass
 class StepOutcome:
+    """What one step did and where it left the episode: the action taken,
+    then the observation, reward, power, beam and node after it."""
+
     next_state: np.ndarray
     proxy_reward: float
     raw_power_dbm: float
     episode_done: bool
+    action: int
+    time_s: float
+    beam: BeamOrientation
+    node: np.ndarray  # radio node position (3,)
 
 
 class BeamTrackingEnv:
@@ -224,11 +229,12 @@ class BeamTrackingEnv:
         self.state = self._equilibrium.copy()
         self.step_count = 0
         self.beam = self._initial_beam()
-        # the last lag+1 snapshots, prefilled so that lookups before
-        # t = lookback return the initial (equilibrium) snapshot
+        # the last lag+1 wire states, prefilled so that lookups before
+        # t = lookback return the initial (equilibrium) state; holding the
+        # states themselves is safe because wire.step never modifies its input
         lag = self.cfg.lag_steps
-        self.sensors = deque([self._snapshot()] * (lag + 1), maxlen=lag + 1)
-        self.state_vector = assemble_state(self.sensors[0], self.beam)
+        self.sensors = deque([self.state] * (lag + 1), maxlen=lag + 1)
+        self.state_vector = assemble_state(self.sensors[0], self._sense_idx, self.beam)
         return self.state_vector
 
     def _initial_beam(self) -> BeamOrientation:
@@ -237,11 +243,6 @@ class BeamTrackingEnv:
                                     self.channel_cfg.rx_position)
         a = self.cfg.refine_angle
         return BeamOrientation(round(theta / a) * a, round(phi / a) * a)
-
-    def _snapshot(self) -> SensorSnapshot:
-        return SensorSnapshot(time=self.state.time,
-                              positions=self.state.positions[self._sense_idx].copy(),
-                              velocities=self.state.velocities[self._sense_idx].copy())
 
     # -- stepping ----------------------------------------------------------
 
@@ -257,12 +258,6 @@ class BeamTrackingEnv:
     def rx_position(self) -> np.ndarray:
         return self.channel_cfg.rx_position
 
-    def optimal_power_dbm(self) -> float:
-        """Power under continuous (un-quantized) perfect aim right now."""
-        _, theta, phi = look_angles(self.true_node_position, self.rx_position)
-        return received_power(self.true_node_position, BeamOrientation(theta, phi),
-                              self.channel_cfg, self.array_cfg)
-
     def step(self, action: int) -> StepOutcome:
         if self.done:
             raise EpisodeFinishedError("episode already finished; call reset()")
@@ -277,63 +272,56 @@ class BeamTrackingEnv:
             self.state = wire.step(self.state, self.wire_params, self.wind,
                                    self._impulses, self.cfg.substep_dt, substep_noise)
         self.step_count += 1
-        self.sensors.append(self._snapshot())
+        self.sensors.append(self.state)
 
-        self.state_vector = assemble_state(self.sensors[0], self.beam)
+        self.state_vector = assemble_state(self.sensors[0], self._sense_idx, self.beam)
         raw = received_power(self.true_node_position, self.beam,
                              self.channel_cfg, self.array_cfg)
         reward = proxy_reward(raw, self.cfg.reward_offset_dbm, self.cfg.reward_scale_db)
         return StepOutcome(next_state=self.state_vector,
                            proxy_reward=reward,
                            raw_power_dbm=raw,
-                           episode_done=self.done)
+                           episode_done=self.done,
+                           action=action,
+                           time_s=self.state.time,
+                           beam=self.beam,
+                           node=self.true_node_position)
 
 
-@dataclass
-class TraceRow:
-    step: int
-    time_s: float
-    action: int
-    theta_s_deg: float
-    phi_s_deg: float
-    raw_power_dbm: float
-    optimal_power_dbm: float
-    proxy_reward: float
-    node_x: float
-    node_y: float
-    node_z: float
+def rollout(env, policy_fn, steps: int) -> list[StepOutcome]:
+    """Step `policy_fn(env) -> action` for up to `steps` steps, stopping
+    after the step that ends the episode."""
+    outcomes = []
+    for _ in range(steps):
+        outcomes.append(env.step(policy_fn(env)))
+        if outcomes[-1].episode_done:
+            break
+    return outcomes
 
 
-def angle_error_deg(env: BeamTrackingEnv) -> float:
-    """Great-circle angle [deg] between the beam and the true look direction."""
-    _, theta, phi = look_angles(env.true_node_position, env.rx_position)
+def angle_error_deg(node: np.ndarray, beam: BeamOrientation, rx_position) -> float:
+    """Great-circle angle [deg] between the beam and the look direction
+    from the node to the receiver."""
+    _, theta, phi = look_angles(node, rx_position)
     u = BeamOrientation(theta, phi).unit_vector()
-    b = env.beam.unit_vector()
+    b = beam.unit_vector()
     return math.degrees(math.acos(max(-1.0, min(1.0, float(u @ b)))))
 
 
-def trace_row(env: BeamTrackingEnv, action: int, out: StepOutcome) -> TraceRow:
-    node = env.true_node_position
-    return TraceRow(step=env.step_count,
-                    time_s=env.state.time,
-                    action=action,
-                    theta_s_deg=math.degrees(env.beam.theta_s),
-                    phi_s_deg=math.degrees(env.beam.phi_s),
-                    raw_power_dbm=out.raw_power_dbm,
-                    optimal_power_dbm=env.optimal_power_dbm(),
-                    proxy_reward=out.proxy_reward,
-                    node_x=float(node[0]), node_y=float(node[1]), node_z=float(node[2]))
-
-
-def write_trace_csv(path, rows):
+def write_trace_csv(path, outcomes: list[StepOutcome], channel_cfg: ChannelConfig,
+                    array_cfg: ArrayConfig):
+    """One row per step of an episode rolled out from its start; the
+    optimal power is the power under continuous (un-quantized) perfect aim."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step", "time_s", "action", "theta_s_deg", "phi_s_deg",
                     "raw_power_dbm", "optimal_power_dbm", "proxy_reward",
                     "node_x", "node_y", "node_z"])
-        for r in rows:
-            w.writerow([r.step, f"{r.time_s:.6f}", r.action,
-                        f"{r.theta_s_deg:.6f}", f"{r.phi_s_deg:.6f}",
-                        f"{r.raw_power_dbm:.6f}", f"{r.optimal_power_dbm:.6f}",
-                        f"{r.proxy_reward:.6f}",
-                        f"{r.node_x:.9f}", f"{r.node_y:.9f}", f"{r.node_z:.9f}"])
+        for k, o in enumerate(outcomes, start=1):
+            optimal = boresight_power(o.node, channel_cfg, array_cfg)
+            w.writerow([k, f"{o.time_s:.6f}", o.action,
+                        f"{math.degrees(o.beam.theta_s):.6f}",
+                        f"{math.degrees(o.beam.phi_s):.6f}",
+                        f"{o.raw_power_dbm:.6f}", f"{optimal:.6f}",
+                        f"{o.proxy_reward:.6f}",
+                        *(f"{v:.9f}" for v in o.node)])

@@ -19,7 +19,9 @@ substep is the arithmetic rather than per-call set-up, and it is bit for
 bit the same as n one-substep calls.  Wind and impulses are still
 evaluated at the start of every substep, and any number of impulses may
 act at once.  `simulate_trajectory` advances one sample stride per call;
-the tracking environment makes one call per substep.
+the tracking environment makes one call per substep and keeps the states
+it gets back as its sensor history, which relies on `step` never
+modifying its input state.
 
 Point numbering follows the P1..PN convention: user-facing indices are
 1-based, array storage is 0-based.
@@ -307,9 +309,8 @@ def _substeps(state: WireState, params: WireParams, wind: WindModel,
 def simulate_trajectory(params: WireParams, wind: WindModel,
                         impulses: Sequence[ImpulseEvent], duration: float,
                         dt: float, seed: int,
-                        sample_every: float | None = None,
-                        initial: WireState | None = None) -> list[WireState]:
-    """Integrate from equilibrium (or `initial`) and return sampled states.
+                        sample_every: float | None = None) -> list[WireState]:
+    """Integrate from equilibrium and return sampled states.
 
     Samples every `sample_every` seconds (default: every substep); the
     sampling interval must be an integer multiple of dt.  The returned list
@@ -327,7 +328,7 @@ def simulate_trajectory(params: WireParams, wind: WindModel,
         ev.validate_for(params)
 
     rng = np.random.default_rng(seed)
-    state = initial.copy() if initial is not None else solve_equilibrium(params)
+    state = solve_equilibrium(params)
     samples = [state]
     n_steps = int(round(duration / dt))
     for start in range(0, n_steps, stride):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ import pytest
 from wirebeam import bench, dqn
 from wirebeam.bench import (derive_seed, make_env, policy_callable,
                             post_impulse_window, rollout_episode, run_eval,
-                            run_sweep, run_train, spearman_rank_corr)
+                            run_sweep, run_train)
 from wirebeam.cli import main
 from wirebeam.config import default_config
+from wirebeam.env import angle_error_deg
 from wirebeam.policies import PolicyKind
 
 TINY_TRAIN = {
@@ -40,7 +42,8 @@ class TestRollouts:
         cfg = default_config(**{"env.episode_duration_s": "1.0"})
         env = make_env(cfg, seed=5)
         res = rollout_episode(env, policy_callable(cfg, PolicyKind.ORACLE))
-        assert float(np.mean(res.angle_errors_deg[10:])) <= 1.0
+        errors = [angle_error_deg(r.node, r.beam, env.rx_position) for r in res.rows]
+        assert float(np.mean(errors[10:])) <= 1.0
 
     def test_fixed_below_oracle_on_paired_seed(self):
         cfg = default_config(**{"env.episode_duration_s": "1.0"})
@@ -99,6 +102,15 @@ class TestRunEval:
             run_eval(wrong, ckpt, PolicyKind.DQN_GREEDY, 1, tmp_path / "eval")
 
 
+    def test_metrics_file_appears_only_when_whole(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise OSError("cannot move into place")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="cannot move"):
+            run_eval(tiny_cfg(), None, PolicyKind.ORACLE, 1, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace_oracle_ep000.csv"]
+
+
 class TestRunTrain:
     def test_outputs_and_byte_identical_checkpoints(self, tmp_path):
         cfg = tiny_cfg()
@@ -137,6 +149,19 @@ class TestRunSweep:
         second = json.loads((tmp_path / "sweep_mass_cells.json").read_text())["cells"]
         assert {c["status"] for c in second} == {"cached"}
 
+    def test_cut_off_metrics_file_is_recomputed(self, tmp_path):
+        cfg = tiny_cfg(**{"sweep.axis": "mass", "sweep.values": "10",
+                          "sweep.repetitions": "1", "sweep.policies": "oracle"})
+        run_sweep(cfg, out_dir=tmp_path)
+        metrics = tmp_path / "cell_mass_10_rep0" / "metrics_oracle.json"
+        whole = metrics.read_bytes()
+        metrics.write_bytes(whole[:20])  # as left by a run killed mid-write
+        summary = run_sweep(cfg, out_dir=tmp_path)
+        cells = json.loads((tmp_path / "sweep_mass_cells.json").read_text())["cells"]
+        assert [c["status"] for c in cells] == ["ok"]
+        assert metrics.read_bytes() == whole
+        assert summary.read_text().splitlines()[-1].startswith("mass,10.0,oracle,1,")
+
     def test_paired_seeds_across_policies(self, tmp_path):
         cfg = tiny_cfg(**{"sweep.axis": "mass", "sweep.values": "10",
                           "sweep.repetitions": "1",
@@ -154,11 +179,6 @@ class TestHelpers:
     def test_derive_seed_is_stable_and_distinct(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
         assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
-
-    def test_spearman_rank_corr(self):
-        assert spearman_rank_corr([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
-        assert spearman_rank_corr([1, 2, 3], [5, -1, -7]) == pytest.approx(-1.0)
-        assert math.isnan(spearman_rank_corr([1, 1, 1], [1, 2, 3]))
 
     def test_export_pattern_and_trajectory(self, tmp_path):
         cfg = tiny_cfg()
@@ -214,6 +234,45 @@ class TestCli:
                      "--values", "10", "--reps", "1", "--policies", "orcale"]) == 1
         assert "unknown policy 'orcale'" in capsys.readouterr().err
         assert not out.exists()
+
+    # a small file sweep, so that an ignored override shows as a wrong echo
+    SMALL_SWEEP = ("eval.episodes = 1\nenv.episode_duration_s = 0.2\n"
+                   "sweep.values = 0.02\nsweep.repetitions = 2\nsweep.policies = oracle\n")
+
+    def test_sweep_and_eval_overrides_are_config_values(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, self.SMALL_SWEEP)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "mass",
+                     "--values", "12", "--reps", "1", "--policies", "oracle,fixed"]) == 0
+        echo = json.loads((out / "sweep_mass_cells.json").read_text())["echo"]["config"]
+        assert (echo["sweep.axis"], echo["sweep.values"], echo["sweep.repetitions"],
+                echo["sweep.policies"]) == ("mass", "12", "1", "oracle,fixed")
+        assert sorted(p.relative_to(out).as_posix() for p in out.glob("cell_*/*.json")) == [
+            "cell_mass_12_rep0/metrics_fixed.json", "cell_mass_12_rep0/metrics_oracle.json"]
+
+        assert main(["eval", "--config", cfg, "--policy", "fixed", "--out",
+                     str(tmp_path / "eval"), "--episodes", "2"]) == 0
+        rec = json.loads((tmp_path / "eval" / "metrics_fixed.json").read_text())
+        assert rec["episodes"] == 2 and rec["config_echo"]["config"]["eval.episodes"] == "2"
+
+    def test_bad_lookback_override_fails_before_any_cell(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, self.SMALL_SWEEP)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "lookback",
+                     "--values", "0.02,0.015", "--reps", "1", "--policies", "oracle"]) == 1
+        assert "not a multiple of tau" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_with_cut_off_checkpoint_is_a_bad_input(self, tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.bin"
+        params = dqn.init_mlp((9, 8, 9), np.random.default_rng(0))
+        dqn.save_checkpoint(ckpt, params, dqn.init_adam(params), 0)
+        ckpt.write_bytes(ckpt.read_bytes()[:10])
+        cfg = self.write_cfg(tmp_path, "eval.episodes = 1\n"
+                                       "env.episode_duration_s = 0.2\n")
+        assert main(["eval", "--config", cfg, "--policy", "dqn", "--checkpoint",
+                     str(ckpt), "--out", str(tmp_path)]) == 1
+        assert "checkpoint header is cut short" in capsys.readouterr().err
 
     def test_train_smoke_verb(self, tmp_path):
         text = "\n".join(f"{k} = {v}" for k, v in TINY_TRAIN.items()) + "\n"

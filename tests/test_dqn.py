@@ -1,6 +1,7 @@
 """DQN numerics: forward/backward, Adam, exploration, replay, training."""
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from wirebeam import dqn
 from wirebeam.dqn import (MlpParams, ReplayBuffer, TrainConfig, TransitionBatch,
                           forward, huber, init_adam, init_mlp, select_action)
+from wirebeam.channel import BeamOrientation
 from wirebeam.env import StepOutcome
 
 
@@ -55,7 +57,8 @@ class ConstantRewardEnv:
 
     def step(self, action):
         return StepOutcome(next_state=self.state_vector.copy(), proxy_reward=1.0,
-                           raw_power_dbm=-40.0, episode_done=False)
+                           raw_power_dbm=-40.0, episode_done=False, action=action,
+                           time_s=0.0, beam=BeamOrientation(0.0, 0.0), node=np.zeros(3))
 
 
 def tiny_params(rng, dims=(3, 4, 3, 4, 9)) -> MlpParams:
@@ -485,6 +488,30 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00" * 16)
         with pytest.raises(ValueError, match=f"{full + 16} bytes, expected {full}"):
             dqn.load_checkpoint(path)
+
+    # cut inside the version, the layer widths, the counters and the echo
+    @pytest.mark.parametrize("keep", [10, 30, 40, 60])
+    def test_truncated_header_names_the_path(self, tmp_path, keep):
+        params = tiny_params(np.random.default_rng(19))
+        path = tmp_path / "ckpt.bin"
+        dqn.save_checkpoint(path, params, init_adam(params), 0, '{"seed": 9}' * 4)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint header is cut short")):
+            dqn.load_checkpoint(path)
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        params = tiny_params(np.random.default_rng(20))
+        path = tmp_path / "ckpt.bin"
+        dqn.save_checkpoint(path, params, init_adam(params), 1, "{}")
+        before = path.read_bytes()
+
+        def fail(*args):
+            raise OSError("disk full")
+        monkeypatch.setattr(dqn, "_body", fail)  # fails after the header is written
+        with pytest.raises(OSError, match="disk full"):
+            dqn.save_checkpoint(path, params, init_adam(params), 2, "{}")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
     def test_byte_identical_saves(self, tmp_path):
         rng = np.random.default_rng(13)

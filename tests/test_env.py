@@ -7,11 +7,11 @@ import pytest
 
 from wirebeam import env as envmod
 from wirebeam import wire
-from wirebeam.channel import ArrayConfig, BeamOrientation, ChannelConfig, received_power
+from wirebeam.channel import (ArrayConfig, BeamOrientation, ChannelConfig,
+                              boresight_power, received_power)
 from wirebeam.env import (BeamTrackingEnv, ConfigError, EnvConfig,
-                          EpisodeFinishedError, SensorSnapshot, apply_action,
-                          assemble_state, decode_action, encode_action,
-                          proxy_reward)
+                          EpisodeFinishedError, apply_action, assemble_state,
+                          decode_action, encode_action, proxy_reward, rollout)
 
 A_DEG = math.radians(1.0)
 
@@ -89,31 +89,37 @@ class TestProxyReward:
             assert v2 > v1
 
 
+def still_wire(positions=None, velocities=None) -> wire.WireState:
+    return wire.WireState(0.0, np.zeros((21, 3)) if positions is None else positions,
+                          np.zeros((21, 3)) if velocities is None else velocities)
+
+
 class TestStateAssembly:
     def test_beam_vector_axis_cases(self):
-        snap = SensorSnapshot(0.0, np.zeros((1, 3)), np.zeros((1, 3)))
-        s = assemble_state(snap, BeamOrientation(math.pi / 2, 0.0))
+        state, idx = still_wire(), np.array([9])
+        s = assemble_state(state, idx, BeamOrientation(math.pi / 2, 0.0))
         np.testing.assert_allclose(s[-3:], [1, 0, 0], atol=1e-12)
-        s = assemble_state(snap, BeamOrientation(0.0, 1.234))
+        s = assemble_state(state, idx, BeamOrientation(0.0, 1.234))
         np.testing.assert_allclose(s[-3:], [0, 0, 1], atol=1e-12)
 
     def test_block_ordering_with_sentinels(self):
         points = (2, 4, 6, 8, 10, 12, 14, 16, 18)
-        pos = np.array([[p, 10 * p, 100 * p] for p in points], float)
+        # sentinels at every point, so a wrong slice shows
+        pos = np.array([[p, 10 * p, 100 * p] for p in range(1, 22)], float)
         vel = -pos / 7.0
-        snap = SensorSnapshot(0.0, pos, vel)
-        s = assemble_state(snap, BeamOrientation(math.pi / 2, 0.0))
+        s = assemble_state(still_wire(pos, vel), np.array(points) - 1,
+                           BeamOrientation(math.pi / 2, 0.0))
         assert s.shape == (6 * 9 + 3,)
         for j, p in enumerate(points):
             np.testing.assert_allclose(s[6 * j:6 * j + 3], [p, 10 * p, 100 * p])
-            np.testing.assert_allclose(s[6 * j + 3:6 * j + 6], -pos[j] / 7.0)
+            np.testing.assert_allclose(s[6 * j + 3:6 * j + 6], -pos[p - 1] / 7.0)
 
     def test_unit_norm_invariant(self):
         rng = np.random.default_rng(2)
-        snap = SensorSnapshot(0.0, np.zeros((1, 3)), np.zeros((1, 3)))
+        state, idx = still_wire(), np.array([9])
         for _ in range(100):
             beam = BeamOrientation(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
-            s = assemble_state(snap, beam)
+            s = assemble_state(state, idx, beam)
             assert abs(np.linalg.norm(s[-3:]) - 1.0) < 1e-9
 
 
@@ -168,7 +174,7 @@ class TestReset:
         a = e.cfg.refine_angle
         assert e.beam.theta_s / a == pytest.approx(round(e.beam.theta_s / a), abs=1e-9)
         assert e.beam.phi_s / a == pytest.approx(round(e.beam.phi_s / a), abs=1e-9)
-        assert envmod.angle_error_deg(e) < 1.0
+        assert envmod.angle_error_deg(e.true_node_position, e.beam, e.rx_position) < 1.0
 
     def test_impulse_schedule_draw(self):
         times = {make_env(seed=s, impulse_enabled=True).schedule.impulse_time
@@ -203,7 +209,8 @@ class TestStepping:
         expected = received_power(e.true_node_position, e.beam,
                                   e.channel_cfg, e.array_cfg)
         assert out.raw_power_dbm == pytest.approx(expected, abs=1e-9)
-        assert out.raw_power_dbm <= e.optimal_power_dbm() + 1e-12
+        optimal = boresight_power(e.true_node_position, e.channel_cfg, e.array_cfg)
+        assert out.raw_power_dbm <= optimal + 1e-12
 
     def test_episode_ends_exactly_at_step_300(self):
         e = make_env(seed=4, quiet=True)
@@ -237,22 +244,36 @@ class TestStepping:
         assert max(v_before[:99]) < 1e-9
         assert max(v_before[100:]) > 1.0
 
-    def test_trace_row_fields(self):
+    def test_step_outcome_fields(self):
         e = make_env(seed=5)
         out = e.step(3)
-        row = envmod.trace_row(e, 3, out)
-        assert row.step == 1 and row.action == 3
-        assert row.raw_power_dbm == out.raw_power_dbm
+        assert out.action == 3 and out.time_s == e.state.time
+        assert out.beam == e.beam
+        assert out.raw_power_dbm == received_power(out.node, out.beam,
+                                                   e.channel_cfg, e.array_cfg)
+        node = out.node.copy()
+        for _ in range(5):
+            e.step(envmod.CENTER_ACTION)
+        # later steps leave an earlier outcome's node as it was
+        np.testing.assert_array_equal(out.node, node)
+        assert not np.array_equal(e.true_node_position, node)
+
+    def test_rollout_stops_at_the_episode_end(self):
+        e = make_env(seed=6, episode_duration=0.05)
+        assert len(rollout(e, lambda env: envmod.CENTER_ACTION, 3)) == 3
+        outs = rollout(e, lambda env: envmod.CENTER_ACTION, 10)
+        assert len(outs) == 2 and outs[-1].episode_done and e.done
 
     def test_trace_csv(self, tmp_path):
         e = make_env(seed=5)
-        rows = []
-        for _ in range(5):
-            a = envmod.CENTER_ACTION
-            rows.append(envmod.trace_row(e, a, e.step(a)))
+        outs = rollout(e, lambda env: envmod.CENTER_ACTION, 5)
         path = tmp_path / "trace.csv"
-        envmod.write_trace_csv(path, rows)
+        envmod.write_trace_csv(path, outs, e.channel_cfg, e.array_cfg)
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("step,time_s,action,theta_s_deg,phi_s_deg,"
                                    "raw_power_dbm,optimal_power_dbm,proxy_reward")
         assert len(lines) == 6
+        last = lines[-1].split(",")
+        assert last[0] == "5" and last[2] == str(envmod.CENTER_ACTION)
+        optimal = boresight_power(outs[-1].node, e.channel_cfg, e.array_cfg)
+        assert last[6] == f"{optimal:.6f}"

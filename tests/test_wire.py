@@ -229,6 +229,31 @@ class TestBlockStep:
         assert block.value.point_number == single.value.point_number
         assert block.value.time == single.value.time
 
+    @pytest.mark.parametrize("case", ["one_substep", "block", "divergence_replay"])
+    def test_input_state_is_left_unchanged(self, case):
+        # the env keeps the returned states as its sensor history
+        params, dt = table_params(), 1e-3
+        impulses = [wire.ImpulseEvent(point_number=4, force=[0.0, 0.0, 470.0],
+                                      apply_time=0.002)]
+        noise = np.random.default_rng(8).standard_normal((10, 19, 3))
+        start = wire.solve_equilibrium(params)
+        start.velocities[1:-1] += 0.01
+        if case == "one_substep":
+            noise = noise[0]
+        elif case == "divergence_replay":
+            params = quiet_params(spring_k=1e6)  # as in the divergence test above
+            start = wire.solve_equilibrium(params)
+            start.positions[5, 2] += 1e250
+            noise = np.zeros((200, 19, 3))
+        before = start.copy()
+        try:
+            wire.step(start, params, wire.WindModel(), impulses, dt, noise)
+        except wire.IntegrationDivergedError:
+            assert case == "divergence_replay"
+        else:
+            assert case != "divergence_replay"
+        assert_same_state(start, before)
+
     @pytest.mark.parametrize("shape", [(19, 2), (18, 3), (4, 18, 3), (2, 2, 19, 3)])
     def test_bad_noise_shape_rejected(self, shape):
         params = table_params()
