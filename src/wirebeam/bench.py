@@ -4,8 +4,8 @@ The checkpoint, training log, metrics and sweep summary embed the full
 config echo and seed, so such a result is re-derivable from the file
 alone.  Policy comparisons inside a sweep cell share identical environment
 seeds (paired-seed discipline), and completed sweep cells are skipped on
-re-run: metrics files and checkpoints land whole or not at all, and a
-metrics file that does not parse is recomputed.
+re-run: metrics files and checkpoints land whole or not at all, and one
+counts as done only when it loads and carries its cell's config echo.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dqn
 from .channel import write_pattern_csv
-from .config import SWEEP_AXES, ExperimentConfig, build_config
+from .config import SWEEP_AXES, ConfigError, ExperimentConfig, build_config
 from .env import (BeamTrackingEnv, StepOutcome, angle_error_deg, rollout,
                   write_trace_csv)
 from .policies import PolicyKind, fixed_action, oracle_action
@@ -202,13 +202,20 @@ def _write_metrics(path, record: MetricsRecord):
         fh.write(record.to_json())
 
 
-def _read_metrics(path) -> dict | None:
+def _read_metrics(path) -> MetricsRecord | None:
     """The metrics record stored at `path`, or None when there is no whole one."""
     try:
-        rec = json.loads(Path(path).read_text())
+        return MetricsRecord(**json.loads(Path(path).read_text()))
+    except (OSError, ValueError, TypeError):
+        return None
+
+
+def _checkpoint_echo(path) -> str | None:
+    """The config echo of the checkpoint at `path`, or None when there is no whole one."""
+    try:
+        return dqn.load_checkpoint(path)[3]
     except (OSError, ValueError):
         return None
-    return rec if isinstance(rec, dict) and "mean_power_dbm" in rec else None
 
 
 # --------------------------------------------------------------------------
@@ -221,40 +228,44 @@ def sweep_cell_config(cfg: ExperimentConfig, axis: str, value: float,
     values = dict(cfg.values)
     values[SWEEP_AXES[axis]] = repr(float(value))
     values["seed"] = str(seed)
-    return build_config(values)
+    try:
+        return build_config(values)
+    except ConfigError as e:
+        raise ConfigError(f"sweep over {axis} = {value:g}: {e}") from e
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
     """One MetricsRecord per (value, repetition, policy) of cfg.sweep, plus
     a summary.
 
-    Completed cells (metrics files that parse) are not recomputed.
-    Failures are recorded per cell and the sweep continues.
+    Every cell's config is built before anything is written.  A metrics
+    file or checkpoint in a cell is reused only when it carries that
+    cell's config echo.  Failures are recorded per cell and the sweep
+    continues.
     """
     sweep = cfg.sweep
+    cells = [(value, rep, sweep_cell_config(cfg, sweep.axis, value,
+                                            derive_seed(cfg.seed, vi, rep)))
+             for vi, value in enumerate(sweep.values) for rep in range(sweep.repetitions)]
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    cells = []
-    for vi, value in enumerate(sweep.values):
-        for rep in range(sweep.repetitions):
-            cell_seed = derive_seed(cfg.seed, vi, rep)
-            cell_cfg = sweep_cell_config(cfg, sweep.axis, value, cell_seed)
-            cell_dir = out / f"cell_{sweep.axis}_{value:g}_rep{rep}"
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            for policy_name in sweep.policies:
-                metrics_path = cell_dir / f"metrics_{policy_name}.json"
-                entry = {"axis": sweep.axis, "value": value, "rep": rep,
-                         "policy": policy_name, "path": str(metrics_path)}
-                if _read_metrics(metrics_path) is not None:
-                    entry["status"] = "cached"
-                    cells.append(entry)
-                    continue
+    entries, records = [], {}
+    for value, rep, cell_cfg in cells:
+        cell_dir = out / sweep.cell_name(value, rep)
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        for policy_name in sweep.policies:
+            metrics_path = cell_dir / f"metrics_{policy_name}.json"
+            entry = {"axis": sweep.axis, "value": value, "rep": rep,
+                     "policy": policy_name, "path": str(metrics_path)}
+            entries.append(entry)
+            record = _read_metrics(metrics_path)
+            if record is not None and record.config_echo == cell_cfg.echo():
+                entry["status"] = "cached"
+            else:
                 try:
                     kind, ckpt = PolicyKind(policy_name), None
                     if kind is PolicyKind.DQN_GREEDY:
                         ckpt = cell_dir / "checkpoint.bin"
-                        if not ckpt.exists():
+                        if _checkpoint_echo(ckpt) != cell_cfg.echo_json():
                             run_train(cell_cfg, cell_dir)
                     record = run_eval(cell_cfg, ckpt, kind, cell_cfg.eval_episodes,
                                       cell_dir, write_traces=False)
@@ -262,34 +273,26 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
                     entry["status"] = "ok"
                 except Exception as e:  # record the failure, keep sweeping
                     entry["status"] = f"failed: {e}"
-                cells.append(entry)
+                    continue
+            records.setdefault((value, policy_name), []).append(record)
 
     summary_path = out / f"sweep_{sweep.axis}_summary.csv"
-    _write_sweep_summary(summary_path, cfg, sweep, cells)
+    _write_sweep_summary(summary_path, cfg, sweep, records)
     (out / f"sweep_{sweep.axis}_cells.json").write_text(
-        json.dumps({"echo": cfg.echo(), "cells": cells}, sort_keys=True))
+        json.dumps({"echo": cfg.echo(), "cells": entries}, sort_keys=True))
     return summary_path
 
 
-def _write_sweep_summary(path, cfg, sweep, cells):
+def _write_sweep_summary(path, cfg, sweep, records):
+    """One row per (value, policy) from the MetricsRecords of its finished cells."""
+    keys = ("mean_power_dbm", "mean_power_post_impulse_dbm", "mean_angle_error_deg")
     rows = []
     for value in sweep.values:
         for policy_name in sweep.policies:
-            stats = {"mean_power_dbm": [], "mean_power_post_impulse_dbm": [],
-                     "mean_angle_error_deg": []}
-            for entry in cells:
-                if entry["value"] != value or entry["policy"] != policy_name:
-                    continue
-                rec = _read_metrics(entry["path"])
-                if rec is None:
-                    continue
-                for k in stats:
-                    if rec.get(k) is not None:
-                        stats[k].append(rec[k])
-            row = [sweep.axis, value, policy_name, len(stats["mean_power_dbm"])]
-            for k in ("mean_power_dbm", "mean_power_post_impulse_dbm",
-                      "mean_angle_error_deg"):
-                vals = stats[k]
+            recs = records.get((value, policy_name), [])
+            row = [sweep.axis, value, policy_name, len(recs)]
+            for k in keys:
+                vals = [getattr(r, k) for r in recs if getattr(r, k) is not None]
                 row.append(f"{np.mean(vals):.6f}" if vals else "")
                 row.append(f"{np.std(vals):.6f}" if vals else "")
             rows.append(row)

@@ -131,6 +131,17 @@ class SweepSpec:
                 PolicyKind(p)
             except ValueError:
                 raise ConfigError(f"sweep.policies: unknown policy {p!r}") from None
+        named = {}
+        for v in self.values:
+            name = self.cell_name(v, 0)
+            if name in named:
+                raise ConfigError(f"sweep.values: {named[name]!r} and {v!r} name the "
+                                  f"same cell directory {name!r}")
+            named[name] = v
+
+    def cell_name(self, value: float, rep: int) -> str:
+        """The directory name of one sweep cell."""
+        return f"cell_{self.axis}_{value:g}_rep{rep}"
 
 
 @dataclass
@@ -189,6 +200,9 @@ def _parse_file(path) -> dict[str, str]:
 
 class _Reader:
     def __init__(self, values: dict[str, str]):
+        for k in values:
+            if k not in DEFAULTS:
+                raise ConfigError(f"unknown key {k!r}")
         self.values = dict(DEFAULTS)
         self.values.update(values)
         self.provenance = {
@@ -246,9 +260,6 @@ def load_config(path) -> ExperimentConfig:
 
 def default_config(**overrides: str) -> ExperimentConfig:
     """The all-defaults config, with optional key -> value-string overrides."""
-    for k in overrides:
-        if k not in DEFAULTS:
-            raise ConfigError(f"unknown key {k!r}")
     return build_config({k: str(v) for k, v in overrides.items()})
 
 
@@ -382,8 +393,8 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
                       policies=r.str_list("sweep.policies"))
 
     eval_episodes = r.intv("eval.episodes")
-    if eval_episodes < 0:
-        raise ConfigError("eval.episodes must be >= 0")
+    if eval_episodes < 1:
+        raise ConfigError("eval.episodes must be >= 1")
 
     cfg = ExperimentConfig(
         scenario=scenario, state_mode=state_mode, seed=seed,
@@ -400,7 +411,7 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
             "weight_init": "he-uniform hidden, uniform(+-1e-3) output, zero biases",
         },
     )
-    _cross_validate(cfg)
+    check_invariants(cfg.env, cfg.wire)
     return cfg
 
 
@@ -415,16 +426,6 @@ def _as_float(raw, key):
         return float(raw)
     except ValueError as e:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from e
-
-
-def _cross_validate(cfg: ExperimentConfig):
-    check_invariants(cfg.env, cfg.wire)
-    if cfg.sweep.axis == "lookback":
-        for v in cfg.sweep.values:
-            ratio = v / cfg.env.tau
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ConfigError(f"sweep over lookback: {v} s is not a "
-                                  f"multiple of tau = {cfg.env.tau} s")
 
 
 def apply_smoke(values: dict[str, str]) -> dict[str, str]:

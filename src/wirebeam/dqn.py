@@ -257,11 +257,8 @@ class ReplayBuffer:
         if n > self._size:
             raise ValueError(f"cannot draw {n} transitions from a buffer of {self._size}")
         idx = rng.choice(self._size, size=n, replace=False)
-        return TransitionBatch(self._states[idx].copy(),
-                               self._actions[idx].copy(),
-                               self._rewards[idx].copy(),
-                               self._next_states[idx].copy(),
-                               self._terminals[idx].copy())
+        return TransitionBatch(self._states[idx], self._actions[idx], self._rewards[idx],
+                               self._next_states[idx], self._terminals[idx])
 
 
 # --------------------------------------------------------------------------
@@ -335,7 +332,7 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
     """
     rng = np.random.default_rng(seed)
     env = env_factory(int(rng.integers(2 ** 63)))
-    s = np.asarray(env.state_vector, float).copy()
+    s = np.asarray(env.state_vector, float)
     input_dim = s.size
 
     params = init_mlp((input_dim, *cfg.hidden_sizes, N_ACTIONS), rng)
@@ -350,10 +347,10 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
         action = select_action(forward(params, s), cfg.epsilon_train, rng)
         out = env.step(action)
         buffer.push(s, action, out.proxy_reward, out.next_state, out.episode_done)
-        s = np.asarray(out.next_state, float).copy()
+        s = np.asarray(out.next_state, float)
         if out.episode_done:
             env = env_factory(int(rng.integers(2 ** 63)))
-            s = np.asarray(env.state_vector, float).copy()
+            s = np.asarray(env.state_vector, float)
 
         if global_step % cfg.target_sync_steps == 0:
             target.flat[:] = params.flat

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from wirebeam.bench import (derive_seed, make_env, policy_callable,
                             post_impulse_window, rollout_episode, run_eval,
                             run_sweep, run_train)
 from wirebeam.cli import main
-from wirebeam.config import default_config
+from wirebeam.config import ConfigError, default_config
 from wirebeam.env import angle_error_deg
 from wirebeam.policies import PolicyKind
 
@@ -132,6 +133,11 @@ class TestRunTrain:
         assert math.isfinite(rec.mean_power_dbm)
 
 
+# (axis, a good value, a value that forms no valid config)
+BAD_SWEEP_VALUES = [("lookback", "0.02", "0.015"), ("lookback", "0.02", "-0.02"),
+                    ("spring_k", "1000", "1e6"), ("mass", "10", "-1")]
+
+
 class TestRunSweep:
     def test_summary_rows_and_resume(self, tmp_path):
         cfg = tiny_cfg(**{"sweep.axis": "mass", "sweep.values": "5, 10, 15",
@@ -161,6 +167,17 @@ class TestRunSweep:
         assert [c["status"] for c in cells] == ["ok"]
         assert metrics.read_bytes() == whole
         assert summary.read_text().splitlines()[-1].startswith("mass,10.0,oracle,1,")
+
+    @pytest.mark.parametrize("axis, good, value", BAD_SWEEP_VALUES)
+    def test_bad_value_fails_before_anything_is_written(self, tmp_path, axis, good, value):
+        # the good value comes first, so a late check would have run its cell
+        cfg = tiny_cfg(**{"sweep.axis": axis, "sweep.values": f"{good}, {value}",
+                          "sweep.repetitions": "1", "sweep.policies": "oracle"})
+        out = tmp_path / "sweep"
+        named = re.escape(f"sweep over {axis} = {float(value):g}: ")
+        with pytest.raises(ConfigError, match=named):
+            run_sweep(cfg, out_dir=out)
+        assert not out.exists()
 
     def test_paired_seeds_across_policies(self, tmp_path):
         cfg = tiny_cfg(**{"sweep.axis": "mass", "sweep.values": "10",
@@ -262,6 +279,69 @@ class TestCli:
                      "--values", "0.02,0.015", "--reps", "1", "--policies", "oracle"]) == 1
         assert "not a multiple of tau" in capsys.readouterr().err
         assert not out.exists()
+
+    # lookback 0.015 is test_bad_lookback_override_fails_before_any_cell
+    @pytest.mark.parametrize("axis, good, value", BAD_SWEEP_VALUES[1:])
+    def test_bad_sweep_value_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                        axis, good, value):
+        cfg = self.write_cfg(tmp_path, self.SMALL_SWEEP)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", axis,
+                     f"--values={good},{value}"]) == 1
+        assert f"sweep over {axis} = {float(value):g}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_eval_episodes_is_a_config_error(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, self.SMALL_SWEEP.replace("eval.episodes = 1",
+                                                                "eval.episodes = 0"))
+        out = tmp_path / "out"
+        assert main(["eval", "--config", cfg, "--policy", "oracle", "--out", str(out)]) == 1
+        assert "eval.episodes must be >= 1" in capsys.readouterr().err
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert "eval.episodes must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_trusts_a_cell_file_only_with_the_cells_echo(self, tmp_path, capsys):
+        text = "".join(f"{k} = {v}\n" for k, v in TINY_TRAIN.items())
+        out = tmp_path / "sweep"
+        cell = out / "cell_mass_10_rep0"
+        argv = ["sweep", "--config", str(tmp_path / "run.cfg"), "--out", str(out),
+                "--axis", "mass", "--values", "10", "--reps", "1",
+                "--policies", "oracle,dqn"]
+
+        def sweep(duration):
+            self.write_cfg(tmp_path, text.replace("env.episode_duration_s = 0.5",
+                                                  f"env.episode_duration_s = {duration}"))
+            assert main(argv) == 0
+            doc = json.loads((out / "sweep_mass_cells.json").read_text())
+            return doc["echo"], [c["status"] for c in doc["cells"]]
+
+        def stamps():  # a file moved into place has a new inode
+            return {p.name: (p.stat().st_mtime_ns, p.stat().st_ino) for p in cell.iterdir()}
+
+        def without_seed(echo):
+            return {k: v for k, v in echo["config"].items() if k != "seed"}
+
+        assert sweep("0.5")[1] == ["ok", "ok"]
+        # a changed config must recompute every cell and retrain the checkpoint
+        echo, statuses = sweep("0.3")
+        assert statuses == ["ok", "ok"]
+        assert echo["config"]["env.episode_duration_s"] == "0.3"
+        cell_echo = json.loads(dqn.load_checkpoint(cell / "checkpoint.bin")[3])
+        assert without_seed(cell_echo) == without_seed(echo)
+        for policy in ("oracle", "dqn"):
+            rec = json.loads((cell / f"metrics_{policy}.json").read_text())
+            assert rec["config_echo"] == cell_echo
+        # the same config again: every file is trusted and none is rewritten
+        before = stamps()
+        assert sweep("0.3")[1] == ["cached", "cached"]
+        assert stamps() == before
+        # a lost metrics file is recomputed from the checkpoint that matches
+        metrics = (cell / "metrics_dqn.json").read_bytes()
+        (cell / "metrics_dqn.json").unlink()
+        assert sweep("0.3")[1] == ["cached", "ok"]
+        assert (cell / "metrics_dqn.json").read_bytes() == metrics
+        assert stamps()["checkpoint.bin"] == before["checkpoint.bin"]
 
     def test_eval_with_cut_off_checkpoint_is_a_bad_input(self, tmp_path, capsys):
         ckpt = tmp_path / "checkpoint.bin"

@@ -95,6 +95,18 @@ env.lookback_s = 0.08
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(path)
 
+    def test_build_config_rejects_unknown_keys(self):
+        # a stray key would otherwise ride along in every echo
+        with pytest.raises(ConfigError, match="unknown key 'bogus.key'"):
+            build_config({"bogus.key": "1"})
+        with pytest.raises(ConfigError, match="unknown key 'bogus.key'"):
+            default_config(**{"bogus.key": "1"})
+
+    def test_eval_episodes_at_least_one(self):
+        with pytest.raises(ConfigError, match="eval.episodes must be >= 1"):
+            default_config(**{"eval.episodes": "0"})
+        assert default_config(**{"eval.episodes": "1"}).eval_episodes == 1
+
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("wire.mass_total_kg = 10\nnot a key value line\n")
@@ -149,11 +161,17 @@ env.lookback_s = 0.08
     def test_sweep_spec_validation(self):
         with pytest.raises(ConfigError):
             default_config(**{"sweep.axis": "humidity"})
-        with pytest.raises(ConfigError, match="multiple of tau"):
-            default_config(**{"sweep.axis": "lookback", "sweep.values": "0.015"})
         cfg = default_config(**{"sweep.axis": "mass", "sweep.values": "5, 10, 15",
                                 "sweep.repetitions": "2"})
         assert cfg.sweep.values == (5.0, 10.0, 15.0)
+
+    def test_sweep_values_name_distinct_cells(self):
+        for values in ("10, 10.0000001", "10, 10"):
+            with pytest.raises(ConfigError, match="name the same cell directory "
+                                                  "'cell_mass_10_rep0'"):
+                default_config(**{"sweep.axis": "mass", "sweep.values": values})
+        spec = default_config(**{"sweep.axis": "mass", "sweep.values": "10, 10.5"}).sweep
+        assert spec.cell_name(10.5, 2) == "cell_mass_10.5_rep2"
 
     def test_sweep_policies_must_name_a_policy_kind(self):
         assert default_config().sweep.policies == ("oracle", "fixed", "dqn")

@@ -8,6 +8,10 @@ channel, env, learner or file writers must leave these bytes unchanged.
 The scenario has impulses on and a 57-dimensional expanded state.  Each
 episode's 10 ms impulse starts mid-interval (at 55 or 105 ms), so its
 force is held across a tau boundary.
+
+A tiny sweep over the same scenario pins the summary's bytes, both after
+a fresh run and after a resume pass that finds every cell cached; its
+digest was recorded before cached cells were checked against their echo.
 """
 
 import hashlib
@@ -51,6 +55,10 @@ GOLDEN = {
         "f5974b39e9f0c38c263dc2e91ecb36372007aa1f5359431a263ea07056b75133",
 }
 
+SWEEP = {**TINY, "sweep.axis": "mass", "sweep.values": "8, 12",
+         "sweep.repetitions": "2", "sweep.policies": "oracle, fixed"}
+SWEEP_SUMMARY = "5b0a7edf4e08f00d8928896c8c16117f7e0f6db055cb947ee6789686c711ff4b"
+
 
 @pytest.fixture(scope="module")
 def golden_outputs(tmp_path_factory):
@@ -66,3 +74,10 @@ def golden_outputs(tmp_path_factory):
 def test_output_bytes_match_the_golden_digest(golden_outputs, name):
     digest = hashlib.sha256(Path(golden_outputs, name).read_bytes()).hexdigest()
     assert digest == GOLDEN[name]
+
+
+def test_sweep_summary_bytes_match_the_golden_digest(tmp_path):
+    cfg = config.default_config(**SWEEP)
+    for _ in ("fresh", "resume"):
+        summary = bench.run_sweep(cfg, tmp_path)
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == SWEEP_SUMMARY
