@@ -4,8 +4,9 @@ The checkpoint, training log, metrics and sweep summary embed the full
 config echo and seed, so such a result is re-derivable from the file
 alone.  Policy comparisons inside a sweep cell share identical environment
 seeds (paired-seed discipline), and completed sweep cells are skipped on
-re-run: metrics files and checkpoints land whole or not at all, and one
-counts as done only when it loads and carries its cell's config echo.
+re-run: a metrics file or checkpoint counts as done only when it loads
+and carries its cell's config echo.  Every file written here except the
+episode traces and exports lands whole or not at all.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .config import SWEEP_AXES, ConfigError, ExperimentConfig, build_config
 from .env import (BeamTrackingEnv, StepOutcome, angle_error_deg, rollout,
                   write_trace_csv)
 from .policies import PolicyKind, fixed_action, oracle_action
-from .wire import ImpulseEvent, simulate_trajectory, write_trajectory_csv
+from .wire import simulate_trajectory, write_trajectory_csv
 
 POST_IMPULSE_WINDOW_S = 0.3  # averaging window after the impulsive force
 
@@ -71,7 +72,7 @@ class EpisodeResult:
 
 
 def rollout_episode(env: BeamTrackingEnv, policy_fn) -> EpisodeResult:
-    """The whole episode under `policy_fn`, from a freshly reset env."""
+    """The whole episode under `policy_fn`, from a fresh env."""
     return EpisodeResult(rows=rollout(env, policy_fn, env.cfg.episode_steps),
                          impulse_time=env.schedule.impulse_time)
 
@@ -141,7 +142,7 @@ def run_train(cfg: ExperimentConfig, out_dir=None) -> tuple[Path, Path]:
                "update_period_steps": cfg.train.update_period_steps,
                "target_sync_steps": cfg.train.target_sync_steps,
                "phases": len(result.log)}
-    (out / "checkpoint.bin.json").write_text(json.dumps(sidecar, sort_keys=True))
+    _write_text(out / "checkpoint.bin.json", json.dumps(sidecar, sort_keys=True))
 
     log_path = out / "training_log.csv"
     _write_training_log(log_path, cfg, result.log)
@@ -151,7 +152,7 @@ def run_train(cfg: ExperimentConfig, out_dir=None) -> tuple[Path, Path]:
 def _write_training_log(path, cfg: ExperimentConfig, log_rows: list[dict]):
     cols = ["global_step", "phase", "mean_eval_power_dbm", "mean_proxy_reward",
             "loss", "mean_oracle_power_dbm", "mean_fixed_power_dbm", "eval_seed"]
-    with open(path, "w", newline="") as fh:
+    with dqn.atomic_open(path, newline="") as fh:
         fh.write("# config " + cfg.echo_json() + "\n")
         w = csv.writer(fh)
         w.writerow(cols)
@@ -193,13 +194,13 @@ def run_eval(cfg: ExperimentConfig, checkpoint, policy: PolicyKind,
 
     record = aggregate_metrics(cfg, policy.value, results)
     if write_traces:
-        _write_metrics(out / f"metrics_{policy.value}.json", record)
+        _write_text(out / f"metrics_{policy.value}.json", record.to_json())
     return record
 
 
-def _write_metrics(path, record: MetricsRecord):
+def _write_text(path, text: str):
     with dqn.atomic_open(path) as fh:
-        fh.write(record.to_json())
+        fh.write(text)
 
 
 def _read_metrics(path) -> MetricsRecord | None:
@@ -224,8 +225,9 @@ def _checkpoint_echo(path) -> str | None:
 
 def sweep_cell_config(cfg: ExperimentConfig, axis: str, value: float,
                       seed: int) -> ExperimentConfig:
-    """Re-materialize the config with one axis value and a cell seed."""
-    values = dict(cfg.values)
+    """Rebuild the config from its file values, with one axis value and a
+    cell seed; every other key keeps its default and its provenance."""
+    values = {k: v for k, v in cfg.values.items() if cfg.provenance[k] == "file"}
     values[SWEEP_AXES[axis]] = repr(float(value))
     values["seed"] = str(seed)
     try:
@@ -269,7 +271,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
                             run_train(cell_cfg, cell_dir)
                     record = run_eval(cell_cfg, ckpt, kind, cell_cfg.eval_episodes,
                                       cell_dir, write_traces=False)
-                    _write_metrics(metrics_path, record)
+                    _write_text(metrics_path, record.to_json())
                     entry["status"] = "ok"
                 except Exception as e:  # record the failure, keep sweeping
                     entry["status"] = f"failed: {e}"
@@ -278,8 +280,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
 
     summary_path = out / f"sweep_{sweep.axis}_summary.csv"
     _write_sweep_summary(summary_path, cfg, sweep, records)
-    (out / f"sweep_{sweep.axis}_cells.json").write_text(
-        json.dumps({"echo": cfg.echo(), "cells": entries}, sort_keys=True))
+    _write_text(out / f"sweep_{sweep.axis}_cells.json",
+                json.dumps({"echo": cfg.echo(), "cells": entries}, sort_keys=True))
     return summary_path
 
 
@@ -296,7 +298,7 @@ def _write_sweep_summary(path, cfg, sweep, records):
                 row.append(f"{np.mean(vals):.6f}" if vals else "")
                 row.append(f"{np.std(vals):.6f}" if vals else "")
             rows.append(row)
-    with open(path, "w", newline="") as fh:
+    with dqn.atomic_open(path, newline="") as fh:
         fh.write("# config " + cfg.echo_json() + "\n")
         w = csv.writer(fh)
         w.writerow(["axis", "value", "policy", "n",
@@ -326,16 +328,12 @@ def export_trajectory(cfg: ExperimentConfig, out_dir=None, duration: float = 0.5
     """Impulse-response trajectory export (wire positions over time)."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    impulse = ImpulseEvent(point_number=cfg.env.impulse_point,
-                           force=np.asarray(cfg.env.impulse_force, float),
-                           apply_time=impulse_time,
-                           duration_s=cfg.env.impulse_duration_s)
     wind = cfg.wind if with_wind else type(cfg.wind)(amplitude=0.0)
     params = cfg.wire
     if not with_wind:
         params = dataclasses.replace(params, wind_diffusion=np.zeros((3, 3)))
-    samples = simulate_trajectory(params, wind, [impulse], duration,
-                                  cfg.env.substep_dt, cfg.seed,
+    samples = simulate_trajectory(params, wind, [cfg.env.impulse_at(impulse_time)],
+                                  duration, cfg.env.substep_dt, cfg.seed,
                                   sample_every=cfg.env.tau)
     path = out / "trajectory.csv"
     write_trajectory_csv(path, samples)

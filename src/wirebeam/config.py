@@ -269,6 +269,8 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     scenario = r.choice("scenario", SCENARIOS)
     state_mode = r.choice("state_mode", STATE_MODES)
     seed = r.intv("seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     diffusion_parts = r.float_list("wire.wind_diffusion")
     if len(diffusion_parts) == 1:

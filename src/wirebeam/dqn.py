@@ -402,14 +402,14 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
 # --------------------------------------------------------------------------
 
 @contextlib.contextmanager
-def atomic_open(path, mode: str = "w"):
+def atomic_open(path, mode: str = "w", newline: str | None = None):
     """Open a temporary file beside `path` that replaces `path` only once it
     is written and closed, so a run cut short never leaves a partial file
-    under the final name."""
+    under the final name.  `newline` is `open`'s, for text files."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

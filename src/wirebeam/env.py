@@ -1,13 +1,16 @@
 """Delayed-observation beam-tracking environment.
 
-Each step covers one beam-refinement interval tau: the chosen steering
-action is applied first, the wire physics then advances tau/dt substeps
-(injecting the scheduled impulse when its time falls inside the interval),
-the post-step wire state joins the sensor history, and the agent observes
-the sensed points of the state from `lookback` seconds ago together with
-the current steering vector.  The reward is the received power mapped
-through an affine clip to [-1, 1].  `rollout` steps a policy and returns
-one `StepOutcome` per step; every evaluation path records steps that way.
+An environment is one episode.  Its seed fixes the episode's random draws
+(the impulse time and the wire's noise seed, see `EpisodeSchedule`), and
+the wire states come from one `wire.trajectory` stream, one state per
+beam-refinement interval tau: the wire never reads the beam.  Each step
+applies the chosen steering action, takes the next wire state (the
+scheduled impulse acts when its time falls inside the interval), and the
+agent observes the sensed points of the state from `lookback` seconds ago
+together with the current steering vector.  The reward is the received
+power mapped through an affine clip to [-1, 1].  `rollout` steps a policy
+and returns one `StepOutcome` per step; every evaluation path records
+steps that way.
 
 The observation vector is, per sensed point, [position (3), velocity (3)],
 blocks in sense-point order, followed by the unit steering vector (3).
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +97,11 @@ class EnvConfig:
     def state_dim(self) -> int:
         return 6 * len(self.sense_points) + 3
 
+    def impulse_at(self, t: float) -> wire.ImpulseEvent:
+        """The configured impulse, starting at time t [s]."""
+        return wire.ImpulseEvent(self.impulse_point, self.impulse_force, t,
+                                 self.impulse_duration_s)
+
 
 def check_invariants(env_cfg: EnvConfig, wire_params: wire.WireParams):
     """Invariants tying the task to its wire: the substep below the
@@ -155,7 +162,7 @@ def proxy_reward(raw_dbm: float, offset_dbm: float, scale_db: float) -> float:
 
 @dataclass(frozen=True)
 class EpisodeSchedule:
-    """Per-episode random draws, fixed at reset."""
+    """An episode's random draws, made from the env seed at construction."""
 
     impulse_time: float | None
     noise_seed: int
@@ -186,10 +193,11 @@ class StepOutcome:
 
 
 class BeamTrackingEnv:
-    """Owns one episode: wire state, sensor history, steering, schedule.
+    """One episode: the wire states so far, steering and schedule.
 
-    Not safe for concurrent mutation; run independent instances in
-    parallel instead.  All randomness flows from the reset seed.
+    `states[k]` is the wire state after k steps, `states[0]` the
+    equilibrium.  Not safe for concurrent mutation; run independent
+    instances in parallel instead.  All randomness flows from the seed.
     """
 
     def __init__(self, env_cfg: EnvConfig, wire_params: wire.WireParams,
@@ -197,54 +205,39 @@ class BeamTrackingEnv:
                  array_cfg: ArrayConfig, seed: int = 0):
         check_invariants(env_cfg, wire_params)
         self.cfg = env_cfg
-        self.wire_params = wire_params
-        self.wind = wind
         self.channel_cfg = channel_cfg
         self.array_cfg = array_cfg
-        self._equilibrium = wire.solve_equilibrium(wire_params)
         self._sense_idx = np.array([p - 1 for p in env_cfg.sense_points])
         self._tx_idx = env_cfg.tx_point - 1
-        self.reset(seed)
-
-    # -- episode lifecycle -------------------------------------------------
-
-    def reset(self, seed: int = 0) -> np.ndarray:
-        """Start a fresh episode; returns the initial observation."""
         rng = np.random.default_rng(seed)
         impulse_time = None
-        if self.cfg.impulse_enabled:
-            impulse_time = float(rng.choice(np.asarray(self.cfg.impulse_times_s, float)))
+        if env_cfg.impulse_enabled:
+            impulse_time = float(rng.choice(np.asarray(env_cfg.impulse_times_s, float)))
         self.schedule = EpisodeSchedule(impulse_time=impulse_time,
                                         noise_seed=int(rng.integers(2 ** 63)))
-        self._noise_rng = np.random.default_rng(self.schedule.noise_seed)
-
-        self._impulses = ()
-        if impulse_time is not None:
-            self._impulses = (wire.ImpulseEvent(
-                point_number=self.cfg.impulse_point,
-                force=np.asarray(self.cfg.impulse_force, float),
-                apply_time=impulse_time,
-                duration_s=self.cfg.impulse_duration_s),)
-
-        self.state = self._equilibrium.copy()
-        self.step_count = 0
+        impulses = () if impulse_time is None else (env_cfg.impulse_at(impulse_time),)
+        self._wire = wire.trajectory(wire_params, wind, impulses, env_cfg.substep_dt,
+                                     self.schedule.noise_seed, env_cfg.substeps_per_tau)
+        self.states = [next(self._wire)]
         self.beam = self._initial_beam()
-        # the last lag+1 wire states, prefilled so that lookups before
-        # t = lookback return the initial (equilibrium) state; holding the
-        # states themselves is safe because wire.step never modifies its input
-        lag = self.cfg.lag_steps
-        self.sensors = deque([self.state] * (lag + 1), maxlen=lag + 1)
-        self.state_vector = assemble_state(self.sensors[0], self._sense_idx, self.beam)
-        return self.state_vector
+        self.state_vector = assemble_state(self.states[0], self._sense_idx, self.beam)
 
     def _initial_beam(self) -> BeamOrientation:
         """Boresight at the equilibrium node, quantized to the action grid."""
-        _, theta, phi = look_angles(self._equilibrium.positions[self._tx_idx],
+        _, theta, phi = look_angles(self.states[0].positions[self._tx_idx],
                                     self.channel_cfg.rx_position)
         a = self.cfg.refine_angle
         return BeamOrientation(round(theta / a) * a, round(phi / a) * a)
 
     # -- stepping ----------------------------------------------------------
+
+    @property
+    def state(self) -> wire.WireState:
+        return self.states[-1]
+
+    @property
+    def step_count(self) -> int:
+        return len(self.states) - 1
 
     @property
     def done(self) -> bool:
@@ -260,21 +253,12 @@ class BeamTrackingEnv:
 
     def step(self, action: int) -> StepOutcome:
         if self.done:
-            raise EpisodeFinishedError("episode already finished; call reset()")
+            raise EpisodeFinishedError("episode already finished; an env runs one episode")
         self.beam = apply_action(self.beam, action, self.cfg.refine_angle)
-
-        # one draw per tau gives the same stream as one draw per substep;
-        # wire.step then runs once per substep, which the benchmark's
-        # per-layer counts (ten wire.step calls per env.step) rely on
-        noise = self._noise_rng.standard_normal(
-            (self.cfg.substeps_per_tau, self.wire_params.n_points - 2, 3))
-        for substep_noise in noise:
-            self.state = wire.step(self.state, self.wire_params, self.wind,
-                                   self._impulses, self.cfg.substep_dt, substep_noise)
-        self.step_count += 1
-        self.sensors.append(self.state)
-
-        self.state_vector = assemble_state(self.sensors[0], self._sense_idx, self.beam)
+        self.states.append(next(self._wire))
+        # the observation is the state `lookback` ago, the equilibrium before that
+        delayed = self.states[max(self.step_count - self.cfg.lag_steps, 0)]
+        self.state_vector = assemble_state(delayed, self._sense_idx, self.beam)
         raw = received_power(self.true_node_position, self.beam,
                              self.channel_cfg, self.array_cfg)
         reward = proxy_reward(raw, self.cfg.reward_offset_dbm, self.cfg.reward_scale_db)

@@ -18,10 +18,11 @@ case.  The block runs in place on one copy of the state, so its cost per
 substep is the arithmetic rather than per-call set-up, and it is bit for
 bit the same as n one-substep calls.  Wind and impulses are still
 evaluated at the start of every substep, and any number of impulses may
-act at once.  `simulate_trajectory` advances one sample stride per call;
-the tracking environment makes one call per substep and keeps the states
-it gets back as its sensor history, which relies on `step` never
-modifying its input state.
+act at once.  `trajectory` is the one seeded wire stream: the
+equilibrium, then the state after every stride of substeps.  The
+tracking environment takes one state per tau from it and keeps them all
+as its sensor history, which relies on `step` never modifying its input
+state; `simulate_trajectory` returns a finite slice of the stream.
 
 Point numbering follows the P1..PN convention: user-facing indices are
 1-based, array storage is 0-based.
@@ -30,9 +31,10 @@ Point numbering follows the P1..PN convention: user-facing indices are
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -306,6 +308,25 @@ def _substeps(state: WireState, params: WireParams, wind: WindModel,
         state.time += dt
 
 
+def trajectory(params: WireParams, wind: WindModel,
+               impulses: Sequence[ImpulseEvent], dt: float, seed: int,
+               stride: int) -> Iterator[WireState]:
+    """Endless seeded stream: the equilibrium, then the state after every
+    `stride` substeps of length dt, each stride drawing one (stride, N-2, 3)
+    standard normal block from default_rng(seed) and making one `step` call
+    per substep."""
+    for ev in impulses:
+        ev.validate_for(params)
+    rng = np.random.default_rng(seed)
+    state = solve_equilibrium(params)
+    while True:
+        yield state
+        # one call per substep, not per stride: perfbench's per-layer test
+        # counts ten `step` calls per tracking step
+        for noise in rng.standard_normal((stride, params.n_points - 2, 3)):
+            state = step(state, params, wind, impulses, dt, noise)
+
+
 def simulate_trajectory(params: WireParams, wind: WindModel,
                         impulses: Sequence[ImpulseEvent], duration: float,
                         dt: float, seed: int,
@@ -324,20 +345,9 @@ def simulate_trajectory(params: WireParams, wind: WindModel,
         stride = int(round(sample_every / dt))
         if stride < 1 or abs(stride * dt - sample_every) > 1e-9 * dt:
             raise ValueError("sample_every must be a positive multiple of dt")
-    for ev in impulses:
-        ev.validate_for(params)
-
-    rng = np.random.default_rng(seed)
-    state = solve_equilibrium(params)
-    samples = [state]
-    n_steps = int(round(duration / dt))
-    for start in range(0, n_steps, stride):
-        block = min(stride, n_steps - start)
-        noise = rng.standard_normal((block, params.n_points - 2, 3))
-        state = step(state, params, wind, impulses, dt, noise)
-        if block == stride:
-            samples.append(state)
-    return samples
+    n_samples = int(round(duration / dt)) // stride + 1
+    return list(itertools.islice(trajectory(params, wind, impulses, dt, seed, stride),
+                                 n_samples))
 
 
 def write_trajectory_csv(path, samples: Sequence[WireState]):

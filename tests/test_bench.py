@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +180,21 @@ class TestRunSweep:
             run_sweep(cfg, out_dir=out)
         assert not out.exists()
 
+    def test_cell_config_keeps_the_sweep_configs_provenance(self, tmp_path):
+        cfg = default_config(**{"sweep.axis": "mass", "sweep.values": "12",
+                                "sweep.repetitions": "1", "sweep.policies": "oracle",
+                                "eval.episodes": "1", "env.episode_duration_s": "0.2"})
+        cell = bench.sweep_cell_config(cfg, "mass", 12.0, 5)
+        assert cell.values == {**cfg.values, "wire.mass_total_kg": "12.0", "seed": "5"}
+        file_keys = {"sweep.axis", "sweep.values", "sweep.repetitions", "sweep.policies",
+                     "eval.episodes", "env.episode_duration_s", "wire.mass_total_kg", "seed"}
+        assert {k for k, v in cell.provenance.items() if v == "file"} == file_keys
+        assert {k: v for k, v in cell.provenance.items() if k not in file_keys} == \
+            {k: v for k, v in cfg.provenance.items() if k not in file_keys}
+        run_sweep(cfg, out_dir=tmp_path)
+        rec = json.loads((tmp_path / "cell_mass_12_rep0" / "metrics_oracle.json").read_text())
+        assert rec["config_echo"]["provenance"] == cell.provenance
+
     def test_paired_seeds_across_policies(self, tmp_path):
         cfg = tiny_cfg(**{"sweep.axis": "mass", "sweep.values": "10",
                           "sweep.repetitions": "1",
@@ -190,6 +206,55 @@ class TestRunSweep:
                             "metrics_fixed.json").read_text())
         assert oracle["config_echo"]["seed"] == fixed["config_echo"]["seed"]
         assert oracle["mean_power_dbm"] >= fixed["mean_power_dbm"]
+
+
+def cut_writes_to(monkeypatch, name):
+    """Make each write to the temporary file of `name` write half its data
+    and then fail, as a full disk would."""
+    real_open = open
+
+    class Cut:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+    def cut_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return Cut(fh) if Path(path).name == name + ".tmp" else fh
+    monkeypatch.setattr(dqn, "open", cut_open, raising=False)
+
+
+class TestWholeFiles:
+    @pytest.mark.parametrize("name", ["checkpoint.bin.json", "training_log.csv"])
+    def test_cut_train_file_keeps_the_previous_one(self, tmp_path, monkeypatch, name):
+        run_train(tiny_cfg(), tmp_path)
+        before = (tmp_path / name).read_bytes()
+        cut_writes_to(monkeypatch, name)
+        with pytest.raises(OSError, match="disk full"):
+            run_train(tiny_cfg(seed=1), tmp_path)
+        assert (tmp_path / name).read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("name", ["sweep_mass_summary.csv", "sweep_mass_cells.json"])
+    def test_cut_sweep_file_keeps_the_previous_one(self, tmp_path, monkeypatch, name):
+        sweep = {"sweep.axis": "mass", "sweep.values": "10", "sweep.repetitions": "1",
+                 "sweep.policies": "oracle"}
+        run_sweep(tiny_cfg(**sweep), out_dir=tmp_path)
+        before = (tmp_path / name).read_bytes()
+        cut_writes_to(monkeypatch, name)
+        with pytest.raises(OSError, match="disk full"):
+            run_sweep(tiny_cfg(seed=1, **sweep), out_dir=tmp_path)
+        assert (tmp_path / name).read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestHelpers:
@@ -299,6 +364,18 @@ class TestCli:
         assert "eval.episodes must be >= 1" in capsys.readouterr().err
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
         assert "eval.episodes must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", [["train"], ["eval", "--policy", "oracle"], ["sweep"],
+                                      ["pattern"], ["trajectory"]])
+    def test_negative_seed_exits_1_and_writes_nothing(self, tmp_path, capsys, verb):
+        out = tmp_path / "out"
+        flag = self.write_cfg(tmp_path, self.SMALL_SWEEP)
+        assert main([*verb, "--config", flag, "--out", str(out), "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        in_file = self.write_cfg(tmp_path, self.SMALL_SWEEP + "seed = -1\n")
+        assert main([*verb, "--config", in_file, "--out", str(out)]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_trusts_a_cell_file_only_with_the_cells_echo(self, tmp_path, capsys):

@@ -107,6 +107,12 @@ env.lookback_s = 0.08
             default_config(**{"eval.episodes": "0"})
         assert default_config(**{"eval.episodes": "1"}).eval_episodes == 1
 
+    def test_negative_seed_rejected(self):
+        # numpy would reject it later, in every verb, without naming the key
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            default_config(seed=-1)
+        assert default_config(seed=0).seed == 0
+
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("wire.mass_total_kg = 10\nnot a key value line\n")

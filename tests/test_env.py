@@ -7,8 +7,10 @@ import pytest
 
 from wirebeam import env as envmod
 from wirebeam import wire
+from wirebeam.bench import make_env as make_experiment_env
 from wirebeam.channel import (ArrayConfig, BeamOrientation, ChannelConfig,
                               boresight_power, received_power)
+from wirebeam.config import default_config
 from wirebeam.env import (BeamTrackingEnv, ConfigError, EnvConfig,
                           EpisodeFinishedError, apply_action, assemble_state,
                           decode_action, encode_action, proxy_reward, rollout)
@@ -277,3 +279,45 @@ class TestStepping:
         assert last[0] == "5" and last[2] == str(envmod.CENTER_ACTION)
         optimal = boresight_power(outs[-1].node, e.channel_cfg, e.array_cfg)
         assert last[6] == f"{optimal:.6f}"
+
+
+class TestSharedWireStream:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scenario", ["wind_only", "wind_plus_impulse"])
+    def test_env_states_are_one_simulate_trajectory_call(self, scenario, seed):
+        # the impulse starts mid-substep inside a tau interval, and its 10 ms
+        # force straddles the next tau boundary
+        cfg = default_config(scenario=scenario, state_mode="expanded", seed=seed,
+                             **{"env.episode_duration_s": "1.5",
+                                "wire.impulse_times_s": "0.5055"})
+        e = make_experiment_env(cfg, seed)
+        actions = np.random.default_rng(seed).integers(0, 9, size=cfg.env.episode_steps)
+        rollout(e, lambda env: int(actions[env.step_count]), cfg.env.episode_steps)
+        impulses = []
+        if scenario == "wind_plus_impulse":
+            assert e.schedule.impulse_time == 0.5055
+            impulses = [wire.ImpulseEvent(point_number=4, force=[0.0, 0.0, 470.0],
+                                          apply_time=0.5055, duration_s=0.01)]
+        expected = wire.simulate_trajectory(cfg.wire, cfg.wind, impulses, 1.5,
+                                            cfg.env.substep_dt, e.schedule.noise_seed,
+                                            sample_every=cfg.env.tau)
+        assert e.done and len(e.states) == len(expected) == 151
+        for got, want in zip(e.states, expected):
+            assert got.time == want.time
+            assert np.array_equal(got.positions, want.positions)
+            assert np.array_equal(got.velocities, want.velocities)
+
+    def test_impulse_at_builds_the_configured_event(self):
+        cfg = EnvConfig(impulse_point=6, impulse_force=(1.0, -2.0, 300.0),
+                        impulse_duration_s=0.02)
+        ev = cfg.impulse_at(1.25)
+        assert (ev.point_number, ev.apply_time, ev.duration_s) == (6, 1.25, 0.02)
+        np.testing.assert_array_equal(ev.force, [1.0, -2.0, 300.0])
+        assert EnvConfig().impulse_at(0.0).duration_s is None
+
+    def test_a_finished_episode_stays_finished(self):
+        e = make_env(seed=4, quiet=True, episode_duration=0.02)
+        rollout(e, lambda env: envmod.CENTER_ACTION, 5)
+        with pytest.raises(EpisodeFinishedError, match="one episode"):
+            e.step(envmod.CENTER_ACTION)
+        assert e.step_count == 2 and e.state is e.states[-1]

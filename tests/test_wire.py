@@ -373,6 +373,22 @@ class TestTrajectory:
         assert len(every) == 26
         assert_same_state(samples[2], every[20])
 
+    def test_stream_starts_at_equilibrium_and_draws_one_block_per_stride(self):
+        params = table_params()
+        stream = wire.trajectory(params, wire.WindModel(), [], 1e-3, 8, 4)
+        first, second = next(stream), next(stream)
+        assert_same_state(first, wire.solve_equilibrium(params))
+        noise = np.random.default_rng(8).standard_normal((4, 19, 3))
+        assert_same_state(second, wire.step(first, params, wire.WindModel(), [], 1e-3,
+                                            noise))
+        # endless: it runs on past any duration a caller has in mind
+        assert all(next(stream).time > 0 for _ in range(50))
+
+    def test_stream_rejects_an_endpoint_impulse(self):
+        ev = wire.ImpulseEvent(point_number=21, force=[0, 0, 1.0], apply_time=0.0)
+        with pytest.raises(ValueError, match="interior"):
+            next(wire.trajectory(table_params(), STILL, [ev], 1e-3, 0, 10))
+
     def test_csv_export_columns(self, tmp_path):
         params = table_params()
         samples = wire.simulate_trajectory(params, STILL, [], 0.02, 1e-3, 0,
