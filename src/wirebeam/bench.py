@@ -6,7 +6,9 @@ alone.  Policy comparisons inside a sweep cell share identical environment
 seeds (paired-seed discipline), and completed sweep cells are skipped on
 re-run: a metrics file or checkpoint counts as done only when it loads
 and carries its cell's config echo.  Every file written here except the
-episode traces and exports lands whole or not at all.
+episode traces and exports lands whole or not at all.  An evaluation
+builds its episodes' envs together (`make_envs`), so their wire advances
+as one batch while they are rolled out one after another.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 from . import dqn
 from .channel import write_pattern_csv
 from .config import SWEEP_AXES, ConfigError, ExperimentConfig, build_config
-from .env import (BeamTrackingEnv, StepOutcome, angle_error_deg, rollout,
-                  write_trace_csv)
+from .env import (BeamTrackingEnv, EpisodeBatch, StepOutcome, angle_error_deg,
+                  rollout, write_trace_csv)
 from .policies import PolicyKind, fixed_action, oracle_action
 from .wire import simulate_trajectory, write_trajectory_csv
 
@@ -40,8 +42,16 @@ def derive_seed(base: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=base, spawn_key=key).generate_state(1)[0])
 
 
+def make_envs(cfg: ExperimentConfig, seeds) -> list[BeamTrackingEnv]:
+    """One env per seed, their wire states advanced together in one
+    `EpisodeBatch`."""
+    batch = EpisodeBatch(cfg.env, cfg.wire, cfg.wind, seeds)
+    return [BeamTrackingEnv(cfg.env, cfg.wire, cfg.wind, cfg.channel, cfg.array, seed, batch)
+            for seed in seeds]
+
+
 def make_env(cfg: ExperimentConfig, seed: int) -> BeamTrackingEnv:
-    return BeamTrackingEnv(cfg.env, cfg.wire, cfg.wind, cfg.channel, cfg.array, seed)
+    return make_envs(cfg, [seed])[0]
 
 
 def env_factory(cfg: ExperimentConfig):
@@ -183,8 +193,8 @@ def run_eval(cfg: ExperimentConfig, checkpoint, policy: PolicyKind,
 
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     results = []
-    for ep in range(episodes):
-        env = make_env(cfg, derive_seed(cfg.seed, ep))
+    envs = make_envs(cfg, [derive_seed(cfg.seed, ep) for ep in range(episodes)])
+    for ep, env in enumerate(envs):
         res = rollout_episode(env, fn)
         results.append(res)
         if write_traces:
@@ -315,6 +325,9 @@ def _write_sweep_summary(path, cfg, sweep, records):
 def export_pattern(cfg: ExperimentConfig, out_dir=None, span_deg: float = 60.0,
                    step_deg: float = 1.0) -> Path:
     """Beam-pattern CSV around the equilibrium boresight steering."""
+    if step_deg <= 0 or span_deg < 0:
+        raise ConfigError(f"pattern needs step_deg > 0 and span_deg >= 0, "
+                          f"got step_deg = {step_deg:g}, span_deg = {span_deg:g}")
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     env = make_env(cfg, cfg.seed)
@@ -325,9 +338,9 @@ def export_pattern(cfg: ExperimentConfig, out_dir=None, span_deg: float = 60.0,
 
 def export_trajectory(cfg: ExperimentConfig, out_dir=None, duration: float = 0.5,
                       impulse_time: float = 0.0, with_wind: bool = False) -> Path:
-    """Impulse-response trajectory export (wire positions over time)."""
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Impulse-response trajectory export (wire positions over time).
+    The impulse and duration are checked, and the trajectory simulated,
+    before `out_dir` is made."""
     wind = cfg.wind if with_wind else type(cfg.wind)(amplitude=0.0)
     params = cfg.wire
     if not with_wind:
@@ -335,6 +348,8 @@ def export_trajectory(cfg: ExperimentConfig, out_dir=None, duration: float = 0.5
     samples = simulate_trajectory(params, wind, [cfg.env.impulse_at(impulse_time)],
                                   duration, cfg.env.substep_dt, cfg.seed,
                                   sample_every=cfg.env.tau)
+    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "trajectory.csv"
     write_trajectory_csv(path, samples)
     return path

@@ -3,7 +3,10 @@
 An environment is one episode.  Its seed fixes the episode's random draws
 (the impulse time and the wire's noise seed, see `EpisodeSchedule`), and
 the wire states come from one `wire.trajectory` stream, one state per
-beam-refinement interval tau: the wire never reads the beam.  Each step
+beam-refinement interval tau: the wire never reads the beam.  Several
+envs can share one stream through an `EpisodeBatch`, which advances all
+their episodes together and keeps each state, so they can be rolled out
+one after another.  Each step
 applies the chosen steering action, takes the next wire state (the
 scheduled impulse acts when its time falls inside the interval), and the
 agent observes the sensed points of the state from `lookback` seconds ago
@@ -162,10 +165,51 @@ def proxy_reward(raw_dbm: float, offset_dbm: float, scale_db: float) -> float:
 
 @dataclass(frozen=True)
 class EpisodeSchedule:
-    """An episode's random draws, made from the env seed at construction."""
+    """An episode's random draws, made from its env seed."""
 
     impulse_time: float | None
     noise_seed: int
+
+    @classmethod
+    def draw(cls, env_cfg: EnvConfig, seed: int) -> "EpisodeSchedule":
+        rng = np.random.default_rng(seed)
+        impulse_time = None
+        if env_cfg.impulse_enabled:
+            impulse_time = float(rng.choice(np.asarray(env_cfg.impulse_times_s, float)))
+        return cls(impulse_time=impulse_time, noise_seed=int(rng.integers(2 ** 63)))
+
+
+class EpisodeBatch:
+    """The wire states of several episodes, from one batched `wire.trajectory`.
+
+    The schedules are drawn from the seeds, and the stream advances every
+    episode together.  A batched state is computed on its first read and
+    kept, so the episodes can be rolled out one after another: the first
+    to reach a step advances the stream, and the others read what it
+    computed.
+    """
+
+    def __init__(self, env_cfg: EnvConfig, wire_params: wire.WireParams,
+                 wind: wire.WindModel, seeds):
+        self.seeds = list(seeds)
+        self.schedules = [EpisodeSchedule.draw(env_cfg, s) for s in self.seeds]
+        impulses = [() if s.impulse_time is None else (env_cfg.impulse_at(s.impulse_time),)
+                    for s in self.schedules]
+        self._stream = wire.trajectory(wire_params, wind, impulses, env_cfg.substep_dt,
+                                       [s.noise_seed for s in self.schedules],
+                                       env_cfg.substeps_per_tau)
+        self._states: list[wire.WireState] = []
+
+    def state(self, episode: int, k: int) -> wire.WireState:
+        """Episode `episode`'s wire state after k steps, a view into the
+        batch.  For the step in which the episode diverged and every later
+        one, raises its IntegrationDivergedError instead."""
+        while len(self._states) <= k:
+            self._states.append(next(self._stream))
+        s = self._states[k]
+        if episode in s.diverged:
+            raise s.diverged[episode]
+        return wire.WireState(s.time, s.positions[:, episode], s.velocities[:, episode])
 
 
 def assemble_state(delayed: wire.WireState, sense_idx: np.ndarray,
@@ -196,29 +240,28 @@ class BeamTrackingEnv:
     """One episode: the wire states so far, steering and schedule.
 
     `states[k]` is the wire state after k steps, `states[0]` the
-    equilibrium.  Not safe for concurrent mutation; run independent
-    instances in parallel instead.  All randomness flows from the seed.
+    equilibrium.  The states are read from an `EpisodeBatch`: the given
+    one, which must hold `seed`, or else a batch of this episode alone.
+    Not safe for concurrent mutation; run independent instances in
+    parallel instead.  All randomness flows from the seed.
     """
 
     def __init__(self, env_cfg: EnvConfig, wire_params: wire.WireParams,
                  wind: wire.WindModel, channel_cfg: ChannelConfig,
-                 array_cfg: ArrayConfig, seed: int = 0):
+                 array_cfg: ArrayConfig, seed: int = 0,
+                 batch: EpisodeBatch | None = None):
         check_invariants(env_cfg, wire_params)
         self.cfg = env_cfg
         self.channel_cfg = channel_cfg
         self.array_cfg = array_cfg
         self._sense_idx = np.array([p - 1 for p in env_cfg.sense_points])
         self._tx_idx = env_cfg.tx_point - 1
-        rng = np.random.default_rng(seed)
-        impulse_time = None
-        if env_cfg.impulse_enabled:
-            impulse_time = float(rng.choice(np.asarray(env_cfg.impulse_times_s, float)))
-        self.schedule = EpisodeSchedule(impulse_time=impulse_time,
-                                        noise_seed=int(rng.integers(2 ** 63)))
-        impulses = () if impulse_time is None else (env_cfg.impulse_at(impulse_time),)
-        self._wire = wire.trajectory(wire_params, wind, impulses, env_cfg.substep_dt,
-                                     self.schedule.noise_seed, env_cfg.substeps_per_tau)
-        self.states = [next(self._wire)]
+        if batch is None:
+            batch = EpisodeBatch(env_cfg, wire_params, wind, [seed])
+        self._batch = batch
+        self._episode = self._batch.seeds.index(seed)
+        self.schedule = self._batch.schedules[self._episode]
+        self.states = [self._batch.state(self._episode, 0)]
         self.beam = self._initial_beam()
         self.state_vector = assemble_state(self.states[0], self._sense_idx, self.beam)
 
@@ -255,7 +298,7 @@ class BeamTrackingEnv:
         if self.done:
             raise EpisodeFinishedError("episode already finished; an env runs one episode")
         self.beam = apply_action(self.beam, action, self.cfg.refine_angle)
-        self.states.append(next(self._wire))
+        self.states.append(self._batch.state(self._episode, len(self.states)))
         # the observation is the state `lookback` ago, the equilibrium before that
         delayed = self.states[max(self.step_count - self.cfg.lag_steps, 0)]
         self.state_vector = assemble_state(delayed, self._sense_idx, self.beam)

@@ -18,8 +18,12 @@ case.  The block runs in place on one copy of the state, so its cost per
 substep is the arithmetic rather than per-call set-up, and it is bit for
 bit the same as n one-substep calls.  Wind and impulses are still
 evaluated at the start of every substep, and any number of impulses may
-act at once.  `trajectory` is the one seeded wire stream: the
-equilibrium, then the state after every stride of substeps.  The
+act at once; each impulse's window is computed once, in a `Forcing`.
+`trajectory` is the one seeded wire stream: the equilibrium, then the
+state after every stride of substeps.  It advances one chain or a batch
+of E episodes, positions (N, E, 3), each with its own noise generator
+and impulses, in one `step` call per substep; each episode of a batch
+is bit for bit its chain alone, and one chain is the batch of one.  The
 tracking environment takes one state per tau from it and keeps them all
 as its sensor history, which relies on `step` never modifying its input
 state; `simulate_trajectory` returns a finite slice of the stream.
@@ -40,13 +44,16 @@ import numpy as np
 
 
 class IntegrationDivergedError(RuntimeError):
-    """Raised when a state component stops being finite."""
+    """Raised when a state component stops being finite; `episode` is the
+    batch episode holding it, None for a single chain."""
 
-    def __init__(self, point_number: int, time: float):
+    def __init__(self, point_number: int, time: float, episode: int | None = None):
         self.point_number = point_number
         self.time = time
+        self.episode = episode
+        where = "" if episode is None else f" of episode {episode}"
         super().__init__(
-            f"integration diverged at P{point_number} (t = {time:.6f} s); "
+            f"integration diverged at P{point_number}{where} (t = {time:.6f} s); "
             "reduce the substep or check the stiffness/mass ratio"
         )
 
@@ -107,14 +114,25 @@ class WireParams:
 
 @dataclass
 class WireState:
-    """Snapshot of the chain at one time instant."""
+    """Snapshot of the chain, or of a batch of E episodes' chains, at one
+    time instant.
+
+    A batch's arrays are (N, E, 3): the episode axis follows the point
+    axis, so the interior points of every episode are one contiguous
+    block and each update is one numpy loop over it (a leading episode
+    axis took twice as long per substep at E = 3).  Episode e is
+    `positions[:, e]`.  `diverged` maps each episode whose state stopped
+    being finite to its error; its columns hold NaN.
+    """
 
     time: float
-    positions: np.ndarray   # (N, 3) [m]
-    velocities: np.ndarray  # (N, 3) [m/s]
+    positions: np.ndarray   # (N, 3) or (N, E, 3) [m]
+    velocities: np.ndarray  # as positions [m/s]
+    diverged: dict[int, IntegrationDivergedError] = field(default_factory=dict)
 
     def copy(self) -> "WireState":
-        return WireState(self.time, self.positions.copy(), self.velocities.copy())
+        return WireState(self.time, self.positions.copy(), self.velocities.copy(),
+                         dict(self.diverged))
 
 
 @dataclass(frozen=True)
@@ -168,37 +186,67 @@ class ImpulseEvent:
                 f"(2..{params.n_points - 1})"
             )
 
-    def active_at(self, t: float, dt: float) -> bool:
-        """True when the force acts during the substep starting at t."""
+    def acts(self, dt: float) -> Callable[[float], bool]:
+        """Whether the force acts during the substep of length dt starting
+        at t, as a function of t; the window is computed once, here."""
         if self.duration_s is None:
-            return t <= self.apply_time < t + dt
+            a = self.apply_time
+            return lambda t: t <= a < t + dt
         # anchor to the substep that contains apply_time, then hold for
         # round(duration/dt) >= 1 substeps; tolerances absorb float drift
         # in the accumulated simulation clock
         first = math.floor(self.apply_time / dt + 1e-9) * dt
         n_sub = max(1, int(round(self.duration_s / dt)))
         eps = 1e-6 * dt
-        return first - eps <= t < first + n_sub * dt - eps
+        lo, hi = first - eps, first + n_sub * dt - eps
+        return lambda t: lo <= t < hi
+
+    def active_at(self, t: float, dt: float) -> bool:
+        """True when the force acts during the substep starting at t."""
+        return self.acts(dt)(t)
+
+
+class Forcing:
+    """Impulse events placed on the points of a state, for substeps of dt.
+
+    `impulses` is one sequence of events for a single chain and one per
+    episode for a batch.  Each event's index (point, and episode in a
+    batch), acceleration (N/m)*F and window are computed once, here; every
+    event active during a substep adds its acceleration there.
+    """
+
+    def __init__(self, params: WireParams, impulses, dt: float, batched: bool):
+        coeff = params.n_points / params.mass_total
+        self._pushes = []
+        for e, events in enumerate(impulses if batched else [impulses]):
+            for ev in events:
+                ev.validate_for(params)
+                at = (ev.point_number - 2, e) if batched else ev.point_number - 2
+                with np.errstate(over="ignore"):  # `step` reports what overflows
+                    self._pushes.append((at, coeff * ev.force, ev.acts(dt)))
+
+    def add(self, acc: np.ndarray, t: float):
+        """Add the acceleration of every event active at substep start t."""
+        for at, accel, acts in self._pushes:
+            if acts(t):
+                acc[at] += accel
 
 
 def interior_acceleration(state: WireState, params: WireParams,
-                          impulses: Sequence[ImpulseEvent] = (),
-                          dt: float | None = None) -> np.ndarray:
+                          forcing: Forcing | None = None) -> np.ndarray:
     """Acceleration of the interior points: gravity + tensile coupling (+ impulses).
 
-    Returns a new (N-2, 3) array.  The impulses contribute only when a
-    substep length dt is supplied; every event active during
-    [state.time, +dt) adds its force.
+    Returns a new array of the interior points, (N-2, 3) or (N-2, E, 3).
+    With a `forcing`, every event active during the substep starting at
+    state.time adds its force.
     """
     x = state.positions
     acc = x[2:] + x[:-2]
     acc -= 2.0 * x[1:-1]
     acc *= params.spring_accel_coeff
     acc += params.gravity
-    if dt is not None:
-        for ev in impulses:
-            if ev.active_at(state.time, dt):
-                acc[ev.point_number - 2] += (params.n_points / params.mass_total) * ev.force
+    if forcing is not None:
+        forcing.add(acc, state.time)
     return acc
 
 
@@ -245,29 +293,39 @@ def sag_depth(params: WireParams) -> float:
 
 
 def step(state: WireState, params: WireParams, wind: WindModel,
-         impulses: Sequence[ImpulseEvent], dt: float, noise: np.ndarray) -> WireState:
+         impulses: Forcing | Sequence, dt: float, noise: np.ndarray) -> WireState:
     """Advance a block of Euler-Maruyama substeps of length dt.
 
-    noise holds standard normal draws supplied by the caller: an (n, N-2, 3)
-    array advances n substeps, an (N-2, 3) array one.  Every event in
-    `impulses` that is active during a substep adds its force there.
-    Endpoints are never touched, and the input state is not modified.
+    The state is one chain, positions (N, 3), or a batch of episodes,
+    positions (N, E, 3).  noise holds standard normal draws supplied by
+    the caller: an array shaped like the interior points, (N-2, 3) or
+    (N-2, E, 3), advances one substep, and n of them stacked advance n.
+    `impulses` is a `Forcing` built for dt, or its events: a sequence for
+    one chain, one sequence per episode for a batch.  Every event active
+    during a substep adds its force there.  Endpoints are never touched,
+    and the input state is not modified.
 
-    Raises IntegrationDivergedError naming the first non-finite point and
-    the start time of the substep that produced it.
+    Raises IntegrationDivergedError naming the first non-finite point, the
+    start time of the substep that produced it and, for a batch, the
+    lowest episode holding that point.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n_int = params.n_points - 2
-    if noise.ndim not in (2, 3) or noise.shape[-2:] != (n_int, 3):
-        raise ValueError(f"noise must have shape ({n_int}, 3) or (n, {n_int}, 3), "
+    one = (n_int,) + state.positions.shape[1:]
+    if noise.shape != one and noise.shape[1:] != one:
+        raise ValueError(f"noise must have shape {one} or (n, {str(one)[1:]}, "
                          f"got {noise.shape}")
+    forcing = impulses if isinstance(impulses, Forcing) else Forcing(
+        params, impulses, dt, state.positions.ndim == 3)
 
     with np.errstate(invalid="ignore", over="ignore"):
-        kicks = noise.reshape(-1, n_int, 3) @ params.wind_diffusion.T
+        # one product over every point and episode: a row's result does not
+        # depend on its place in it (tests check a batch against each chain)
+        kicks = (noise.reshape(-1, 3) @ params.wind_diffusion.T).reshape((-1,) + one)
         kicks *= math.sqrt(dt)
         out = state.copy()
-        _substeps(out, params, wind, impulses, dt, kicks)
+        _substeps(out, params, wind, forcing, dt, kicks)
         # a non-finite velocity makes the position it moves non-finite, and
         # any inf or nan makes a sum non-finite; a finite sum that overflows
         # only sends the block through the exact check below
@@ -278,26 +336,30 @@ def step(state: WireState, params: WireParams, wind: WindModel,
         out = state.copy()
         for k in range(len(kicks)):
             t = out.time
-            _substeps(out, params, wind, impulses, dt, kicks[k:k + 1])
-            bad = ~(np.isfinite(out.positions[1:-1]).all(axis=1)
-                    & np.isfinite(out.velocities[1:-1]).all(axis=1))
+            _substeps(out, params, wind, forcing, dt, kicks[k:k + 1])
+            bad = ~(np.isfinite(out.positions[1:-1]).all(axis=-1)
+                    & np.isfinite(out.velocities[1:-1]).all(axis=-1))
             if bad.any():
-                raise IntegrationDivergedError(int(np.argmax(bad)) + 2, t)
+                # the lowest bad point, and the lowest episode holding it
+                point, *episode = np.unravel_index(np.argmax(bad), bad.shape)
+                raise IntegrationDivergedError(int(point) + 2, t, *map(int, episode))
     return out
 
 
 def _substeps(state: WireState, params: WireParams, wind: WindModel,
-              impulses: Sequence[ImpulseEvent], dt: float, kicks: np.ndarray):
+              forcing: Forcing, dt: float, kicks: np.ndarray):
     """Advance `state` in place by one substep per row of the scaled noise.
 
     The velocity update is v + (acc - c*(v - v_o))*dt + kick, then
     x + v*dt; each operation keeps the operand order of that expression,
-    so a block is bit for bit the same as one substep per call.
+    and acts elementwise, so a block is bit for bit the same as one
+    substep per call, and each episode of a batch the same as its chain
+    alone.
     """
     x = state.positions[1:-1]
     v = state.velocities[1:-1]
     for kick in kicks:
-        acc = interior_acceleration(state, params, impulses, dt)
+        acc = interior_acceleration(state, params, forcing)
         drag = v - wind.velocity(state.time)
         drag *= params.drag_c
         acc -= drag
@@ -308,23 +370,64 @@ def _substeps(state: WireState, params: WireParams, wind: WindModel,
         state.time += dt
 
 
-def trajectory(params: WireParams, wind: WindModel,
-               impulses: Sequence[ImpulseEvent], dt: float, seed: int,
-               stride: int) -> Iterator[WireState]:
+def trajectory(params: WireParams, wind: WindModel, impulses, dt: float,
+               seed: int | Sequence[int], stride: int) -> Iterator[WireState]:
     """Endless seeded stream: the equilibrium, then the state after every
-    `stride` substeps of length dt, each stride drawing one (stride, N-2, 3)
-    standard normal block from default_rng(seed) and making one `step` call
-    per substep."""
-    for ev in impulses:
-        ev.validate_for(params)
-    rng = np.random.default_rng(seed)
-    state = solve_equilibrium(params)
+    `stride` substeps of length dt, making one `step` call per substep.
+
+    One seed is one chain, and `impulses` its events.  A sequence of E
+    seeds is a batch of E episodes advanced together, positions (N, E, 3),
+    and `impulses` holds one sequence of events per episode.  Every
+    stride, each episode draws one (stride, N-2, 3) standard normal block
+    from its own default_rng(seed), so each episode of a batch is bit for
+    bit the stream of its seed alone; one chain is the batch of one,
+    yielded without its episode axis.  A chain that stops being finite
+    raises IntegrationDivergedError.  In a batch the episode leaves
+    instead: from that stride on its columns are NaN and `diverged` holds
+    its error, and the other episodes go on untouched.
+    """
+    batched = np.ndim(seed) == 1
+    seeds = list(seed) if batched else [seed]
+    episodes = list(impulses) if batched else [impulses]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    live = list(range(len(seeds)))  # the episodes still finite, in batch order
+    forcing = Forcing(params, episodes, dt, True)
+    eq = solve_equilibrium(params)
+    shape = (params.n_points, len(seeds), 3)
+    work = WireState(0.0, np.repeat(eq.positions[:, None], len(seeds), axis=1),
+                     np.zeros(shape))
+    diverged = {}
     while True:
-        yield state
+        state = work
+        if diverged:
+            state = WireState(work.time, np.full(shape, np.nan), np.full(shape, np.nan),
+                              dict(diverged))
+            state.positions[:, live] = work.positions
+            state.velocities[:, live] = work.velocities
+        yield state if batched else WireState(state.time, state.positions[:, 0],
+                                              state.velocities[:, 0])
+        if not live:
+            return
+        noise = np.empty((stride, params.n_points - 2, len(live), 3))
+        for j, e in enumerate(live):  # cheaper than np.stack
+            noise[:, :, j] = rngs[e].standard_normal((stride, params.n_points - 2, 3))
         # one call per substep, not per stride: perfbench's per-layer test
         # counts ten `step` calls per tracking step
-        for noise in rng.standard_normal((stride, params.n_points - 2, 3)):
-            state = step(state, params, wind, impulses, dt, noise)
+        k = 0
+        while k < stride and live:
+            try:
+                work = step(work, params, wind, forcing, dt, noise[k])
+                k += 1
+            except IntegrationDivergedError as err:
+                e = live.pop(err.episode)
+                diverged[e] = IntegrationDivergedError(err.point_number, err.time)
+                if not batched:
+                    raise diverged[e] from None
+                # the episode leaves the batch, and the others redo the substep
+                keep = np.arange(len(live) + 1) != err.episode
+                work = WireState(work.time, work.positions[:, keep], work.velocities[:, keep])
+                noise = noise[:, :, keep]
+                forcing = Forcing(params, [episodes[i] for i in live], dt, True)
 
 
 def simulate_trajectory(params: WireParams, wind: WindModel,

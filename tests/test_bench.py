@@ -378,6 +378,27 @@ class TestCli:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--impulse-time-s", "-1"], "apply_time must be >= 0"),
+        (["--duration-s", "0"], "duration must be positive"),
+    ])
+    def test_bad_trajectory_request_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                               flags, message):
+        out = tmp_path / "out"
+        cfg = self.write_cfg(tmp_path)
+        assert main(["trajectory", "--config", cfg, "--out", str(out), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--step-deg", "0"], ["--step-deg", "-1"],
+                                       ["--span-deg", "-2"]])
+    def test_bad_pattern_grid_exits_1_and_writes_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        cfg = self.write_cfg(tmp_path)
+        assert main(["pattern", "--config", cfg, "--out", str(out), *flags]) == 1
+        assert "pattern needs step_deg > 0 and span_deg >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_trusts_a_cell_file_only_with_the_cells_echo(self, tmp_path, capsys):
         text = "".join(f"{k} = {v}\n" for k, v in TINY_TRAIN.items())
         out = tmp_path / "sweep"

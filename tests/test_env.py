@@ -8,6 +8,7 @@ import pytest
 from wirebeam import env as envmod
 from wirebeam import wire
 from wirebeam.bench import make_env as make_experiment_env
+from wirebeam.bench import make_envs as make_experiment_envs
 from wirebeam.channel import (ArrayConfig, BeamOrientation, ChannelConfig,
                               boresight_power, received_power)
 from wirebeam.config import default_config
@@ -321,3 +322,70 @@ class TestSharedWireStream:
         with pytest.raises(EpisodeFinishedError, match="one episode"):
             e.step(envmod.CENTER_ACTION)
         assert e.step_count == 2 and e.state is e.states[-1]
+
+
+class TestEpisodeBatch:
+    """Envs built together read their wire states from one batched stream."""
+
+    @pytest.mark.parametrize("scenario", ["wind_only", "wind_plus_impulse"])
+    def test_make_envs_equal_make_env_seed_by_seed(self, scenario):
+        cfg = default_config(scenario=scenario, state_mode="expanded",
+                             **{"env.episode_duration_s": "0.3",
+                                "wire.impulse_times_s": "0.0555, 0.1, 0.2055"})
+        seeds = [3, 4, 5, 6]
+        envs = make_experiment_envs(cfg, seeds)
+        if scenario == "wind_plus_impulse":
+            assert len({e.schedule.impulse_time for e in envs}) > 1
+        # roll the batch out one episode after another, as run_eval does
+        batched = [rollout(e, lambda env: int(env.step_count % 9), 30) for e in envs]
+        for env, seed, outs in zip(envs, seeds, batched):
+            alone = make_experiment_env(cfg, seed)
+            assert alone.schedule == env.schedule
+            alone_outs = rollout(alone, lambda env: int(env.step_count % 9), 30)
+            assert len(env.states) == len(alone.states) == 31
+            for got, want in zip(env.states, alone.states):
+                assert got.time == want.time
+                assert np.array_equal(got.positions, want.positions)
+                assert np.array_equal(got.velocities, want.velocities)
+            for a, b in zip(outs, alone_outs):
+                assert a.raw_power_dbm == b.raw_power_dbm
+                assert np.array_equal(a.next_state, b.next_state)
+
+    def test_a_diverging_episode_fails_as_it_does_alone(self):
+        # the force's (N/m)*F overflows: an episode whose impulse comes at
+        # 55.5 ms diverges in its sixth step; at 5 s it never comes
+        cfg = EnvConfig(episode_duration=0.1, impulse_enabled=True,
+                        impulse_times_s=(0.0555, 5.0), impulse_force=(0.0, 0.0, 1e308))
+        params = wire_params()
+        times = {s: envmod.EpisodeSchedule.draw(cfg, s).impulse_time for s in range(20)}
+        calm = [s for s in times if times[s] == 5.0]
+        seeds = [calm[0], next(s for s in times if times[s] == 0.0555), calm[1]]
+
+        def build(seed, batch=None):
+            return BeamTrackingEnv(cfg, params, wire.WindModel(), channel_cfg(params),
+                                   ArrayConfig(), seed, batch)
+
+        def fail_step(env):
+            for k in range(1, cfg.episode_steps + 1):
+                try:
+                    env.step(envmod.CENTER_ACTION)
+                except wire.IntegrationDivergedError as err:
+                    return k, err
+            return None, None
+
+        batch = envmod.EpisodeBatch(cfg, params, wire.WindModel(), seeds)
+        envs = [build(s, batch) for s in seeds]
+        assert fail_step(envs[0]) == (None, None) and envs[0].done
+        k, err = fail_step(envs[1])
+        k_alone, err_alone = fail_step(build(seeds[1]))
+        assert k == k_alone == 6
+        assert (err.point_number, err.time, str(err)) == (
+            err_alone.point_number, err_alone.time, str(err_alone))
+        rollout(envs[2], lambda env: envmod.CENTER_ACTION, cfg.episode_steps)
+        for e in (0, 2):  # their columns stayed their own
+            alone = build(seeds[e])
+            rollout(alone, lambda env: envmod.CENTER_ACTION, cfg.episode_steps)
+            assert envs[e].done and len(envs[e].states) == len(alone.states)
+            for got, want in zip(envs[e].states, alone.states):
+                assert np.array_equal(got.positions, want.positions)
+                assert np.array_equal(got.velocities, want.velocities)

@@ -1,5 +1,6 @@
 """Wire physics: equilibrium and integrator oracles, invariants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -389,6 +390,18 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="interior"):
             next(wire.trajectory(table_params(), STILL, [ev], 1e-3, 0, 10))
 
+    def test_impulse_window_is_computed_once_per_stream(self, monkeypatch):
+        calls = []
+        acts = wire.ImpulseEvent.acts
+        monkeypatch.setattr(wire.ImpulseEvent, "acts",
+                            lambda ev, dt: calls.append(dt) or acts(ev, dt))
+        ev = wire.ImpulseEvent(point_number=4, force=[0, 0, 470.0], apply_time=0.0,
+                               duration_s=0.01)
+        stream = wire.trajectory(quiet_params(), STILL, [[ev], [ev]], 1e-3, [0, 1], 10)
+        for _ in range(5):
+            next(stream)
+        assert calls == [1e-3, 1e-3]
+
     def test_csv_export_columns(self, tmp_path):
         params = table_params()
         samples = wire.simulate_trajectory(params, STILL, [], 0.02, 1e-3, 0,
@@ -406,3 +419,97 @@ class TestTrajectory:
             table_params(spring_k=0.0)
         with pytest.raises(ValueError):
             table_params(wind_diffusion=np.array([[1, 2, 0], [0, 1, 0], [0, 0, 1.0]]))
+
+
+def episode_states(stream, e, n):
+    """Episode e's first n states of a batched stream, as single-chain states."""
+    return [wire.WireState(s.time, s.positions[:, e], s.velocities[:, e])
+            for s in itertools.islice(stream, n)]
+
+
+class TestBatchedStream:
+    """E episodes advanced as one (N, E, 3) stream."""
+
+    SEEDS = [11, 12, 13]
+    # a 10 ms force from 15.5 ms, across the 20 ms stride boundary; a
+    # one-substep force at 30.5 ms on another point; no impulse
+    IMPULSES = [[wire.ImpulseEvent(point_number=4, force=[30.0, -10.0, 470.0],
+                                   apply_time=0.0155, duration_s=0.01)],
+                [wire.ImpulseEvent(point_number=8, force=[0.0, 0.0, -300.0],
+                                   apply_time=0.0305)],
+                []]
+
+    @pytest.mark.parametrize("case", ["wind_only", "impulses", "coupled_diffusion"])
+    def test_each_episode_is_its_own_stream_bit_for_bit(self, case):
+        params, impulses = table_params(), [[], [], []]
+        if case != "wind_only":
+            impulses = self.IMPULSES
+        if case == "coupled_diffusion":
+            params = table_params(wind_diffusion=COUPLED_DIFFUSION)
+        n = 8
+        batch = list(itertools.islice(
+            wire.trajectory(params, wire.WindModel(), impulses, 1e-3, self.SEEDS, 10), n))
+        assert batch[0].positions.shape == (21, 3, 3)
+        for e, seed in enumerate(self.SEEDS):
+            alone = list(itertools.islice(
+                wire.trajectory(params, wire.WindModel(), impulses[e], 1e-3, seed, 10), n))
+            of_one = episode_states(
+                wire.trajectory(params, wire.WindModel(), [impulses[e]], 1e-3, [seed], 10), 0, n)
+            for k, (b, a, o) in enumerate(zip(batch, alone, of_one)):
+                got = wire.WireState(b.time, b.positions[:, e], b.velocities[:, e])
+                assert_same_state(got, a)
+                assert_same_state(o, a)
+            if impulses[e]:  # the impulse moved this episode off its quiet twin
+                quiet = list(itertools.islice(
+                    wire.trajectory(params, wire.WindModel(), [], 1e-3, seed, 10), n))
+                assert not np.array_equal(alone[-1].velocities, quiet[-1].velocities)
+
+    def test_a_diverging_episode_leaves_the_others_untouched(self):
+        # a force whose (N/m)*F overflows makes episode 1 non-finite in the
+        # substep from 30 ms that holds 30.5 ms
+        huge = wire.ImpulseEvent(point_number=6, force=[0.0, 0.0, 1e308], apply_time=0.0305)
+        impulses = [self.IMPULSES[0], [huge], []]
+        params, wind, n = table_params(), wire.WindModel(), 8
+        with pytest.raises(wire.IntegrationDivergedError) as single:
+            list(itertools.islice(wire.trajectory(params, wind, [huge], 1e-3, 12, 10), n))
+        assert single.value.point_number == 6 and single.value.time == pytest.approx(0.030)
+
+        batch = list(itertools.islice(
+            wire.trajectory(params, wind, impulses, 1e-3, self.SEEDS, 10), n))
+        assert len(batch) == n
+        for k, state in enumerate(batch):
+            err = state.diverged.get(1)
+            if k < 4:  # the divergence happens in the fourth stride, 30..40 ms
+                assert err is None and np.isfinite(state.positions[:, 1]).all()
+            else:
+                assert (err.point_number, err.time) == (6, single.value.time)
+                assert str(err) == str(single.value)
+                assert np.isnan(state.positions[:, 1]).all()
+                assert np.isnan(state.velocities[:, 1]).all()
+        for e in (0, 2):
+            alone = list(itertools.islice(
+                wire.trajectory(params, wind, impulses[e], 1e-3, self.SEEDS[e], 10), n))
+            for b, a in zip(batch, alone):
+                assert_same_state(wire.WireState(b.time, b.positions[:, e],
+                                                 b.velocities[:, e]), a)
+
+    def test_a_batch_whose_every_episode_diverged_ends(self):
+        huge = wire.ImpulseEvent(point_number=6, force=[0.0, 0.0, 1e308], apply_time=0.0)
+        states = list(wire.trajectory(table_params(), STILL, [[huge]], 1e-3, [0], 10))
+        assert len(states) == 2 and 0 in states[1].diverged
+
+    def test_batched_step_names_the_episode(self):
+        params = quiet_params(spring_k=1e6)  # as in the divergence test above
+        eq = wire.solve_equilibrium(params)
+        start = wire.WireState(0.0, np.repeat(eq.positions[:, None], 3, axis=1),
+                               np.zeros((21, 3, 3)))
+        start.positions[5, 2, 2] += 1e250
+        with pytest.raises(wire.IntegrationDivergedError) as batch:
+            wire.step(start, params, STILL, [[], [], []], 1e-3, np.zeros((200, 19, 3, 3)))
+        chain = wire.WireState(0.0, start.positions[:, 2], start.velocities[:, 2])
+        with pytest.raises(wire.IntegrationDivergedError) as alone:
+            wire.step(chain, params, STILL, [], 1e-3, np.zeros((200, 19, 3)))
+        assert batch.value.episode == 2 and alone.value.episode is None
+        assert (batch.value.point_number, batch.value.time) == (alone.value.point_number,
+                                                                alone.value.time)
+        assert f"P{alone.value.point_number} of episode 2 " in str(batch.value)
