@@ -7,8 +7,12 @@ seeds (paired-seed discipline), and completed sweep cells are skipped on
 re-run: a metrics file or checkpoint counts as done only when it loads
 and carries its cell's config echo.  Every file written here except the
 episode traces and exports lands whole or not at all.  An evaluation
-builds its episodes' envs together (`make_envs`), so their wire advances
-as one batch while they are rolled out one after another.
+(`evaluate_policies`) builds the envs of all its policies and episodes
+together (`make_envs`) over one batch with one column per seed: the wire
+never reads the beam, so each episode's wire advances once and every
+policy reads it, while the envs are rolled out one after another.  A
+sweep cell evaluates all its pending policies that way; `run_eval` is the
+one-policy case.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ def derive_seed(base: int, *key: int) -> int:
 
 def make_envs(cfg: ExperimentConfig, seeds) -> list[BeamTrackingEnv]:
     """One env per seed, their wire states advanced together in one
-    `EpisodeBatch`."""
+    `EpisodeBatch`; envs of a repeated seed read the same column."""
     batch = EpisodeBatch(cfg.env, cfg.wire, cfg.wind, seeds)
     return [BeamTrackingEnv(cfg.env, cfg.wire, cfg.wind, cfg.channel, cfg.array, seed, batch)
             for seed in seeds]
@@ -179,30 +183,64 @@ def load_trained_params(cfg: ExperimentConfig, checkpoint) -> dqn.MlpParams:
     return params
 
 
+def load_policy(cfg: ExperimentConfig, kind: PolicyKind, checkpoint):
+    """The callable(env) -> action of `kind`; dqn loads its checkpoint."""
+    params = None
+    if kind is PolicyKind.DQN_GREEDY:
+        if checkpoint is None:
+            raise EvalError("dqn policy requires --checkpoint")
+        params = load_trained_params(cfg, checkpoint)
+    return policy_callable(cfg, kind, params)
+
+
+def evaluate_policies(cfg: ExperimentConfig, policies: dict, episodes: int,
+                      trace_dir: Path | None = None) -> dict[str, MetricsRecord | Exception]:
+    """The metrics of each policy (name -> callable(env) -> action) over the
+    same `episodes` seeded episodes, rolled out policy by policy, then
+    episode by episode; with a `trace_dir`, each episode's trace is
+    written there.
+
+    All envs read one `EpisodeBatch` holding one column per episode seed,
+    so each episode's wire is computed once whatever the number of
+    policies.  A policy whose rollout raises gets the exception in place
+    of its record, and the others still run.
+    """
+    seeds = [derive_seed(cfg.seed, ep) for ep in range(episodes)]
+    envs = make_envs(cfg, seeds * len(policies))
+    records = {}
+    for name, fn in policies.items():
+        try:
+            records[name] = _evaluate(cfg, name, fn, envs[:episodes], trace_dir)
+        except Exception as e:  # this policy failed; the others share the batch
+            records[name] = e
+        del envs[:episodes]  # free its envs; the batch keeps the wire states
+    return records
+
+
+def _evaluate(cfg: ExperimentConfig, name: str, fn, envs, trace_dir) -> MetricsRecord:
+    """One policy's metrics over `envs`, with their traces in `trace_dir` if
+    given; the step records are dropped on return, before the next policy
+    runs."""
+    results = [rollout_episode(env, fn) for env in envs]
+    if trace_dir is not None:
+        trace_dir.mkdir(parents=True, exist_ok=True)
+        for ep, res in enumerate(results):
+            write_trace_csv(trace_dir / f"trace_{name}_ep{ep:03d}.csv", res.rows,
+                            cfg.channel, cfg.array)
+    return aggregate_metrics(cfg, name, results)
+
+
 def run_eval(cfg: ExperimentConfig, checkpoint, policy: PolicyKind,
              episodes: int, out_dir=None, write_traces: bool = True) -> MetricsRecord:
     """Greedy rollouts of one policy; emits per-episode traces and metrics."""
     if episodes <= 0:
         raise EvalError("episodes must be >= 1")
-    params = None
-    if policy is PolicyKind.DQN_GREEDY:
-        if checkpoint is None:
-            raise EvalError("dqn policy requires --checkpoint")
-        params = load_trained_params(cfg, checkpoint)
-    fn = policy_callable(cfg, policy, params)
-
+    fn = load_policy(cfg, policy, checkpoint)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    results = []
-    envs = make_envs(cfg, [derive_seed(cfg.seed, ep) for ep in range(episodes)])
-    for ep, env in enumerate(envs):
-        res = rollout_episode(env, fn)
-        results.append(res)
-        if write_traces:
-            out.mkdir(parents=True, exist_ok=True)
-            write_trace_csv(out / f"trace_{policy.value}_ep{ep:03d}.csv", res.rows,
-                            cfg.channel, cfg.array)
-
-    record = aggregate_metrics(cfg, policy.value, results)
+    record = evaluate_policies(cfg, {policy.value: fn}, episodes,
+                               out if write_traces else None)[policy.value]
+    if isinstance(record, Exception):
+        raise record
     if write_traces:
         _write_text(out / f"metrics_{policy.value}.json", record.to_json())
     return record
@@ -252,8 +290,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
 
     Every cell's config is built before anything is written.  A metrics
     file or checkpoint in a cell is reused only when it carries that
-    cell's config echo.  Failures are recorded per cell and the sweep
-    continues.
+    cell's config echo.  A cell trains its dqn policy first if needed,
+    then evaluates every policy it has no metrics for together, over one
+    wire batch (`evaluate_policies`).  Failures are recorded per policy
+    and cell, and the sweep continues.
     """
     sweep = cfg.sweep
     cells = [(value, rep, sweep_cell_config(cfg, sweep.axis, value,
@@ -264,6 +304,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
     for value, rep, cell_cfg in cells:
         cell_dir = out / sweep.cell_name(value, rep)
         cell_dir.mkdir(parents=True, exist_ok=True)
+        pending, fns = {}, {}
         for policy_name in sweep.policies:
             metrics_path = cell_dir / f"metrics_{policy_name}.json"
             entry = {"axis": sweep.axis, "value": value, "rep": rep,
@@ -272,20 +313,29 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
             record = _read_metrics(metrics_path)
             if record is not None and record.config_echo == cell_cfg.echo():
                 entry["status"] = "cached"
-            else:
-                try:
-                    kind, ckpt = PolicyKind(policy_name), None
-                    if kind is PolicyKind.DQN_GREEDY:
-                        ckpt = cell_dir / "checkpoint.bin"
-                        if _checkpoint_echo(ckpt) != cell_cfg.echo_json():
-                            run_train(cell_cfg, cell_dir)
-                    record = run_eval(cell_cfg, ckpt, kind, cell_cfg.eval_episodes,
-                                      cell_dir, write_traces=False)
-                    _write_text(metrics_path, record.to_json())
-                    entry["status"] = "ok"
-                except Exception as e:  # record the failure, keep sweeping
-                    entry["status"] = f"failed: {e}"
-                    continue
+                records.setdefault((value, policy_name), []).append(record)
+                continue
+            pending[policy_name] = entry
+            try:
+                kind, ckpt = PolicyKind(policy_name), None
+                if kind is PolicyKind.DQN_GREEDY:
+                    ckpt = cell_dir / "checkpoint.bin"
+                    if _checkpoint_echo(ckpt) != cell_cfg.echo_json():
+                        run_train(cell_cfg, cell_dir)
+                fns[policy_name] = load_policy(cell_cfg, kind, ckpt)
+            except Exception as e:  # record the failure, keep sweeping
+                entry["status"] = f"failed: {e}"
+        for policy_name, record in evaluate_policies(cell_cfg, fns,
+                                                     cell_cfg.eval_episodes).items():
+            entry = pending[policy_name]
+            try:
+                if isinstance(record, Exception):
+                    raise record
+                _write_text(entry["path"], record.to_json())
+                entry["status"] = "ok"
+            except Exception as e:  # record the failure, keep sweeping
+                entry["status"] = f"failed: {e}"
+                continue
             records.setdefault((value, policy_name), []).append(record)
 
     summary_path = out / f"sweep_{sweep.axis}_summary.csv"

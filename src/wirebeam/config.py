@@ -131,6 +131,9 @@ class SweepSpec:
                 PolicyKind(p)
             except ValueError:
                 raise ConfigError(f"sweep.policies: unknown policy {p!r}") from None
+        for i, p in enumerate(self.policies):
+            if p in self.policies[:i]:
+                raise ConfigError(f"sweep.policies: policy {p!r} is listed more than once")
         named = {}
         for v in self.values:
             name = self.cell_name(v, 0)

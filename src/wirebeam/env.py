@@ -4,13 +4,14 @@ An environment is one episode.  Its seed fixes the episode's random draws
 (the impulse time and the wire's noise seed, see `EpisodeSchedule`), and
 the wire states come from one `wire.trajectory` stream, one state per
 beam-refinement interval tau: the wire never reads the beam.  Several
-envs can share one stream through an `EpisodeBatch`, which advances all
-their episodes together and keeps each state, so they can be rolled out
-one after another.  Each step
-applies the chosen steering action, takes the next wire state (the
-scheduled impulse acts when its time falls inside the interval), and the
-agent observes the sensed points of the state from `lookback` seconds ago
-together with the current steering vector.  The reward is the received
+envs can share one stream through an `EpisodeBatch`, which holds one
+column per distinct seed, advances all of them together and keeps each
+state, so the envs can be rolled out one after another and envs of the
+same seed (one per policy) read the same column.  Each step applies the
+chosen steering action, takes the next wire state (the scheduled impulse
+acts when its time falls inside the interval), and the agent observes
+the sensed points of the state from `lookback` seconds ago together with
+the current steering vector.  The reward is the received
 power mapped through an affine clip to [-1, 1].  `rollout` steps a policy
 and returns one `StepOutcome` per step; every evaluation path records
 steps that way.
@@ -182,16 +183,17 @@ class EpisodeSchedule:
 class EpisodeBatch:
     """The wire states of several episodes, from one batched `wire.trajectory`.
 
-    The schedules are drawn from the seeds, and the stream advances every
-    episode together.  A batched state is computed on its first read and
-    kept, so the episodes can be rolled out one after another: the first
-    to reach a step advances the stream, and the others read what it
-    computed.
+    The batch holds one episode (column) per distinct seed, in first-seen
+    order: a repeated seed names the same episode.  The schedules are
+    drawn from the seeds, and the stream advances every episode together.
+    A batched state is computed on its first read and kept, so envs can be
+    rolled out one after another: the first to reach a step advances the
+    stream, and the others read what it computed.
     """
 
     def __init__(self, env_cfg: EnvConfig, wire_params: wire.WireParams,
                  wind: wire.WindModel, seeds):
-        self.seeds = list(seeds)
+        self.seeds = list(dict.fromkeys(seeds))
         self.schedules = [EpisodeSchedule.draw(env_cfg, s) for s in self.seeds]
         impulses = [() if s.impulse_time is None else (env_cfg.impulse_at(s.impulse_time),)
                     for s in self.schedules]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wirebeam import bench, dqn
+from wirebeam import bench, dqn, wire
 from wirebeam.bench import (derive_seed, make_env, policy_callable,
                             post_impulse_window, rollout_episode, run_eval,
                             run_sweep, run_train)
@@ -208,6 +208,63 @@ class TestRunSweep:
         assert oracle["mean_power_dbm"] >= fixed["mean_power_dbm"]
 
 
+class TestSweepCellBatch:
+    """A sweep cell evaluates its policies over one wire batch."""
+
+    SWEEP = {"sweep.axis": "mass", "sweep.values": "10, 12", "sweep.repetitions": "1",
+             "sweep.policies": "oracle, fixed", "eval.episodes": "2",
+             "env.episode_duration_s": "0.2"}
+
+    def test_one_trajectory_per_evaluation_seed(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(**self.SWEEP)
+        calls, real_step = [], wire.step
+
+        def counting_step(*args, **kwargs):
+            calls.append(1)
+            return real_step(*args, **kwargs)
+        monkeypatch.setattr(wire, "step", counting_step)
+        run_sweep(cfg, out_dir=tmp_path / "sweep")
+        one_batch = cfg.env.substeps_per_tau * cfg.env.episode_steps
+        assert len(calls) == 2 * one_batch  # two cells, one batch each
+        calls.clear()
+        for vi, value in enumerate(cfg.sweep.values):
+            cell_cfg = bench.sweep_cell_config(cfg, "mass", value, derive_seed(cfg.seed, vi, 0))
+            alone = tmp_path / f"alone_{value:g}"
+            for kind in (PolicyKind.ORACLE, PolicyKind.FIXED_BEAM):
+                run_eval(cell_cfg, None, kind, cell_cfg.eval_episodes, alone)
+                name = f"metrics_{kind.value}.json"
+                assert ((tmp_path / "sweep" / f"cell_mass_{value:g}_rep0" / name).read_bytes()
+                        == (alone / name).read_bytes())
+        assert len(calls) == 2 * 2 * one_batch  # one batch per run_eval
+
+    def test_a_failing_policy_leaves_the_others_untouched(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(**self.SWEEP)
+        run_sweep(cfg, out_dir=tmp_path / "whole")
+        calls, real_oracle = [], bench.oracle_action
+
+        def failing_oracle(*args):
+            # partway through the first cell's first episode, before the
+            # fixed beam reads the rest of the batch
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("oracle lost the node")
+            return real_oracle(*args)
+        monkeypatch.setattr(bench, "oracle_action", failing_oracle)
+        run_sweep(cfg, out_dir=tmp_path / "failed")
+        cells = json.loads((tmp_path / "failed" / "sweep_mass_cells.json").read_text())
+        assert [(c["value"], c["policy"], c["status"]) for c in cells["cells"]] == [
+            (10.0, "oracle", "failed: oracle lost the node"), (10.0, "fixed", "ok"),
+            (12.0, "oracle", "ok"), (12.0, "fixed", "ok")]
+        whole = sorted(p.relative_to(tmp_path / "whole")
+                       for p in (tmp_path / "whole").glob("cell_*/metrics_*.json"))
+        kept = sorted(p.relative_to(tmp_path / "failed")
+                      for p in (tmp_path / "failed").glob("cell_*/metrics_*.json"))
+        assert kept == [p for p in whole if p != Path("cell_mass_10_rep0/metrics_oracle.json")]
+        for rel in kept:
+            assert (tmp_path / "failed" / rel).read_bytes() == \
+                (tmp_path / "whole" / rel).read_bytes()
+
+
 def cut_writes_to(monkeypatch, name):
     """Make each write to the temporary file of `name` write half its data
     and then fail, as a full disk would."""
@@ -315,6 +372,16 @@ class TestCli:
         assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "mass",
                      "--values", "10", "--reps", "1", "--policies", "orcale"]) == 1
         assert "unknown policy 'orcale'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_with_a_repeated_policy_writes_nothing(self, tmp_path, capsys):
+        # a repeated policy would give the summary two identical rows
+        cfg = self.write_cfg(tmp_path, "eval.episodes = 1\n"
+                                       "env.episode_duration_s = 0.2\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "mass",
+                     "--values", "10", "--reps", "1", "--policies", "oracle,oracle"]) == 1
+        assert "policy 'oracle' is listed more than once" in capsys.readouterr().err
         assert not out.exists()
 
     # a small file sweep, so that an ignored override shows as a wrong echo

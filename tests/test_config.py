@@ -185,3 +185,10 @@ env.lookback_s = 0.08
             default_config(**{"sweep.policies": "oracle, orcale"})
         with pytest.raises(ConfigError, match="unknown policy 'orcale'"):
             SweepSpec(axis="mass", values=(10.0,), repetitions=1, policies=("orcale",))
+
+    @pytest.mark.parametrize("policies, named", [("oracle, oracle", "oracle"),
+                                                 ("fixed, dqn, oracle, dqn", "dqn")])
+    def test_sweep_policies_are_distinct(self, policies, named):
+        # a repeated policy would give the summary two identical rows
+        with pytest.raises(ConfigError, match=f"policy '{named}' is listed more than once"):
+            build_config({"sweep.policies": policies})

@@ -5,16 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from wirebeam import dqn
 from wirebeam import env as envmod
 from wirebeam import wire
 from wirebeam.bench import make_env as make_experiment_env
 from wirebeam.bench import make_envs as make_experiment_envs
+from wirebeam.bench import policy_callable
 from wirebeam.channel import (ArrayConfig, BeamOrientation, ChannelConfig,
                               boresight_power, received_power)
 from wirebeam.config import default_config
 from wirebeam.env import (BeamTrackingEnv, ConfigError, EnvConfig,
                           EpisodeFinishedError, apply_action, assemble_state,
                           decode_action, encode_action, proxy_reward, rollout)
+from wirebeam.policies import PolicyKind
 
 A_DEG = math.radians(1.0)
 
@@ -351,6 +354,38 @@ class TestEpisodeBatch:
                 assert a.raw_power_dbm == b.raw_power_dbm
                 assert np.array_equal(a.next_state, b.next_state)
 
+    @pytest.mark.parametrize("scenario", ["wind_only", "wind_plus_impulse"])
+    def test_a_repeated_seed_shares_one_column(self, scenario):
+        # one env per policy on the same seed, as a sweep cell builds them
+        cfg = default_config(scenario=scenario, state_mode="expanded", seed=5,
+                             **{"env.episode_duration_s": "0.3",
+                                "wire.impulse_times_s": "0.0555"})
+        params = dqn.init_mlp((cfg.env.state_dim, 8, 8, envmod.N_ACTIONS),
+                              np.random.default_rng(0))
+        policies = [policy_callable(cfg, PolicyKind.ORACLE),
+                    policy_callable(cfg, PolicyKind.FIXED_BEAM),
+                    policy_callable(cfg, PolicyKind.DQN_GREEDY, params)]
+        envs = make_experiment_envs(cfg, [5, 5, 5])
+        assert all(e._batch is envs[0]._batch for e in envs)
+        assert envs[0]._batch.seeds == [5]
+        shared = [rollout(e, fn, cfg.env.episode_steps) for e, fn in zip(envs, policies)]
+        assert envs[0]._batch._states[-1].positions.shape == (cfg.wire.n_points, 1, 3)
+        for env, fn, outs in zip(envs, policies, shared):
+            alone = make_experiment_env(cfg, 5)
+            alone_outs = rollout(alone, fn, cfg.env.episode_steps)
+            assert env.done and len(env.states) == len(alone.states) == 31
+            for got, want in zip(env.states, alone.states):
+                assert got.time == want.time
+                assert np.array_equal(got.positions, want.positions)
+                assert np.array_equal(got.velocities, want.velocities)
+            assert [o.action for o in outs] == [o.action for o in alone_outs]
+            for a, b in zip(outs, alone_outs):
+                assert a.raw_power_dbm == b.raw_power_dbm
+                assert np.array_equal(a.next_state, b.next_state)
+        if scenario == "wind_plus_impulse":
+            assert envs[0].schedule.impulse_time == 0.0555
+        assert len({tuple(o.action for o in outs) for outs in shared}) > 1
+
     def test_a_diverging_episode_fails_as_it_does_alone(self):
         # the force's (N/m)*F overflows: an episode whose impulse comes at
         # 55.5 ms diverges in its sixth step; at 5 s it never comes
@@ -359,7 +394,9 @@ class TestEpisodeBatch:
         params = wire_params()
         times = {s: envmod.EpisodeSchedule.draw(cfg, s).impulse_time for s in range(20)}
         calm = [s for s in times if times[s] == 5.0]
+        # the diverging seed comes twice: both of its envs read one column
         seeds = [calm[0], next(s for s in times if times[s] == 0.0555), calm[1]]
+        seeds.append(seeds[1])
 
         def build(seed, batch=None):
             return BeamTrackingEnv(cfg, params, wire.WindModel(), channel_cfg(params),
@@ -374,13 +411,15 @@ class TestEpisodeBatch:
             return None, None
 
         batch = envmod.EpisodeBatch(cfg, params, wire.WindModel(), seeds)
+        assert batch.seeds == seeds[:3]
         envs = [build(s, batch) for s in seeds]
         assert fail_step(envs[0]) == (None, None) and envs[0].done
-        k, err = fail_step(envs[1])
         k_alone, err_alone = fail_step(build(seeds[1]))
-        assert k == k_alone == 6
-        assert (err.point_number, err.time, str(err)) == (
-            err_alone.point_number, err_alone.time, str(err_alone))
+        for env in (envs[1], envs[3]):
+            k, err = fail_step(env)
+            assert k == k_alone == 6
+            assert (err.point_number, err.time, str(err)) == (
+                err_alone.point_number, err_alone.time, str(err_alone))
         rollout(envs[2], lambda env: envmod.CENTER_ACTION, cfg.episode_steps)
         for e in (0, 2):  # their columns stayed their own
             alone = build(seeds[e])
