@@ -12,7 +12,10 @@ together (`make_envs`) over one batch with one column per seed: the wire
 never reads the beam, so each episode's wire advances once and every
 policy reads it, while the envs are rolled out one after another.  A
 sweep cell evaluates all its pending policies that way; `run_eval` is the
-one-policy case.
+one-policy case.  A sweep's cells are independent (each has its own seed
+and directory), so they run in forked worker processes, one per usable
+CPU, and write the same bytes as they would one after another in this
+process.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -290,59 +294,121 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
 
     Every cell's config is built before anything is written.  A metrics
     file or checkpoint in a cell is reused only when it carries that
-    cell's config echo.  A cell trains its dqn policy first if needed,
-    then evaluates every policy it has no metrics for together, over one
-    wire batch (`evaluate_policies`).  Failures are recorded per policy
-    and cell, and the sweep continues.
+    cell's config echo.  Each cell with a policy left to compute runs
+    `run_sweep_cell`, in forked worker processes (`_run_cells`).
+    Failures are recorded per policy and cell, and the sweep continues;
+    so is a cell whose worker exited before returning.  The outcomes are
+    gathered in cell order, so the summary and cells file hold the same
+    bytes whatever the number of workers and the order cells finish in.
     """
     sweep = cfg.sweep
     cells = [(value, rep, sweep_cell_config(cfg, sweep.axis, value,
                                             derive_seed(cfg.seed, vi, rep)))
              for vi, value in enumerate(sweep.values) for rep in range(sweep.repetitions)]
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    entries, records = [], {}
-    for value, rep, cell_cfg in cells:
-        cell_dir = out / sweep.cell_name(value, rep)
+    dirs = [out / sweep.cell_name(value, rep) for value, rep, _ in cells]
+    outcomes = {}  # (cell index, policy) -> (status, record or None)
+    pending = {}  # cell index -> the policies it has to compute
+    for i, ((_, _, cell_cfg), cell_dir) in enumerate(zip(cells, dirs)):
         cell_dir.mkdir(parents=True, exist_ok=True)
-        pending, fns = {}, {}
+        todo = []
         for policy_name in sweep.policies:
-            metrics_path = cell_dir / f"metrics_{policy_name}.json"
-            entry = {"axis": sweep.axis, "value": value, "rep": rep,
-                     "policy": policy_name, "path": str(metrics_path)}
-            entries.append(entry)
-            record = _read_metrics(metrics_path)
+            record = _read_metrics(cell_dir / f"metrics_{policy_name}.json")
             if record is not None and record.config_echo == cell_cfg.echo():
-                entry["status"] = "cached"
+                outcomes[i, policy_name] = ("cached", record)
+            else:
+                todo.append(policy_name)
+        if todo:
+            pending[i] = todo
+    jobs = [(cells[i][2], dirs[i], todo) for i, todo in pending.items()]
+    for i, cell_outcomes in zip(pending, _run_cells(jobs)):
+        outcomes.update({(i, name): o for name, o in cell_outcomes.items()})
+
+    entries, records = [], {}
+    for i, (value, rep, _) in enumerate(cells):
+        for policy_name in sweep.policies:
+            status, record = outcomes[i, policy_name]
+            entries.append({"axis": sweep.axis, "value": value, "rep": rep,
+                            "policy": policy_name, "status": status,
+                            "path": str(dirs[i] / f"metrics_{policy_name}.json")})
+            if record is not None:
                 records.setdefault((value, policy_name), []).append(record)
-                continue
-            pending[policy_name] = entry
-            try:
-                kind, ckpt = PolicyKind(policy_name), None
-                if kind is PolicyKind.DQN_GREEDY:
-                    ckpt = cell_dir / "checkpoint.bin"
-                    if _checkpoint_echo(ckpt) != cell_cfg.echo_json():
-                        run_train(cell_cfg, cell_dir)
-                fns[policy_name] = load_policy(cell_cfg, kind, ckpt)
-            except Exception as e:  # record the failure, keep sweeping
-                entry["status"] = f"failed: {e}"
-        for policy_name, record in evaluate_policies(cell_cfg, fns,
-                                                     cell_cfg.eval_episodes).items():
-            entry = pending[policy_name]
-            try:
-                if isinstance(record, Exception):
-                    raise record
-                _write_text(entry["path"], record.to_json())
-                entry["status"] = "ok"
-            except Exception as e:  # record the failure, keep sweeping
-                entry["status"] = f"failed: {e}"
-                continue
-            records.setdefault((value, policy_name), []).append(record)
 
     summary_path = out / f"sweep_{sweep.axis}_summary.csv"
     _write_sweep_summary(summary_path, cfg, sweep, records)
     _write_text(out / f"sweep_{sweep.axis}_cells.json",
                 json.dumps({"echo": cfg.echo(), "cells": entries}, sort_keys=True))
     return summary_path
+
+
+def run_sweep_cell(cfg: ExperimentConfig, cell_dir: Path,
+                   policies: list[str]) -> dict[str, tuple[str, MetricsRecord | None]]:
+    """Compute the named policies of one sweep cell: train its dqn policy
+    unless the checkpoint in `cell_dir` carries the cell's echo, evaluate
+    them together over one wire batch (`evaluate_policies`) and write each
+    one's metrics file.  Returns each policy's status, "ok" or "failed:
+    <error>", and its record (None when it failed); a failure is confined
+    to its policy."""
+    outcomes, fns = {}, {}
+    for policy_name in policies:
+        try:
+            kind, ckpt = PolicyKind(policy_name), None
+            if kind is PolicyKind.DQN_GREEDY:
+                ckpt = cell_dir / "checkpoint.bin"
+                if _checkpoint_echo(ckpt) != cfg.echo_json():
+                    run_train(cfg, cell_dir)
+            fns[policy_name] = load_policy(cfg, kind, ckpt)
+        except Exception as e:  # record the failure, keep sweeping
+            outcomes[policy_name] = (f"failed: {e}", None)
+    for policy_name, record in evaluate_policies(cfg, fns, cfg.eval_episodes).items():
+        try:
+            if isinstance(record, Exception):
+                raise record
+            _write_text(cell_dir / f"metrics_{policy_name}.json", record.to_json())
+            outcomes[policy_name] = ("ok", record)
+        except Exception as e:  # record the failure, keep sweeping
+            outcomes[policy_name] = (f"failed: {e}", None)
+    return outcomes
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_cells(jobs: list[tuple]) -> list[dict]:
+    """`run_sweep_cell(*job)` of each job, in job order.
+
+    The jobs run in a pool of `min(usable_cpus(), len(jobs))` forked
+    workers; with one, or where the platform cannot fork, they run here,
+    one after another.  Fork, not spawn: a worker re-imports nothing, so a
+    caller's script needs no `__main__` guard, and it keeps this process's
+    numpy and BLAS set-up, so a cell computes the same bits as in-process.
+    A job whose worker exited before returning (killed, out of memory)
+    gets every policy failed; the pool then stops, and so do the jobs it
+    had not finished.
+    """
+    workers = min(usable_cpus(), len(jobs))
+    if workers < 2 or not hasattr(os, "fork"):
+        return [run_sweep_cell(*job) for job in jobs]
+    # imported here, so that importing wirebeam stays as cheap without a pool
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+        futures = [pool.submit(run_sweep_cell, *job) for job in jobs]
+        outcomes = []
+        for (_, _, policies), future in zip(jobs, futures):
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool:
+                outcomes.append({name: ("failed: worker exited before the cell finished",
+                                        None) for name in policies})
+    return outcomes
 
 
 def _write_sweep_summary(path, cfg, sweep, records):

@@ -205,12 +205,13 @@ class EpisodeBatch:
     def state(self, episode: int, k: int) -> wire.WireState:
         """Episode `episode`'s wire state after k steps, a view into the
         batch.  For the step in which the episode diverged and every later
-        one, raises its IntegrationDivergedError instead."""
+        one, raises its IntegrationDivergedError instead, with a traceback
+        of this read alone."""
         while len(self._states) <= k:
             self._states.append(next(self._stream))
         s = self._states[k]
         if episode in s.diverged:
-            raise s.diverged[episode]
+            raise s.diverged[episode].with_traceback(None)
         return wire.WireState(s.time, s.positions[:, episode], s.velocities[:, episode])
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -214,42 +215,58 @@ class TestSweepCellBatch:
     SWEEP = {"sweep.axis": "mass", "sweep.values": "10, 12", "sweep.repetitions": "1",
              "sweep.policies": "oracle, fixed", "eval.episodes": "2",
              "env.episode_duration_s": "0.2"}
+    KINDS = (PolicyKind.ORACLE, PolicyKind.FIXED_BEAM)
 
     def test_one_trajectory_per_evaluation_seed(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(**self.SWEEP)
+        run_sweep(cfg, out_dir=tmp_path / "sweep")
+        # counted in this process: a sweep's cells may run in worker processes
         calls, real_step = [], wire.step
 
         def counting_step(*args, **kwargs):
             calls.append(1)
             return real_step(*args, **kwargs)
         monkeypatch.setattr(wire, "step", counting_step)
-        run_sweep(cfg, out_dir=tmp_path / "sweep")
         one_batch = cfg.env.substeps_per_tau * cfg.env.episode_steps
-        assert len(calls) == 2 * one_batch  # two cells, one batch each
-        calls.clear()
+        names = [f"metrics_{kind.value}.json" for kind in self.KINDS]
         for vi, value in enumerate(cfg.sweep.values):
             cell_cfg = bench.sweep_cell_config(cfg, "mass", value, derive_seed(cfg.seed, vi, 0))
+            cell = tmp_path / f"cell_{value:g}"
+            cell.mkdir()
+            calls.clear()
+            outcomes = bench.run_sweep_cell(cell_cfg, cell, [k.value for k in self.KINDS])
+            assert len(calls) == one_batch  # one batch for the cell's policies
+            assert [outcomes[k.value][0] for k in self.KINDS] == ["ok", "ok"]
+            calls.clear()
             alone = tmp_path / f"alone_{value:g}"
-            for kind in (PolicyKind.ORACLE, PolicyKind.FIXED_BEAM):
+            for kind in self.KINDS:
                 run_eval(cell_cfg, None, kind, cell_cfg.eval_episodes, alone)
-                name = f"metrics_{kind.value}.json"
-                assert ((tmp_path / "sweep" / f"cell_mass_{value:g}_rep0" / name).read_bytes()
-                        == (alone / name).read_bytes())
-        assert len(calls) == 2 * 2 * one_batch  # one batch per run_eval
+            assert len(calls) == 2 * one_batch  # one batch per run_eval
+            for name in names:
+                swept = tmp_path / "sweep" / f"cell_mass_{value:g}_rep0" / name
+                assert swept.read_bytes() == (cell / name).read_bytes() == \
+                    (alone / name).read_bytes()
 
     def test_a_failing_policy_leaves_the_others_untouched(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(**self.SWEEP)
         run_sweep(cfg, out_dir=tmp_path / "whole")
-        calls, real_oracle = [], bench.oracle_action
+        real_callable = bench.policy_callable
 
-        def failing_oracle(*args):
-            # partway through the first cell's first episode, before the
-            # fixed beam reads the rest of the batch
-            calls.append(1)
-            if len(calls) == 5:
-                raise RuntimeError("oracle lost the node")
-            return real_oracle(*args)
-        monkeypatch.setattr(bench, "oracle_action", failing_oracle)
+        def failing_callable(cell_cfg, kind, params=None):
+            fn = real_callable(cell_cfg, kind, params)
+            if kind is not PolicyKind.ORACLE or cell_cfg.wire.mass_total != 10.0:
+                return fn
+            calls = []  # the cell's own count, in whichever process runs it
+
+            def failing_oracle(env):
+                # partway through the cell's first episode, before the
+                # fixed beam reads the rest of the batch
+                calls.append(1)
+                if len(calls) == 5:
+                    raise RuntimeError("oracle lost the node")
+                return fn(env)
+            return failing_oracle
+        monkeypatch.setattr(bench, "policy_callable", failing_callable)
         run_sweep(cfg, out_dir=tmp_path / "failed")
         cells = json.loads((tmp_path / "failed" / "sweep_mass_cells.json").read_text())
         assert [(c["value"], c["policy"], c["status"]) for c in cells["cells"]] == [
@@ -263,6 +280,53 @@ class TestSweepCellBatch:
         for rel in kept:
             assert (tmp_path / "failed" / rel).read_bytes() == \
                 (tmp_path / "whole" / rel).read_bytes()
+
+
+class TestSweepWorkers:
+    """A sweep's cells run in forked worker processes."""
+
+    SWEEP = {"sweep.axis": "mass", "sweep.values": "10, 12", "sweep.repetitions": "1",
+             "sweep.policies": "oracle, dqn", "env.episode_duration_s": "0.2"}
+
+    def test_a_worker_that_exits_fails_only_its_cell(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(**self.SWEEP)
+        clean = run_sweep(cfg, out_dir=tmp_path / "clean").read_bytes()
+        out = tmp_path / "crash"
+        survivor = out / "cell_mass_10_rep0"
+        real_train = bench.run_train
+
+        def exiting_train(cell_cfg, out_dir=None):
+            if cell_cfg.wire.mass_total == 12.0:
+                # once the other cell has written its last file and returned
+                deadline = time.monotonic() + 60
+                while not (survivor / "metrics_dqn.json").exists() and \
+                        time.monotonic() < deadline:
+                    time.sleep(0.02)
+                time.sleep(0.5)
+                os._exit(1)
+            return real_train(cell_cfg, out_dir)
+        monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(bench, "run_train", exiting_train)
+
+        def statuses():
+            cells = json.loads((out / "sweep_mass_cells.json").read_text())["cells"]
+            return [(c["value"], c["policy"], c["status"]) for c in cells]
+        run_sweep(cfg, out_dir=out)
+        exited = "failed: worker exited before the cell finished"
+        assert statuses() == [(10.0, "oracle", "ok"), (10.0, "dqn", "ok"),
+                              (12.0, "oracle", exited), (12.0, "dqn", exited)]
+        assert not list((out / "cell_mass_12_rep0").iterdir())
+        stamps = {p: p.stat().st_mtime_ns for p in survivor.iterdir()}
+
+        monkeypatch.setattr(bench, "run_train", real_train)
+        summary = run_sweep(cfg, out_dir=out)
+        assert statuses() == [(10.0, "oracle", "cached"), (10.0, "dqn", "cached"),
+                              (12.0, "oracle", "ok"), (12.0, "dqn", "ok")]
+        assert {p: p.stat().st_mtime_ns for p in survivor.iterdir()} == stamps
+        assert summary.read_bytes() == clean
+        for path in (tmp_path / "clean").glob("cell_*/*"):
+            assert (out / path.relative_to(tmp_path / "clean")).read_bytes() == \
+                path.read_bytes()
 
 
 def cut_writes_to(monkeypatch, name):

@@ -1,6 +1,7 @@
 """Tracking environment: delays, actions, rewards, episode mechanics."""
 
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -386,29 +387,38 @@ class TestEpisodeBatch:
             assert envs[0].schedule.impulse_time == 0.0555
         assert len({tuple(o.action for o in outs) for outs in shared}) > 1
 
-    def test_a_diverging_episode_fails_as_it_does_alone(self):
-        # the force's (N/m)*F overflows: an episode whose impulse comes at
-        # 55.5 ms diverges in its sixth step; at 5 s it never comes
-        cfg = EnvConfig(episode_duration=0.1, impulse_enabled=True,
-                        impulse_times_s=(0.0555, 5.0), impulse_force=(0.0, 0.0, 1e308))
+    # the force's (N/m)*F overflows: an episode whose impulse comes at
+    # 55.5 ms diverges in its sixth step; at 5 s it never comes
+    DIVERGING = EnvConfig(episode_duration=0.1, impulse_enabled=True,
+                          impulse_times_s=(0.0555, 5.0), impulse_force=(0.0, 0.0, 1e308))
+
+    def seeds_by_impulse_time(self):
+        times = {s: envmod.EpisodeSchedule.draw(self.DIVERGING, s).impulse_time
+                 for s in range(20)}
+        return ([s for s in times if times[s] == 5.0],
+                [s for s in times if times[s] == 0.0555])
+
+    def build(self, seed, batch=None):
         params = wire_params()
-        times = {s: envmod.EpisodeSchedule.draw(cfg, s).impulse_time for s in range(20)}
-        calm = [s for s in times if times[s] == 5.0]
+        return BeamTrackingEnv(self.DIVERGING, params, wire.WindModel(), channel_cfg(params),
+                               ArrayConfig(), seed, batch)
+
+    def fail_step(self, env):
+        """(step, error) of the step that diverged, or (None, None)."""
+        for k in range(1, self.DIVERGING.episode_steps + 1):
+            try:
+                env.step(envmod.CENTER_ACTION)
+            except wire.IntegrationDivergedError as err:
+                return k, err
+        return None, None
+
+    def test_a_diverging_episode_fails_as_it_does_alone(self):
+        cfg, params = self.DIVERGING, wire_params()
+        build, fail_step = self.build, self.fail_step
+        calm, diverging = self.seeds_by_impulse_time()
         # the diverging seed comes twice: both of its envs read one column
-        seeds = [calm[0], next(s for s in times if times[s] == 0.0555), calm[1]]
+        seeds = [calm[0], diverging[0], calm[1]]
         seeds.append(seeds[1])
-
-        def build(seed, batch=None):
-            return BeamTrackingEnv(cfg, params, wire.WindModel(), channel_cfg(params),
-                                   ArrayConfig(), seed, batch)
-
-        def fail_step(env):
-            for k in range(1, cfg.episode_steps + 1):
-                try:
-                    env.step(envmod.CENTER_ACTION)
-                except wire.IntegrationDivergedError as err:
-                    return k, err
-            return None, None
 
         batch = envmod.EpisodeBatch(cfg, params, wire.WindModel(), seeds)
         assert batch.seeds == seeds[:3]
@@ -428,3 +438,15 @@ class TestEpisodeBatch:
             for got, want in zip(envs[e].states, alone.states):
                 assert np.array_equal(got.positions, want.positions)
                 assert np.array_equal(got.velocities, want.velocities)
+
+    def test_each_env_over_a_diverged_column_gets_its_own_traceback(self):
+        # one env per policy over one diverging seed, as a sweep cell builds them
+        seed = self.seeds_by_impulse_time()[1][0]
+        _, err_alone = self.fail_step(self.build(seed))
+        batch = envmod.EpisodeBatch(self.DIVERGING, wire_params(), wire.WindModel(), [seed] * 3)
+        depths = []
+        for env in [self.build(seed, batch) for _ in range(3)]:
+            k, err = self.fail_step(env)
+            assert (k, str(err)) == (6, str(err_alone))
+            depths.append(len(traceback.extract_tb(err.__traceback__)))
+        assert depths == [len(traceback.extract_tb(err_alone.__traceback__))] * 3

@@ -12,9 +12,12 @@ force is held across a tau boundary.
 A tiny sweep over the same scenario pins the summary's bytes, both after
 a fresh run and after a resume pass that finds every cell cached; its
 digest was recorded before cached cells were checked against their echo.
+The same sweep run in this process and in two forked workers writes the
+same summary and cells-file bytes.
 """
 
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
@@ -81,3 +84,34 @@ def test_sweep_summary_bytes_match_the_golden_digest(tmp_path):
     for _ in ("fresh", "resume"):
         summary = bench.run_sweep(cfg, tmp_path)
         assert hashlib.sha256(summary.read_bytes()).hexdigest() == SWEEP_SUMMARY
+
+
+def test_sweep_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    cfg = config.default_config(**SWEEP)
+    pid_log, real_evaluate = tmp_path / "pids", bench.evaluate_policies
+
+    def noting_pid(*args, **kwargs):  # one line per cell evaluated: its process
+        with open(pid_log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_evaluate(*args, **kwargs)
+    monkeypatch.setattr(bench, "evaluate_policies", noting_pid)
+    written, pids = {}, {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(bench, "usable_cpus", lambda n=cpus: n)
+        # the cells file names each cell by its path: the same one for both counts
+        (tmp_path / f"cpus{cpus}").mkdir()
+        monkeypatch.chdir(tmp_path / f"cpus{cpus}")
+        for run in ("fresh", "resume"):
+            summary = bench.run_sweep(cfg, "sweep")
+            assert hashlib.sha256(summary.read_bytes()).hexdigest() == SWEEP_SUMMARY
+            written[cpus, run] = (summary.read_bytes(),
+                                  Path("sweep", "sweep_mass_cells.json").read_bytes())
+            pids[cpus, run] = [int(p) for p in pid_log.read_text().split()] \
+                if pid_log.exists() else []
+            pid_log.unlink(missing_ok=True)
+    assert written[1, "fresh"] == written[2, "fresh"]
+    assert written[1, "resume"] == written[2, "resume"]
+    assert pids[1, "fresh"] == [os.getpid()] * 4
+    assert len(pids[2, "fresh"]) == 4 and 1 <= len(set(pids[2, "fresh"])) <= 2
+    assert os.getpid() not in pids[2, "fresh"]
+    assert pids[1, "resume"] == pids[2, "resume"] == []  # every cell cached: no worker
