@@ -24,8 +24,7 @@ results, errors = {}, {}
 for kind in (PolicyKind.ORACLE, PolicyKind.FIXED_BEAM):
     env = make_env(cfg, SEED)
     results[kind] = rollout_episode(env, policy_callable(cfg, kind))
-    errors[kind] = [angle_error_deg(r.node, r.beam, env.rx_position)
-                    for r in results[kind].rows]
+    errors[kind] = [angle_error_deg(r.look, r.beam) for r in results[kind].rows]
     write_trace_csv(OUT / f"episode_{kind.value}.csv", results[kind].rows,
                     cfg.channel, cfg.array)
 

@@ -15,7 +15,7 @@ from .wire import (ImpulseEvent, WindModel, WireParams, WireState,
                    simulate_trajectory, solve_equilibrium, step)
 from .channel import (ArrayConfig, BeamOrientation, ChannelConfig,
                       DepartureGeometry, aod_geometry, array_factor,
-                      element_gain, received_power)
+                      element_gain, look_angles, received_power)
 from .env import (BeamTrackingEnv, EnvConfig, StepOutcome, apply_action,
                   assemble_state, proxy_reward, rollout)
 from .dqn import (AdamState, MlpParams, ReplayBuffer, TrainConfig, forward,

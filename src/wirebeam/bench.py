@@ -70,8 +70,7 @@ def policy_callable(cfg: ExperimentConfig, kind: PolicyKind,
                     params: dqn.MlpParams | None = None):
     """Map a policy kind onto a callable(env) -> action index."""
     if kind is PolicyKind.ORACLE:
-        return lambda env: oracle_action(env.true_node_position, env.rx_position,
-                                         env.beam, cfg.env.refine_angle)
+        return lambda env: oracle_action(env.look, env.beam, cfg.env.refine_angle)
     if kind is PolicyKind.FIXED_BEAM:
         return lambda env: fixed_action()
     if params is None:
@@ -125,8 +124,7 @@ class MetricsRecord:
 def aggregate_metrics(cfg: ExperimentConfig, policy: str,
                       results: list[EpisodeResult]) -> MetricsRecord:
     powers = [r.raw_power_dbm for res in results for r in res.rows]
-    rx = cfg.channel.rx_position
-    errors = [angle_error_deg(r.node, r.beam, rx) for res in results for r in res.rows]
+    errors = [angle_error_deg(r.look, r.beam) for res in results for r in res.rows]
     windows = [post_impulse_window(res, cfg.env.tau) for res in results]
     window_means = [float(np.mean(w)) for w in windows if w]
     post = float(np.mean(window_means)) if window_means else None

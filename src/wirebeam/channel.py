@@ -10,7 +10,10 @@ steering direction.  The receive gain is a constant (the far node does not
 steer).  Default path loss is free space: alpha = 2, beta = (lambda/4pi)^2.
 
 Angles are radians throughout; zenith theta is measured from +Z, azimuth
-phi from +X toward +Y.
+phi from +X toward +Y.  The functions of a node's position take its look
+geometry, (range, zenith, azimuth) of the receiver as `look_angles`
+returns it, so a caller computes it once per node position and passes it
+to each of them.
 """
 
 from __future__ import annotations
@@ -138,7 +141,10 @@ class DepartureGeometry:
     phi_aod: float    # [rad]
 
 
-def look_angles(tx_pos, rx_pos) -> tuple[float, float, float]:
+Look = tuple[float, float, float]  # (range [m], zenith [rad], azimuth [rad])
+
+
+def look_angles(tx_pos, rx_pos) -> Look:
     """(range, absolute zenith, absolute azimuth) of rx_pos seen from tx_pos."""
     d = np.asarray(rx_pos, float) - np.asarray(tx_pos, float)
     r = float(np.linalg.norm(d))
@@ -149,9 +155,9 @@ def look_angles(tx_pos, rx_pos) -> tuple[float, float, float]:
     return r, theta, phi
 
 
-def aod_geometry(tx_pos, cfg: ChannelConfig, beam: BeamOrientation) -> DepartureGeometry:
-    """Departure geometry toward cfg.rx_position under the given steering."""
-    r, theta, phi = look_angles(tx_pos, cfg.rx_position)
+def aod_geometry(look: Look, beam: BeamOrientation) -> DepartureGeometry:
+    """Departure geometry along the look geometry under the given steering."""
+    r, theta, phi = look
     return DepartureGeometry(range_m=r,
                              theta_aod=theta - beam.theta_s,
                              phi_aod=wrap_azimuth(phi - beam.phi_s))
@@ -209,20 +215,21 @@ def array_factor(theta: float, phi: float, beam: BeamOrientation,
     return 10.0 * math.log10(inner)
 
 
-def received_power(tx_pos, beam: BeamOrientation, ch: ChannelConfig,
-                   ar: ArrayConfig) -> float:
-    """Received power [dBm] from the node at tx_pos under the given steering."""
-    geo = aod_geometry(tx_pos, ch, beam)
+def received_power(look: Look, beam: BeamOrientation,
+                   ch: ChannelConfig, ar: ArrayConfig) -> float:
+    """Received power [dBm] from the node with look geometry `look` under
+    the given steering."""
+    geo = aod_geometry(look, beam)
     g_tx = (element_gain(geo.theta_aod, geo.phi_aod)
             + array_factor(geo.theta_aod, geo.phi_aod, beam, ar, ch.wavelength))
     return (ch.tx_power_dbm + g_tx + ch.rx_gain_dbi + ch.beta_db
             - 10.0 * ch.pathloss_exponent * math.log10(geo.range_m))
 
 
-def boresight_power(tx_pos, ch: ChannelConfig, ar: ArrayConfig) -> float:
+def boresight_power(look: Look, ch: ChannelConfig, ar: ArrayConfig) -> float:
     """Power [dBm] with the main lobe aimed exactly at the receiver."""
-    _, theta, phi = look_angles(tx_pos, ch.rx_position)
-    return received_power(tx_pos, BeamOrientation(theta, phi), ch, ar)
+    _, theta, phi = look
+    return received_power(look, BeamOrientation(theta, phi), ch, ar)
 
 
 def write_pattern_csv(path, beam: BeamOrientation, ch: ChannelConfig,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import wire as wire_mod
-from .channel import ArrayConfig, ChannelConfig, boresight_power
+from .channel import ArrayConfig, ChannelConfig, boresight_power, look_angles
 from .env import ConfigError, EnvConfig, check_invariants
 from .dqn import TrainConfig
 from .policies import PolicyKind
@@ -343,7 +343,8 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     offset_raw = r.raw("env.reward_offset_dbm")
     if offset_raw == "auto":
         # centre the linear reward band 0-10 dB below perfect alignment
-        reward_offset = boresight_power(eq.positions[tx_point - 1], channel, array) - 5.0
+        look = look_angles(eq.positions[tx_point - 1], rx_position)
+        reward_offset = boresight_power(look, channel, array) - 5.0
     else:
         reward_offset = _as_float(offset_raw, "env.reward_offset_dbm")
 

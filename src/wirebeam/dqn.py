@@ -439,14 +439,23 @@ def save_checkpoint(path, params: MlpParams, adam: AdamState, global_step: int,
             fh.write(np.ascontiguousarray(part, dtype="<f8"))
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_header(fh, path, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"{path}: checkpoint header is cut short")
-    return data
+    """The next n header bytes; a length the file cannot hold is refused
+    before anything is read."""
+    left = _bytes_left(fh)
+    if n > left:
+        raise ValueError(f"{path}: checkpoint header is cut short "
+                         f"({n} bytes needed, {left} left)")
+    return fh.read(n)
 
 
 def load_checkpoint(path) -> tuple[MlpParams, AdamState, int, str]:
+    """Every length the header declares is checked against the bytes left
+    in the file before it is read or allocated."""
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
@@ -457,10 +466,12 @@ def load_checkpoint(path) -> tuple[MlpParams, AdamState, int, str]:
         adam_t, global_step, blob_len = struct.unpack("<QQQ", _read_header(fh, path, 24))
         config_json = _read_header(fh, path, blob_len).decode("utf-8")
         n = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+        found = _bytes_left(fh)
+        if found != 3 * 8 * n:
+            raise ValueError(f"{path}: checkpoint body is {found} bytes, expected "
+                             f"{3 * 8 * n} for dims {dims}")
         params = MlpParams(dims, np.empty(n, dtype="<f8"))
         adam = AdamState(np.empty(n, dtype="<f8"), np.empty(n, dtype="<f8"), adam_t)
-        found = sum(fh.readinto(part) for part in _body(params, adam)) + len(fh.read())
-    if found != 3 * 8 * n:
-        raise ValueError(f"{path}: checkpoint body is {found} bytes, expected "
-                         f"{3 * 8 * n} for dims {dims}")
+        for part in _body(params, adam):
+            fh.readinto(part)
     return params, adam, global_step, config_json

@@ -12,9 +12,11 @@ chosen steering action, takes the next wire state (the scheduled impulse
 acts when its time falls inside the interval), and the agent observes
 the sensed points of the state from `lookback` seconds ago together with
 the current steering vector.  The reward is the received
-power mapped through an affine clip to [-1, 1].  `rollout` steps a policy
-and returns one `StepOutcome` per step; every evaluation path records
-steps that way.
+power mapped through an affine clip to [-1, 1].  Each step computes the
+node's look geometry (`channel.look_angles`) once; the env keeps it and
+its `StepOutcome` carries it, so the reward, the oracle, the trace and
+the metrics all read it.  `rollout` steps a policy and returns one
+`StepOutcome` per step; every evaluation path records steps that way.
 
 The observation vector is, per sensed point, [position (3), velocity (3)],
 blocks in sense-point order, followed by the unit steering vector (3).
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wire
-from .channel import (ArrayConfig, BeamOrientation, ChannelConfig,
+from .channel import (ArrayConfig, BeamOrientation, ChannelConfig, Look,
                       boresight_power, look_angles, received_power)
 
 N_ACTIONS = 9
@@ -160,8 +162,9 @@ def apply_action(beam: BeamOrientation, action: int, refine_angle: float) -> Bea
 
 
 def proxy_reward(raw_dbm: float, offset_dbm: float, scale_db: float) -> float:
-    """Affine rescale of the received power, clipped to [-1, 1]."""
-    return float(np.clip((raw_dbm - offset_dbm) / scale_db, -1.0, 1.0))
+    """Affine rescale of the received power, clipped to [-1, 1]; NaN stays
+    NaN."""
+    return max(min((raw_dbm - offset_dbm) / scale_db, 1.0), -1.0)
 
 
 @dataclass(frozen=True)
@@ -224,10 +227,11 @@ def assemble_state(delayed: wire.WireState, sense_idx: np.ndarray,
     return np.concatenate([blocks.ravel(), beam.unit_vector()])
 
 
-@dataclass
+@dataclass(slots=True)
 class StepOutcome:
     """What one step did and where it left the episode: the action taken,
-    then the observation, reward, power, beam and node after it."""
+    then the observation, reward, power, beam, node and the node's look
+    geometry after it.  Slotted: an evaluation holds one per step."""
 
     next_state: np.ndarray
     proxy_reward: float
@@ -237,14 +241,16 @@ class StepOutcome:
     time_s: float
     beam: BeamOrientation
     node: np.ndarray  # radio node position (3,)
+    look: Look        # (range, zenith, azimuth) of the receiver from the node
 
 
 class BeamTrackingEnv:
     """One episode: the wire states so far, steering and schedule.
 
     `states[k]` is the wire state after k steps, `states[0]` the
-    equilibrium.  The states are read from an `EpisodeBatch`: the given
-    one, which must hold `seed`, or else a batch of this episode alone.
+    equilibrium, and `look` the current node's look geometry.  The states
+    are read from an `EpisodeBatch`: the given one, which must hold `seed`,
+    or else a batch of this episode alone.
     Not safe for concurrent mutation; run independent instances in
     parallel instead.  All randomness flows from the seed.
     """
@@ -265,13 +271,13 @@ class BeamTrackingEnv:
         self._episode = self._batch.seeds.index(seed)
         self.schedule = self._batch.schedules[self._episode]
         self.states = [self._batch.state(self._episode, 0)]
+        self.look = look_angles(self.true_node_position, channel_cfg.rx_position)
         self.beam = self._initial_beam()
         self.state_vector = assemble_state(self.states[0], self._sense_idx, self.beam)
 
     def _initial_beam(self) -> BeamOrientation:
         """Boresight at the equilibrium node, quantized to the action grid."""
-        _, theta, phi = look_angles(self.states[0].positions[self._tx_idx],
-                                    self.channel_cfg.rx_position)
+        _, theta, phi = self.look
         a = self.cfg.refine_angle
         return BeamOrientation(round(theta / a) * a, round(phi / a) * a)
 
@@ -293,10 +299,6 @@ class BeamTrackingEnv:
     def true_node_position(self) -> np.ndarray:
         return self.state.positions[self._tx_idx]
 
-    @property
-    def rx_position(self) -> np.ndarray:
-        return self.channel_cfg.rx_position
-
     def step(self, action: int) -> StepOutcome:
         if self.done:
             raise EpisodeFinishedError("episode already finished; an env runs one episode")
@@ -305,8 +307,9 @@ class BeamTrackingEnv:
         # the observation is the state `lookback` ago, the equilibrium before that
         delayed = self.states[max(self.step_count - self.cfg.lag_steps, 0)]
         self.state_vector = assemble_state(delayed, self._sense_idx, self.beam)
-        raw = received_power(self.true_node_position, self.beam,
-                             self.channel_cfg, self.array_cfg)
+        node = self.true_node_position
+        self.look = look_angles(node, self.channel_cfg.rx_position)
+        raw = received_power(self.look, self.beam, self.channel_cfg, self.array_cfg)
         reward = proxy_reward(raw, self.cfg.reward_offset_dbm, self.cfg.reward_scale_db)
         return StepOutcome(next_state=self.state_vector,
                            proxy_reward=reward,
@@ -315,7 +318,8 @@ class BeamTrackingEnv:
                            action=action,
                            time_s=self.state.time,
                            beam=self.beam,
-                           node=self.true_node_position)
+                           node=node,
+                           look=self.look)
 
 
 def rollout(env, policy_fn, steps: int) -> list[StepOutcome]:
@@ -329,10 +333,10 @@ def rollout(env, policy_fn, steps: int) -> list[StepOutcome]:
     return outcomes
 
 
-def angle_error_deg(node: np.ndarray, beam: BeamOrientation, rx_position) -> float:
+def angle_error_deg(look: Look, beam: BeamOrientation) -> float:
     """Great-circle angle [deg] between the beam and the look direction
     from the node to the receiver."""
-    _, theta, phi = look_angles(node, rx_position)
+    _, theta, phi = look
     u = BeamOrientation(theta, phi).unit_vector()
     b = beam.unit_vector()
     return math.degrees(math.acos(max(-1.0, min(1.0, float(u @ b)))))
@@ -348,7 +352,7 @@ def write_trace_csv(path, outcomes: list[StepOutcome], channel_cfg: ChannelConfi
                     "raw_power_dbm", "optimal_power_dbm", "proxy_reward",
                     "node_x", "node_y", "node_z"])
         for k, o in enumerate(outcomes, start=1):
-            optimal = boresight_power(o.node, channel_cfg, array_cfg)
+            optimal = boresight_power(o.look, channel_cfg, array_cfg)
             w.writerow([k, f"{o.time_s:.6f}", o.action,
                         f"{math.degrees(o.beam.theta_s):.6f}",
                         f"{math.degrees(o.beam.phi_s):.6f}",

@@ -1,9 +1,10 @@
 """Non-learned reference policies.
 
-The oracle reads the true, delay-free node position and takes whichever of
-the nine grid actions leaves the beam closest (great-circle) to the exact
-look direction, so it is the apples-to-apples upper reference for any
-grid-constrained tracker.  The fixed-beam baseline never moves.
+The oracle reads the node's true, delay-free look geometry and takes
+whichever of the nine grid actions leaves the beam closest (great-circle)
+to the exact look direction, so it is the apples-to-apples upper
+reference for any grid-constrained tracker.  The fixed-beam baseline
+never moves.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import math
 
 import numpy as np
 
-from .channel import BeamOrientation, look_angles
-from .env import CENTER_ACTION, N_ACTIONS, apply_action
+from .channel import BeamOrientation, Look, wrap_azimuth, wrap_zenith
+from .env import CENTER_ACTION
 
 
 class PolicyKind(enum.Enum):
@@ -23,21 +24,37 @@ class PolicyKind(enum.Enum):
     DQN_GREEDY = "dqn"
 
 
-def oracle_action(true_node_pos: np.ndarray, rx_pos: np.ndarray,
-                  beam: BeamOrientation, refine_angle: float) -> int:
-    """Grid action minimizing the post-action angle to the look direction.
+def oracle_choice(look: Look, beam: BeamOrientation,
+                  refine_angle: float) -> tuple[int, float]:
+    """(grid action, angle [rad]) minimizing the post-action angle to the
+    look direction `look`.  Ties resolve to the lowest index.
 
-    Ties resolve to the lowest index.
+    The nine candidates are the unit vectors of `apply_action`'s steerings,
+    built from its three wrapped zenith and three wrapped azimuth angles
+    by `BeamOrientation.unit_vector`'s expressions, and `ndarray.dot` is
+    the BLAS dot that `@` calls on two vectors, so each candidate and angle
+    has the bits it would have through nine `apply_action` steerings.
     """
-    _, theta, phi = look_angles(true_node_pos, rx_pos)
+    _, theta, phi = look
     target = BeamOrientation(theta, phi).unit_vector()
+    azimuths = [wrap_azimuth(beam.phi_s + d * refine_angle) for d in (-1, 0, 1)]
+    azimuth_cs = [(math.cos(p), math.sin(p)) for p in azimuths]
     best_action, best_angle = 0, math.inf
-    for a in range(N_ACTIONS):
-        candidate = apply_action(beam, a, refine_angle).unit_vector()
-        ang = math.acos(max(-1.0, min(1.0, float(candidate @ target))))
-        if ang < best_angle:
-            best_action, best_angle = a, ang
-    return best_action
+    for i, d_theta in enumerate((-1, 0, 1)):  # action index 3 * i + j, zenith slow
+        zenith = wrap_zenith(beam.theta_s + d_theta * refine_angle)
+        st, ct = math.sin(zenith), math.cos(zenith)
+        for j, (cp, sp) in enumerate(azimuth_cs):
+            candidate = np.array([st * cp, st * sp, ct])
+            ang = math.acos(max(-1.0, min(1.0, float(candidate.dot(target)))))
+            if ang < best_angle:
+                best_action, best_angle = 3 * i + j, ang
+    return best_action, best_angle
+
+
+def oracle_action(look: Look, beam: BeamOrientation, refine_angle: float) -> int:
+    """Grid action minimizing the post-action angle to the look direction
+    `look` (see `oracle_choice`)."""
+    return oracle_choice(look, beam, refine_angle)[0]
 
 
 def fixed_action() -> int:

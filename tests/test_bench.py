@@ -4,13 +4,14 @@ import json
 import math
 import os
 import re
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wirebeam import bench, dqn, wire
+from wirebeam import bench, channel, dqn, wire
 from wirebeam.bench import (derive_seed, make_env, policy_callable,
                             post_impulse_window, rollout_episode, run_eval,
                             run_sweep, run_train)
@@ -18,6 +19,8 @@ from wirebeam.cli import main
 from wirebeam.config import ConfigError, default_config
 from wirebeam.env import angle_error_deg
 from wirebeam.policies import PolicyKind
+
+from test_dqn import OVERSIZED_HEADERS, write_oversized_checkpoint
 
 TINY_TRAIN = {
     "env.episode_duration_s": "0.5",
@@ -45,7 +48,7 @@ class TestRollouts:
         cfg = default_config(**{"env.episode_duration_s": "1.0"})
         env = make_env(cfg, seed=5)
         res = rollout_episode(env, policy_callable(cfg, PolicyKind.ORACLE))
-        errors = [angle_error_deg(r.node, r.beam, env.rx_position) for r in res.rows]
+        errors = [angle_error_deg(r.look, r.beam) for r in res.rows]
         assert float(np.mean(errors[10:])) <= 1.0
 
     def test_fixed_below_oracle_on_paired_seed(self):
@@ -104,6 +107,23 @@ class TestRunEval:
         with pytest.raises(bench.EvalError, match="architecture"):
             run_eval(wrong, ckpt, PolicyKind.DQN_GREEDY, 1, tmp_path / "eval")
 
+
+    @pytest.mark.parametrize("kind", [PolicyKind.ORACLE, PolicyKind.FIXED_BEAM])
+    def test_one_look_geometry_per_env_step_and_per_env(self, tmp_path, monkeypatch, kind):
+        # the reward, the oracle, the traces and the metrics share each step's
+        # look geometry: one look_angles call per step, plus one per env built
+        cfg, calls, real = tiny_cfg(), [], channel.look_angles
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        for mod in [m for name, m in sys.modules.items() if name.startswith("wirebeam")]:
+            if getattr(mod, "look_angles", None) is real:
+                monkeypatch.setattr(mod, "look_angles", counting)
+        run_eval(cfg, None, kind, 2, tmp_path)
+        assert (tmp_path / f"trace_{kind.value}_ep001.csv").exists()
+        assert (tmp_path / f"metrics_{kind.value}.json").exists()
+        assert len(calls) == 2 * cfg.env.episode_steps + 2
 
     def test_metrics_file_appears_only_when_whole(self, tmp_path, monkeypatch):
         def fail(*args):
@@ -280,6 +300,20 @@ class TestSweepCellBatch:
         for rel in kept:
             assert (tmp_path / "failed" / rel).read_bytes() == \
                 (tmp_path / "whole" / rel).read_bytes()
+
+
+class TestSweepCellCheckpoint:
+    @pytest.mark.parametrize("which", sorted(OVERSIZED_HEADERS))
+    def test_an_oversized_checkpoint_header_is_retrained(self, tmp_path, which):
+        cfg = tiny_cfg()
+        clean, bad = tmp_path / "clean", tmp_path / "bad"
+        clean.mkdir()
+        bad.mkdir()
+        assert bench.run_sweep_cell(cfg, clean, ["dqn"])["dqn"][0] == "ok"
+        write_oversized_checkpoint(bad / "checkpoint.bin", which)
+        assert bench.run_sweep_cell(cfg, bad, ["dqn"])["dqn"][0] == "ok"
+        for name in ("checkpoint.bin", "training_log.csv", "metrics_dqn.json"):
+            assert (bad / name).read_bytes() == (clean / name).read_bytes()
 
 
 class TestSweepWorkers:
@@ -582,6 +616,17 @@ class TestCli:
         assert main(["eval", "--config", cfg, "--policy", "dqn", "--checkpoint",
                      str(ckpt), "--out", str(tmp_path)]) == 1
         assert "checkpoint header is cut short" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", sorted(OVERSIZED_HEADERS))
+    def test_eval_with_an_oversized_checkpoint_header_is_a_bad_input(self, tmp_path, capsys,
+                                                                     which):
+        ckpt = tmp_path / "checkpoint.bin"
+        write_oversized_checkpoint(ckpt, which)
+        cfg = self.write_cfg(tmp_path, "eval.episodes = 1\n"
+                                       "env.episode_duration_s = 0.2\n")
+        assert main(["eval", "--config", cfg, "--policy", "dqn", "--checkpoint",
+                     str(ckpt), "--out", str(tmp_path)]) == 1
+        assert f"{ckpt}: checkpoint " in capsys.readouterr().err
 
     def test_train_smoke_verb(self, tmp_path):
         text = "\n".join(f"{k} = {v}" for k, v in TINY_TRAIN.items()) + "\n"

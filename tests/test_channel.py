@@ -11,6 +11,11 @@ TABLE_ARRAY = ch.ArrayConfig()  # 32 x 8, rho = 1, 2.5 mm spacing
 LAMBDA = 0.005
 
 
+def power_from(tx, beam, cfg: ch.ChannelConfig) -> float:
+    """Received power of the node at `tx`, through its look geometry."""
+    return ch.received_power(ch.look_angles(tx, cfg.rx_position), beam, cfg, TABLE_ARRAY)
+
+
 def brute_force_af_db(theta, phi, beam, cfg, wavelength):
     """Independent oracle: direct complex summation over every element."""
     psi_p = math.cos(theta + beam.theta_s) - math.cos(beam.theta_s)
@@ -52,38 +57,35 @@ class TestWrapping:
 
 class TestAodGeometry:
     def test_boresight_alignment(self):
-        cfg = ch.ChannelConfig(rx_position=[0, 5, 0])
-        geo = ch.aod_geometry([0, 0, 0], cfg, ch.BeamOrientation(math.pi / 2, math.pi / 2))
+        geo = ch.aod_geometry(ch.look_angles([0, 0, 0], [0, 5, 0]),
+                              ch.BeamOrientation(math.pi / 2, math.pi / 2))
         assert geo.range_m == pytest.approx(5.0)
         assert geo.theta_aod == pytest.approx(0.0, abs=1e-12)
         assert geo.phi_aod == pytest.approx(0.0, abs=1e-12)
 
     def test_directly_overhead(self):
-        cfg = ch.ChannelConfig(rx_position=[0, 0, 5])
-        geo = ch.aod_geometry([0, 0, 0], cfg, ch.BeamOrientation(0.0, 0.0))
+        geo = ch.aod_geometry(ch.look_angles([0, 0, 0], [0, 0, 5]),
+                              ch.BeamOrientation(0.0, 0.0))
         assert geo.theta_aod == pytest.approx(0.0, abs=1e-12)
 
     def test_offset_transmitter_trigonometry(self):
         # independent hand computation: r = sqrt(25.01), zenith = acos(0.1/r)
-        cfg = ch.ChannelConfig(rx_position=[0, 5, 0])
-        geo = ch.aod_geometry([0, 0, -0.1], cfg, ch.BeamOrientation(0.0, 0.0))
+        geo = ch.aod_geometry(ch.look_angles([0, 0, -0.1], [0, 5, 0]),
+                              ch.BeamOrientation(0.0, 0.0))
         r = math.sqrt(25.01)
         assert geo.range_m == pytest.approx(r, rel=1e-12)
         assert geo.theta_aod == pytest.approx(math.acos(0.1 / r), rel=1e-12)
 
     def test_coincident_positions_raise(self):
-        cfg = ch.ChannelConfig(rx_position=[1, 2, 3])
         with pytest.raises(ch.GeometryDegenerateError):
-            ch.aod_geometry([1, 2, 3], cfg, ch.BeamOrientation(0, 0))
+            ch.look_angles([1, 2, 3], [1, 2, 3])
 
     def test_inverse_consistency(self):
         # steering at the absolute look angles zeroes the relative angles
         rng = np.random.default_rng(5)
-        cfg = ch.ChannelConfig(rx_position=[0.3, 4.7, 0.2])
         for _ in range(20):
-            tx = rng.normal(scale=1.0, size=3)
-            _, theta, phi = ch.look_angles(tx, cfg.rx_position)
-            geo = ch.aod_geometry(tx, cfg, ch.BeamOrientation(theta, phi))
+            look = ch.look_angles(rng.normal(scale=1.0, size=3), [0.3, 4.7, 0.2])
+            geo = ch.aod_geometry(look, ch.BeamOrientation(look[1], look[2]))
             assert abs(geo.theta_aod) < 1e-12
             assert abs(geo.phi_aod) < 1e-12
 
@@ -175,17 +177,15 @@ class TestReceivedPower:
         # independent Friis computation at r = 5 m, perfect boresight
         cfg = ch.ChannelConfig(rx_position=[0, 5, 0])
         beam = ch.BeamOrientation(math.pi / 2, math.pi / 2)
-        got = ch.received_power([0, 0, 0], beam, cfg, TABLE_ARRAY)
+        got = power_from([0, 0, 0], beam, cfg)
         path_loss = 20.0 * math.log10(4.0 * math.pi * 5.0 / 0.005)
         assert got == pytest.approx(23.0 + 8.0 + 8.0 - path_loss, abs=1e-9)
         assert got == pytest.approx(-42.9842, abs=0.01)
 
     def test_doubling_range_costs_6db(self):
         beam = ch.BeamOrientation(math.pi / 2, math.pi / 2)
-        p5 = ch.received_power([0, 0, 0], beam,
-                               ch.ChannelConfig(rx_position=[0, 5, 0]), TABLE_ARRAY)
-        p10 = ch.received_power([0, 0, 0], beam,
-                                ch.ChannelConfig(rx_position=[0, 10, 0]), TABLE_ARRAY)
+        p5 = power_from([0, 0, 0], beam, ch.ChannelConfig(rx_position=[0, 5, 0]))
+        p10 = power_from([0, 0, 0], beam, ch.ChannelConfig(rx_position=[0, 10, 0]))
         assert p5 - p10 == pytest.approx(20.0 * math.log10(2.0), rel=1e-9)
 
     def test_tx_power_shifts_additively(self):
@@ -194,8 +194,7 @@ class TestReceivedPower:
         up = ch.ChannelConfig(tx_power_dbm=base.tx_power_dbm + 7.5,
                               rx_position=[0.4, 4.0, 0.3])
         tx = [0.1, -0.2, 0.05]
-        delta = (ch.received_power(tx, beam, up, TABLE_ARRAY)
-                 - ch.received_power(tx, beam, base, TABLE_ARRAY))
+        delta = power_from(tx, beam, up) - power_from(tx, beam, base)
         assert delta == pytest.approx(7.5, abs=1e-12)
 
     def test_misalignment_drop_equals_gain_difference(self):
@@ -206,13 +205,12 @@ class TestReceivedPower:
         tx = [0, 0, 0]
 
         def g_tx(beam):
-            geo = ch.aod_geometry(tx, cfg, beam)
+            geo = ch.aod_geometry(ch.look_angles(tx, cfg.rx_position), beam)
             return (ch.element_gain(geo.theta_aod, geo.phi_aod)
                     + ch.array_factor(geo.theta_aod, geo.phi_aod, beam,
                                       TABLE_ARRAY, cfg.wavelength))
 
-        drop = (ch.received_power(tx, aligned, cfg, TABLE_ARRAY)
-                - ch.received_power(tx, flipped, cfg, TABLE_ARRAY))
+        drop = power_from(tx, aligned, cfg) - power_from(tx, flipped, cfg)
         assert drop == pytest.approx(g_tx(aligned) - g_tx(flipped), abs=1e-9)
 
     def test_beta_default_is_free_space(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wirebeam import config as cfgmod
-from wirebeam.channel import boresight_power
+from wirebeam.channel import boresight_power, look_angles
 from wirebeam.config import (ConfigError, SweepSpec, build_config, default_config,
                              load_config)
 from wirebeam.wire import solve_equilibrium
@@ -81,7 +81,8 @@ env.lookback_s = 0.08
     def test_auto_reward_offset_is_boresight_minus_5(self):
         cfg = default_config()
         eq = solve_equilibrium(cfg.wire)
-        expected = boresight_power(eq.positions[9], cfg.channel, cfg.array) - 5.0
+        look = look_angles(eq.positions[9], cfg.channel.rx_position)
+        expected = boresight_power(look, cfg.channel, cfg.array) - 5.0
         assert cfg.env.reward_offset_dbm == pytest.approx(expected, abs=1e-9)
         assert cfg.provenance["env.reward_offset_dbm"] == "default:auto-reward-offset"
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,29 @@ class ConstantRewardEnv:
     def step(self, action):
         return StepOutcome(next_state=self.state_vector.copy(), proxy_reward=1.0,
                            raw_power_dbm=-40.0, episode_done=False, action=action,
-                           time_s=0.0, beam=BeamOrientation(0.0, 0.0), node=np.zeros(3))
+                           time_s=0.0, beam=BeamOrientation(0.0, 0.0), node=np.zeros(3),
+                           look=(1.0, 0.0, 0.0))
+
+
+# headers whose declared lengths no file of theirs can hold: a 2**62-byte
+# config echo, a net of 1e10 parameters, 2**31 layer widths
+OVERSIZED_HEADERS = {
+    "echo": ((9, 8, 9), 2 ** 62),
+    "dims": ((100000, 100000, 9), 2),
+    "n_dims": (2 ** 31, 2),
+}
+
+
+def write_oversized_checkpoint(path, which: str):
+    """A checkpoint file whose header declares OVERSIZED_HEADERS[which]."""
+    dims, echo_len = OVERSIZED_HEADERS[which]
+    if isinstance(dims, int):  # only the count of layer widths, then the file ends
+        header = struct.pack("<II", dqn.CHECKPOINT_VERSION, dims) + struct.pack("<3I", 9, 8, 9)
+    else:
+        header = (struct.pack("<II", dqn.CHECKPOINT_VERSION, len(dims))
+                  + struct.pack(f"<{len(dims)}I", *dims)
+                  + struct.pack("<QQQ", 0, 0, echo_len) + b"{}" + b"\x00" * 64)
+    path.write_bytes(dqn.CHECKPOINT_MAGIC + header)
 
 
 def tiny_params(rng, dims=(3, 4, 3, 4, 9)) -> MlpParams:
@@ -497,6 +520,13 @@ class TestCheckpoint:
         dqn.save_checkpoint(path, params, init_adam(params), 0, '{"seed": 9}' * 4)
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint header is cut short")):
+            dqn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("which", sorted(OVERSIZED_HEADERS))
+    def test_oversized_header_lengths_are_refused_before_reading(self, tmp_path, which):
+        path = tmp_path / "ckpt.bin"
+        write_oversized_checkpoint(path, which)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint ")):
             dqn.load_checkpoint(path)
 
     def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from wirebeam.bench import make_env as make_experiment_env
 from wirebeam.bench import make_envs as make_experiment_envs
 from wirebeam.bench import policy_callable
 from wirebeam.channel import (ArrayConfig, BeamOrientation, ChannelConfig,
-                              boresight_power, received_power)
+                              boresight_power, look_angles, received_power)
 from wirebeam.config import default_config
 from wirebeam.env import (BeamTrackingEnv, ConfigError, EnvConfig,
                           EpisodeFinishedError, apply_action, assemble_state,
@@ -94,6 +94,23 @@ class TestProxyReward:
         inside = [(r, v) for r, v in zip(raws, vals) if -1 < v < 1]
         for (r1, v1), (r2, v2) in zip(inside, inside[1:]):
             assert v2 > v1
+
+    def test_nan_stays_nan_and_infinities_clip(self):
+        nan = proxy_reward(math.nan, -48.0, 5.0)
+        assert math.isnan(nan)
+        with pytest.raises(ValueError, match="outside the clipped range"):
+            dqn.ReplayBuffer(1, 1).push(np.zeros(1), 0, nan, np.zeros(1), False)
+        assert proxy_reward(math.inf, -48.0, 5.0) == 1.0
+        assert proxy_reward(-math.inf, -48.0, 5.0) == -1.0
+
+    def test_equals_numpy_clip_bit_for_bit(self):
+        cases = [(float(r), -48.0, 5.0) for r in np.linspace(-60.0, -36.0, 2401)]
+        cases += [(-53.0, -48.0, 5.0), (-43.0, -48.0, 5.0), (-0.0, 0.0, 5.0),
+                  (0.0, 0.0, 5.0), (-42.999999999, -48.0, 5.0), (1e308, -1e308, 0.5)]
+        for raw, offset, scale in cases:
+            got = proxy_reward(raw, offset, scale)
+            want = float(np.clip((raw - offset) / scale, -1.0, 1.0))
+            assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
 def still_wire(positions=None, velocities=None) -> wire.WireState:
@@ -181,7 +198,7 @@ class TestReset:
         a = e.cfg.refine_angle
         assert e.beam.theta_s / a == pytest.approx(round(e.beam.theta_s / a), abs=1e-9)
         assert e.beam.phi_s / a == pytest.approx(round(e.beam.phi_s / a), abs=1e-9)
-        assert envmod.angle_error_deg(e.true_node_position, e.beam, e.rx_position) < 1.0
+        assert envmod.angle_error_deg(e.look, e.beam) < 1.0
 
     def test_impulse_schedule_draw(self):
         times = {make_env(seed=s, impulse_enabled=True).schedule.impulse_time
@@ -213,10 +230,10 @@ class TestStepping:
     def test_static_environment_matches_link_budget(self):
         e = make_env(seed=0, quiet=True)
         out = e.step(envmod.CENTER_ACTION)
-        expected = received_power(e.true_node_position, e.beam,
-                                  e.channel_cfg, e.array_cfg)
+        look = look_angles(e.true_node_position, e.channel_cfg.rx_position)
+        expected = received_power(look, e.beam, e.channel_cfg, e.array_cfg)
         assert out.raw_power_dbm == pytest.approx(expected, abs=1e-9)
-        optimal = boresight_power(e.true_node_position, e.channel_cfg, e.array_cfg)
+        optimal = boresight_power(look, e.channel_cfg, e.array_cfg)
         assert out.raw_power_dbm <= optimal + 1e-12
 
     def test_episode_ends_exactly_at_step_300(self):
@@ -256,7 +273,8 @@ class TestStepping:
         out = e.step(3)
         assert out.action == 3 and out.time_s == e.state.time
         assert out.beam == e.beam
-        assert out.raw_power_dbm == received_power(out.node, out.beam,
+        assert out.look == e.look == look_angles(out.node, e.channel_cfg.rx_position)
+        assert out.raw_power_dbm == received_power(out.look, out.beam,
                                                    e.channel_cfg, e.array_cfg)
         node = out.node.copy()
         for _ in range(5):
@@ -282,7 +300,8 @@ class TestStepping:
         assert len(lines) == 6
         last = lines[-1].split(",")
         assert last[0] == "5" and last[2] == str(envmod.CENTER_ACTION)
-        optimal = boresight_power(outs[-1].node, e.channel_cfg, e.array_cfg)
+        look = look_angles(outs[-1].node, e.channel_cfg.rx_position)
+        optimal = boresight_power(look, e.channel_cfg, e.array_cfg)
         assert last[6] == f"{optimal:.6f}"
 
 

@@ -9,6 +9,13 @@ The scenario has impulses on and a 57-dimensional expanded state.  Each
 episode's 10 ms impulse starts mid-interval (at 55 or 105 ms), so its
 force is held across a tau boundary.
 
+`METRICS_GOLDEN` pins the metrics files of the same run, whose
+full-precision `mean_angle_error_deg` is the one output of the
+angle-error path, and the fixed beam's traces and metrics; it was
+recorded before the look geometry was computed once per step and carried
+in each step record.  In this scenario the oracle never leaves the centre
+action, so its traces equal the fixed beam's.
+
 A tiny sweep over the same scenario pins the summary's bytes, both after
 a fresh run and after a resume pass that finds every cell cached; its
 digest was recorded before cached cells were checked against their echo.
@@ -58,6 +65,19 @@ GOLDEN = {
         "f5974b39e9f0c38c263dc2e91ecb36372007aa1f5359431a263ea07056b75133",
 }
 
+METRICS_GOLDEN = {
+    "metrics_oracle.json":
+        "9e03173d79185b19afcf46814456b6b9bdde6bbe781bccaba23eeef756187024",
+    "metrics_dqn.json":
+        "f4448cdaaa94441e3193b276f4acf760466a7ff3a1f8abe244f61a9dd338aa1a",
+    "metrics_fixed.json":
+        "dbc52429c98fc0b97563057a9736aab49cd7658ebc4001adabfc12110dd854c0",
+    "trace_fixed_ep000.csv":
+        "69332963ec213b98fd36d304ce9c4075c82d55f83a074cd40001eee12542745b",
+    "trace_fixed_ep001.csv":
+        "22033829dd916980c2831dd7e264457d5bd0a5f59f4f00a293665095b0ff6c1b",
+}
+
 SWEEP = {**TINY, "sweep.axis": "mass", "sweep.values": "8, 12",
          "sweep.repetitions": "2", "sweep.policies": "oracle, fixed"}
 SWEEP_SUMMARY = "5b0a7edf4e08f00d8928896c8c16117f7e0f6db055cb947ee6789686c711ff4b"
@@ -68,7 +88,7 @@ def golden_outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
     cfg = config.default_config(**TINY)
     ckpt, _ = bench.run_train(cfg, out)
-    for kind in (PolicyKind.ORACLE, PolicyKind.DQN_GREEDY):
+    for kind in (PolicyKind.ORACLE, PolicyKind.DQN_GREEDY, PolicyKind.FIXED_BEAM):
         bench.run_eval(cfg, ckpt, kind, cfg.eval_episodes, out)
     return out
 
@@ -77,6 +97,12 @@ def golden_outputs(tmp_path_factory):
 def test_output_bytes_match_the_golden_digest(golden_outputs, name):
     digest = hashlib.sha256(Path(golden_outputs, name).read_bytes()).hexdigest()
     assert digest == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(METRICS_GOLDEN))
+def test_metrics_and_fixed_beam_bytes_match_their_golden_digest(golden_outputs, name):
+    digest = hashlib.sha256(Path(golden_outputs, name).read_bytes()).hexdigest()
+    assert digest == METRICS_GOLDEN[name]
 
 
 def test_sweep_summary_bytes_match_the_golden_digest(tmp_path):

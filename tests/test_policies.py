@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from wirebeam.channel import BeamOrientation
-from wirebeam.env import CENTER_ACTION, apply_action, encode_action
-from wirebeam.policies import PolicyKind, fixed_action, oracle_action
+from wirebeam.channel import BeamOrientation, look_angles
+from wirebeam.env import CENTER_ACTION, N_ACTIONS, apply_action, encode_action
+from wirebeam.policies import PolicyKind, fixed_action, oracle_action, oracle_choice
 
 from test_env import make_env
 
@@ -38,21 +38,21 @@ class TestOracle:
     def test_on_target_holds(self):
         node = np.zeros(3)
         beam = look_beam(node, RX)
-        assert oracle_action(node, RX, beam, A) == CENTER_ACTION
+        assert oracle_action(look_angles(node, RX), beam, A) == CENTER_ACTION
 
     def test_single_axis_step_up(self):
         node = np.zeros(3)
         aligned = look_beam(node, RX)
         # steer 1 degree low in zenith; the target is then 1 degree higher
         beam = BeamOrientation(aligned.theta_s - A, aligned.phi_s)
-        assert oracle_action(node, RX, beam, A) == encode_action(1, 0)
+        assert oracle_action(look_angles(node, RX), beam, A) == encode_action(1, 0)
 
     def test_oblique_offset_matches_brute_force(self):
         node = np.zeros(3)
         aligned = look_beam(node, RX)
         beam = BeamOrientation(aligned.theta_s - math.radians(2.5),
                                aligned.phi_s + math.radians(1.7))
-        got = oracle_action(node, RX, beam, A)
+        got = oracle_action(look_angles(node, RX), beam, A)
         assert got == brute_best_action(node, RX, beam, A)
 
     def test_random_configurations_match_brute_force(self):
@@ -61,15 +61,14 @@ class TestOracle:
             node = rng.normal(scale=0.5, size=3)
             beam = BeamOrientation(rng.uniform(0.3, math.pi - 0.3),
                                    rng.uniform(-math.pi, math.pi))
-            assert oracle_action(node, RX, beam, A) == \
+            assert oracle_action(look_angles(node, RX), beam, A) == \
                 brute_best_action(node, RX, beam, A)
 
     def test_one_step_optimality_each_step(self):
         e = make_env(seed=17)
         for _ in range(50):
-            a = oracle_action(e.true_node_position, e.rx_position, e.beam,
-                              e.cfg.refine_angle)
-            best = brute_best_action(e.true_node_position, np.asarray(e.rx_position),
+            a = oracle_action(e.look, e.beam, e.cfg.refine_angle)
+            best = brute_best_action(e.true_node_position, e.channel_cfg.rx_position,
                                      e.beam, e.cfg.refine_angle)
             assert a == best
             e.step(a)
@@ -77,19 +76,76 @@ class TestOracle:
     def test_stationary_convergence_from_any_start(self):
         # reaches and holds angular error <= sqrt(2)*A/2 within bounded steps
         node = np.zeros(3)
-        target = look_beam(node, RX)
+        target, look = look_beam(node, RX), look_angles(node, RX)
         bound = math.degrees(math.sqrt(2.0) * A / 2.0)
         rng = np.random.default_rng(4)
         for _ in range(10):
             beam = BeamOrientation(target.theta_s + rng.uniform(-0.4, 0.4),
                                    target.phi_s + rng.uniform(-0.4, 0.4))
             for k in range(120):
-                beam = apply_action(beam, oracle_action(node, RX, beam, A), A)
+                beam = apply_action(beam, oracle_action(look, beam, A), A)
             for _ in range(30):
-                beam = apply_action(beam, oracle_action(node, RX, beam, A), A)
+                beam = apply_action(beam, oracle_action(look, beam, A), A)
                 err = math.degrees(math.acos(max(-1.0, min(
                     1.0, float(beam.unit_vector() @ target.unit_vector())))))
                 assert err <= bound + 1e-9
+
+
+def nine_orientation_oracle(look, beam, a):
+    """The oracle over nine `BeamOrientation`s, one `apply_action` per
+    candidate: the reference `oracle_choice` must match bit for bit."""
+    _, theta, phi = look
+    target = BeamOrientation(theta, phi).unit_vector()
+    best_action, best_angle = 0, math.inf
+    for idx in range(N_ACTIONS):
+        cand = apply_action(beam, idx, a).unit_vector()
+        ang = math.acos(max(-1.0, min(1.0, float(cand @ target))))
+        if ang < best_angle:
+            best_action, best_angle = idx, ang
+    return best_action, best_angle
+
+
+class TestOracleCandidates:
+    # zeniths and azimuths at and next to the wrap points, where a candidate
+    # steps past 0 or pi in zenith or past +-pi in azimuth
+    EDGE_ZENITHS = [0.0, 1e-12, 0.3 * A, A, 1.5 * A, math.pi - 1.5 * A, math.pi - A,
+                    math.pi - 0.3 * A, math.pi - 1e-12, math.pi]
+    EDGE_AZIMUTHS = [math.pi, math.pi - 1e-12, math.pi - 0.3 * A, math.pi - A,
+                     -math.pi + 1e-12, -math.pi + 0.3 * A, -math.pi + A, 0.0, -0.3 * A]
+
+    def looks_near(self, beam, rng, n):
+        """Look geometries of directions around the beam's, as a node sees them."""
+        u = beam.unit_vector()
+        return [look_angles(np.zeros(3), u + rng.normal(scale=s, size=3))
+                for s in rng.choice([1e-3, 0.02, 0.1, 1.0], size=n)]
+
+    @pytest.mark.parametrize("a", [A, math.radians(5.0)])
+    def test_matches_nine_orientations_at_the_wrap_points(self, a):
+        rng = np.random.default_rng(41)
+        for theta in self.EDGE_ZENITHS:
+            for phi in self.EDGE_AZIMUTHS:
+                beam = BeamOrientation(theta, phi)
+                for look in self.looks_near(beam, rng, 6):
+                    assert oracle_choice(look, beam, a) == nine_orientation_oracle(look, beam, a)
+
+    def test_matches_nine_orientations_on_random_beams(self):
+        rng = np.random.default_rng(42)
+        chosen = set()
+        for _ in range(2000):
+            beam = BeamOrientation(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
+            look = self.looks_near(beam, rng, 1)[0]
+            got = oracle_choice(look, beam, A)
+            assert got == nine_orientation_oracle(look, beam, A)
+            assert oracle_action(look, beam, A) == got[0]
+            chosen.add(got[0])
+        assert chosen == set(range(N_ACTIONS))
+
+    def test_ties_resolve_to_the_lowest_index(self):
+        # one step below zenith 0 every azimuth gives the same candidate
+        beam = BeamOrientation(A, 0.4)
+        look = look_angles(np.zeros(3), [0.0, 0.0, 1.0])
+        assert oracle_choice(look, beam, A) == nine_orientation_oracle(look, beam, A)
+        assert oracle_action(look, beam, A) == encode_action(-1, -1)
 
 
 class TestFixedBeam:
@@ -116,8 +172,7 @@ class TestDominance:
             total = []
             while not e.done:
                 if name == "oracle":
-                    a = oracle_action(e.true_node_position, e.rx_position, e.beam,
-                                      e.cfg.refine_angle)
+                    a = oracle_action(e.look, e.beam, e.cfg.refine_angle)
                 else:
                     a = policy()
                 total.append(e.step(a).raw_power_dbm)
