@@ -16,6 +16,13 @@ recorded before the look geometry was computed once per step and carried
 in each step record.  In this scenario the oracle never leaves the centre
 action, so its traces equal the fixed beam's.
 
+`MOVING` is the same scenario with a 0.05-degree refine step, small
+enough that the oracle leaves the centre action in 9 of its 40 steps.
+`MOVING_GOLDEN` pins its oracle and DQN traces and its metrics files, and
+`MOVING_SWEEP_GOLDEN` the cell metrics and summary of its sweep run in two
+forked workers.  They were recorded before the departure geometry became
+a plain tuple and the oracle's two functions became one.
+
 A tiny sweep over the same scenario pins the summary's bytes, both after
 a fresh run and after a resume pass that finds every cell cached; its
 digest was recorded before cached cells were checked against their echo.
@@ -23,6 +30,7 @@ The same sweep run in this process and in two forked workers writes the
 same summary and cells-file bytes.
 """
 
+import csv
 import hashlib
 import os
 from pathlib import Path
@@ -30,6 +38,7 @@ from pathlib import Path
 import pytest
 
 from wirebeam import bench, config
+from wirebeam.env import CENTER_ACTION
 from wirebeam.policies import PolicyKind
 
 TINY = {
@@ -78,31 +87,103 @@ METRICS_GOLDEN = {
         "22033829dd916980c2831dd7e264457d5bd0a5f59f4f00a293665095b0ff6c1b",
 }
 
+MOVING = {**TINY, "env.refine_angle_deg": "0.05"}
+MOVING_ORACLE_OFF_CENTRE = 9  # steps, of 2 episodes x 20
+
+MOVING_GOLDEN = {
+    "trace_oracle_ep000.csv":
+        "cc865736e92c2dfa8696074cba7199dd24d2d22945e77eafe4746dffeb8294a7",
+    "trace_oracle_ep001.csv":
+        "aaaeefc38241a43ab89b8f69278212fbf5ff9a5b2897ad3cfe71be7740170364",
+    "trace_dqn_ep000.csv":
+        "6af182610aecd2a095d0b0144ea782076874f2f37ce17f8eb2713bab35708e8c",
+    "trace_dqn_ep001.csv":
+        "a8272bd32ecc0e602174ce9c5c76059aefd66081f3771bf37ad957e648d524e8",
+    "metrics_oracle.json":
+        "d39a3de2f7bcb97db2eef6a6b50dc3034a8a88690cb5599f8911799d5d206fe7",
+    "metrics_dqn.json":
+        "0258305932a96814fc8f0027177d2a5538c255a812737338f2de206f8add0e15",
+    "metrics_fixed.json":
+        "f5c00c62a2309d76315880782135d6bcc104b3674231bc895914f9c941920787",
+}
+
 SWEEP = {**TINY, "sweep.axis": "mass", "sweep.values": "8, 12",
          "sweep.repetitions": "2", "sweep.policies": "oracle, fixed"}
 SWEEP_SUMMARY = "5b0a7edf4e08f00d8928896c8c16117f7e0f6db055cb947ee6789686c711ff4b"
 
+MOVING_SWEEP_GOLDEN = {
+    "cell_mass_8_rep0/metrics_oracle.json":
+        "3dbac8e8f139f5bcf6387af5dfec5b5d0bc91f3f57234e334660ce72336eb934",
+    "cell_mass_8_rep0/metrics_fixed.json":
+        "29e21c07fa264f01861b845629b305180e7f7559ca713c80db7a055da4547b65",
+    "cell_mass_8_rep1/metrics_oracle.json":
+        "02c4efcadb4db3d8b0b656084cbf528a011777ca2407596073911c2722943e65",
+    "cell_mass_8_rep1/metrics_fixed.json":
+        "c35f2e3cfcb2457164a280ce4820dcf829633faa2ebd4c339092cadde7fe23d3",
+    "cell_mass_12_rep0/metrics_oracle.json":
+        "7d2d58fce095ac3901b6ee2e3ae6cd0fce4a9bf6c7a0d3f8e5b7d823294cf634",
+    "cell_mass_12_rep0/metrics_fixed.json":
+        "a767fc6e17fa00217324aa3db821141b1423a19950340e6eda304e650f71197b",
+    "cell_mass_12_rep1/metrics_oracle.json":
+        "2922365385f2650347014797656c370bc04005f52c007b66a54b7f2556960168",
+    "cell_mass_12_rep1/metrics_fixed.json":
+        "57bc5963dc7afb52b4fbcd207180626d51c2f9588c95d5636d93e58785789626",
+    "sweep_mass_summary.csv":
+        "5c1367b6c207309fccd1c69a29357111bd042d2b609e990cde97037a35255005",
+}
 
-@pytest.fixture(scope="module")
-def golden_outputs(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden")
-    cfg = config.default_config(**TINY)
+
+def train_and_evaluate(values: dict, out: Path) -> Path:
+    cfg = config.default_config(**values)
     ckpt, _ = bench.run_train(cfg, out)
     for kind in (PolicyKind.ORACLE, PolicyKind.DQN_GREEDY, PolicyKind.FIXED_BEAM):
         bench.run_eval(cfg, ckpt, kind, cfg.eval_episodes, out)
     return out
 
 
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_outputs(tmp_path_factory):
+    return train_and_evaluate(TINY, tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def moving_outputs(tmp_path_factory):
+    return train_and_evaluate(MOVING, tmp_path_factory.mktemp("moving"))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_match_the_golden_digest(golden_outputs, name):
-    digest = hashlib.sha256(Path(golden_outputs, name).read_bytes()).hexdigest()
-    assert digest == GOLDEN[name]
+    assert sha256(golden_outputs / name) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(METRICS_GOLDEN))
 def test_metrics_and_fixed_beam_bytes_match_their_golden_digest(golden_outputs, name):
-    digest = hashlib.sha256(Path(golden_outputs, name).read_bytes()).hexdigest()
-    assert digest == METRICS_GOLDEN[name]
+    assert sha256(golden_outputs / name) == METRICS_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(MOVING_GOLDEN))
+def test_moving_oracle_bytes_match_their_golden_digest(moving_outputs, name):
+    assert sha256(moving_outputs / name) == MOVING_GOLDEN[name]
+
+
+def test_the_moving_oracle_leaves_the_centre_action(moving_outputs):
+    actions = [row["action"] for ep in (0, 1) for row in csv.DictReader(
+        open(moving_outputs / f"trace_oracle_ep{ep:03d}.csv", newline=""))]
+    assert len(actions) == 40
+    off_centre = sum(int(a) != CENTER_ACTION for a in actions)
+    assert off_centre == MOVING_ORACLE_OFF_CENTRE
+
+
+def test_moving_sweep_cell_bytes_match_their_golden_digest(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
+    cfg = config.default_config(**{**SWEEP, **MOVING})
+    bench.run_sweep(cfg, tmp_path)
+    assert {name: sha256(tmp_path / name) for name in MOVING_SWEEP_GOLDEN} \
+        == MOVING_SWEEP_GOLDEN
 
 
 def test_sweep_summary_bytes_match_the_golden_digest(tmp_path):
