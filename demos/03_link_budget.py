@@ -37,8 +37,8 @@ for deg in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 5.0):
     p = received_power(look, beam, cfg, array)
     print(f"  {deg:4.1f}deg  {p:10.2f} dBm  {p - p0:7.2f} dB")
 
-geo = aod_geometry(look, aligned)
-print(f"\ndeparture geometry at boresight: range {geo.range_m:.2f} m, "
-      f"relative angles ({geo.theta_aod:.1e}, {geo.phi_aod:.1e}) rad")
+r, theta_aod, phi_aod = aod_geometry(look, aligned)
+print(f"\ndeparture geometry at boresight: range {r:.2f} m, "
+      f"relative angles ({theta_aod:.1e}, {phi_aod:.1e}) rad")
 print("the 1-degree refinement grid sits well inside the ~3.2 deg vertical HPBW,")
 print("so a correctly steered beam loses only fractions of a dB to quantization.")

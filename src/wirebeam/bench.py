@@ -176,22 +176,18 @@ def _write_training_log(path, cfg: ExperimentConfig, log_rows: list[dict]):
             w.writerow([row.get(c, "") for c in cols])
 
 
-def load_trained_params(cfg: ExperimentConfig, checkpoint) -> dqn.MlpParams:
-    params, _, _, _ = dqn.load_checkpoint(checkpoint)
-    expected = (cfg.env.state_dim, *cfg.train.hidden_sizes, dqn.N_ACTIONS)
-    if params.dims != expected:
-        raise EvalError(f"checkpoint architecture {params.dims} does not match "
-                        f"the config architecture {expected}")
-    return params
-
-
 def load_policy(cfg: ExperimentConfig, kind: PolicyKind, checkpoint):
-    """The callable(env) -> action of `kind`; dqn loads its checkpoint."""
+    """The callable(env) -> action of `kind`; dqn loads its checkpoint,
+    whose architecture must match the config's."""
     params = None
     if kind is PolicyKind.DQN_GREEDY:
         if checkpoint is None:
             raise EvalError("dqn policy requires --checkpoint")
-        params = load_trained_params(cfg, checkpoint)
+        params, _, _, _ = dqn.load_checkpoint(checkpoint)
+        expected = (cfg.env.state_dim, *cfg.train.hidden_sizes, dqn.N_ACTIONS)
+        if params.dims != expected:
+            raise EvalError(f"checkpoint architecture {params.dims} does not match "
+                            f"the config architecture {expected}")
     return policy_callable(cfg, kind, params)
 
 

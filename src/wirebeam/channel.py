@@ -132,15 +132,6 @@ class ArrayConfig:
         return self.n_vertical * self.n_horizontal
 
 
-@dataclass(frozen=True)
-class DepartureGeometry:
-    """Range plus departure angles relative to the steering direction."""
-
-    range_m: float
-    theta_aod: float  # [rad]
-    phi_aod: float    # [rad]
-
-
 Look = tuple[float, float, float]  # (range [m], zenith [rad], azimuth [rad])
 
 
@@ -155,12 +146,11 @@ def look_angles(tx_pos, rx_pos) -> Look:
     return r, theta, phi
 
 
-def aod_geometry(look: Look, beam: BeamOrientation) -> DepartureGeometry:
-    """Departure geometry along the look geometry under the given steering."""
+def aod_geometry(look: Look, beam: BeamOrientation) -> tuple[float, float, float]:
+    """(range [m], theta_aod, phi_aod [rad]): the look geometry's angles
+    relative to the steering direction."""
     r, theta, phi = look
-    return DepartureGeometry(range_m=r,
-                             theta_aod=theta - beam.theta_s,
-                             phi_aod=wrap_azimuth(phi - beam.phi_s))
+    return r, theta - beam.theta_s, wrap_azimuth(phi - beam.phi_s)
 
 
 def element_gain(theta: float, phi: float) -> float:
@@ -219,11 +209,11 @@ def received_power(look: Look, beam: BeamOrientation,
                    ch: ChannelConfig, ar: ArrayConfig) -> float:
     """Received power [dBm] from the node with look geometry `look` under
     the given steering."""
-    geo = aod_geometry(look, beam)
-    g_tx = (element_gain(geo.theta_aod, geo.phi_aod)
-            + array_factor(geo.theta_aod, geo.phi_aod, beam, ar, ch.wavelength))
+    r, theta_aod, phi_aod = aod_geometry(look, beam)
+    g_tx = (element_gain(theta_aod, phi_aod)
+            + array_factor(theta_aod, phi_aod, beam, ar, ch.wavelength))
     return (ch.tx_power_dbm + g_tx + ch.rx_gain_dbi + ch.beta_db
-            - 10.0 * ch.pathloss_exponent * math.log10(geo.range_m))
+            - 10.0 * ch.pathloss_exponent * math.log10(r))
 
 
 def boresight_power(look: Look, ch: ChannelConfig, ar: ArrayConfig) -> float:

@@ -461,7 +461,7 @@ def load_checkpoint(path) -> tuple[MlpParams, AdamState, int, str]:
             raise ValueError(f"{path} is not a checkpoint file")
         version, n_dims = struct.unpack("<II", _read_header(fh, path, 8))
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
         dims = struct.unpack(f"<{n_dims}I", _read_header(fh, path, 4 * n_dims))
         adam_t, global_step, blob_len = struct.unpack("<QQQ", _read_header(fh, path, 24))
         config_json = _read_header(fh, path, blob_len).decode("utf-8")

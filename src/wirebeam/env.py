@@ -147,13 +147,6 @@ def decode_action(index: int) -> tuple[int, int]:
     return index // 3 - 1, index % 3 - 1
 
 
-def encode_action(d_theta: int, d_phi: int) -> int:
-    """Inverse of decode_action; steps must each be -1, 0 or +1."""
-    if d_theta not in (-1, 0, 1) or d_phi not in (-1, 0, 1):
-        raise ValueError("steps must be -1, 0 or +1")
-    return (d_theta + 1) * 3 + (d_phi + 1)
-
-
 def apply_action(beam: BeamOrientation, action: int, refine_angle: float) -> BeamOrientation:
     """Steer by the decoded (d_theta, d_phi)*A; the result is re-wrapped."""
     d_theta, d_phi = decode_action(action)

@@ -24,10 +24,9 @@ class PolicyKind(enum.Enum):
     DQN_GREEDY = "dqn"
 
 
-def oracle_choice(look: Look, beam: BeamOrientation,
-                  refine_angle: float) -> tuple[int, float]:
-    """(grid action, angle [rad]) minimizing the post-action angle to the
-    look direction `look`.  Ties resolve to the lowest index.
+def oracle_action(look: Look, beam: BeamOrientation, refine_angle: float) -> int:
+    """Grid action minimizing the post-action angle to the look direction
+    `look`.  Ties resolve to the lowest index.
 
     The nine candidates are the unit vectors of `apply_action`'s steerings,
     built from its three wrapped zenith and three wrapped azimuth angles
@@ -48,13 +47,7 @@ def oracle_choice(look: Look, beam: BeamOrientation,
             ang = math.acos(max(-1.0, min(1.0, float(candidate.dot(target)))))
             if ang < best_angle:
                 best_action, best_angle = 3 * i + j, ang
-    return best_action, best_angle
-
-
-def oracle_action(look: Look, beam: BeamOrientation, refine_angle: float) -> int:
-    """Grid action minimizing the post-action angle to the look direction
-    `look` (see `oracle_choice`)."""
-    return oracle_choice(look, beam, refine_angle)[0]
+    return best_action
 
 
 def fixed_action() -> int:

@@ -201,10 +201,6 @@ class ImpulseEvent:
         lo, hi = first - eps, first + n_sub * dt - eps
         return lambda t: lo <= t < hi
 
-    def active_at(self, t: float, dt: float) -> bool:
-        """True when the force acts during the substep starting at t."""
-        return self.acts(dt)(t)
-
 
 class Forcing:
     """Impulse events placed on the points of a state, for substeps of dt.

@@ -1,5 +1,7 @@
 """Bench harness: training/eval runs, sweeps, CLI, output files."""
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -241,27 +243,30 @@ class TestSweepCellBatch:
         cfg = tiny_cfg(**self.SWEEP)
         run_sweep(cfg, out_dir=tmp_path / "sweep")
         # counted in this process: a sweep's cells may run in worker processes
-        calls, real_step = [], wire.step
+        streams, real_trajectory = [], wire.trajectory
 
-        def counting_step(*args, **kwargs):
-            calls.append(1)
-            return real_step(*args, **kwargs)
-        monkeypatch.setattr(wire, "step", counting_step)
-        one_batch = cfg.env.substeps_per_tau * cfg.env.episode_steps
+        def counting_trajectory(*args, **kwargs):  # states drawn, per stream started
+            i = len(streams)
+            streams.append(0)
+            for state in real_trajectory(*args, **kwargs):
+                streams[i] += 1
+                yield state
+        monkeypatch.setattr(wire, "trajectory", counting_trajectory)
+        one_batch = cfg.env.episode_steps + 1  # the equilibrium, then one per step
         names = [f"metrics_{kind.value}.json" for kind in self.KINDS]
         for vi, value in enumerate(cfg.sweep.values):
             cell_cfg = bench.sweep_cell_config(cfg, "mass", value, derive_seed(cfg.seed, vi, 0))
             cell = tmp_path / f"cell_{value:g}"
             cell.mkdir()
-            calls.clear()
+            streams.clear()
             outcomes = bench.run_sweep_cell(cell_cfg, cell, [k.value for k in self.KINDS])
-            assert len(calls) == one_batch  # one batch for the cell's policies
+            assert streams == [one_batch]  # one batch for the cell's policies
             assert [outcomes[k.value][0] for k in self.KINDS] == ["ok", "ok"]
-            calls.clear()
+            streams.clear()
             alone = tmp_path / f"alone_{value:g}"
             for kind in self.KINDS:
                 run_eval(cell_cfg, None, kind, cell_cfg.eval_episodes, alone)
-            assert len(calls) == 2 * one_batch  # one batch per run_eval
+            assert streams == [one_batch] * 2  # one batch per run_eval
             for name in names:
                 swept = tmp_path / "sweep" / f"cell_mass_{value:g}_rep0" / name
                 assert swept.read_bytes() == (cell / name).read_bytes() == \
@@ -424,6 +429,30 @@ class TestHelpers:
             "theta_deg,phi_deg,af_db,element_db,total_db"
         t = bench.export_trajectory(cfg, tmp_path, duration=0.05)
         assert t.read_text().splitlines()[0].startswith("time_s,point_index")
+
+
+def perfbench_span_targets() -> list[tuple[str, str]]:
+    """(module, attribute path) of each entry of the benchmark's
+    `TRACE_TARGETS`, read from its source without importing it."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    assign = next(node for node in ast.parse(source.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACE_TARGETS"])
+    return [(ast.literal_eval(e.elts[0]), ast.literal_eval(e.elts[1])) for e in assign.value.elts]
+
+
+def test_every_perfbench_span_target_exists():
+    # the tracer skips a missing target silently: its layer would read 0
+    targets = perfbench_span_targets()
+    assert ("wirebeam.policies", "oracle_action") in targets
+    missing = []
+    for module, path in targets:
+        owner = importlib.import_module(module)
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{module}:{path}")
+    assert missing == []
 
 
 class TestCli:

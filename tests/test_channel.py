@@ -57,24 +57,23 @@ class TestWrapping:
 
 class TestAodGeometry:
     def test_boresight_alignment(self):
-        geo = ch.aod_geometry(ch.look_angles([0, 0, 0], [0, 5, 0]),
-                              ch.BeamOrientation(math.pi / 2, math.pi / 2))
-        assert geo.range_m == pytest.approx(5.0)
-        assert geo.theta_aod == pytest.approx(0.0, abs=1e-12)
-        assert geo.phi_aod == pytest.approx(0.0, abs=1e-12)
+        r, theta_aod, phi_aod = ch.aod_geometry(ch.look_angles([0, 0, 0], [0, 5, 0]),
+                                                ch.BeamOrientation(math.pi / 2, math.pi / 2))
+        assert r == pytest.approx(5.0)
+        assert theta_aod == pytest.approx(0.0, abs=1e-12)
+        assert phi_aod == pytest.approx(0.0, abs=1e-12)
 
     def test_directly_overhead(self):
-        geo = ch.aod_geometry(ch.look_angles([0, 0, 0], [0, 0, 5]),
-                              ch.BeamOrientation(0.0, 0.0))
-        assert geo.theta_aod == pytest.approx(0.0, abs=1e-12)
+        _, theta_aod, _ = ch.aod_geometry(ch.look_angles([0, 0, 0], [0, 0, 5]),
+                                          ch.BeamOrientation(0.0, 0.0))
+        assert theta_aod == pytest.approx(0.0, abs=1e-12)
 
     def test_offset_transmitter_trigonometry(self):
         # independent hand computation: r = sqrt(25.01), zenith = acos(0.1/r)
-        geo = ch.aod_geometry(ch.look_angles([0, 0, -0.1], [0, 5, 0]),
-                              ch.BeamOrientation(0.0, 0.0))
-        r = math.sqrt(25.01)
-        assert geo.range_m == pytest.approx(r, rel=1e-12)
-        assert geo.theta_aod == pytest.approx(math.acos(0.1 / r), rel=1e-12)
+        r, theta_aod, _ = ch.aod_geometry(ch.look_angles([0, 0, -0.1], [0, 5, 0]),
+                                          ch.BeamOrientation(0.0, 0.0))
+        assert r == pytest.approx(math.sqrt(25.01), rel=1e-12)
+        assert theta_aod == pytest.approx(math.acos(0.1 / math.sqrt(25.01)), rel=1e-12)
 
     def test_coincident_positions_raise(self):
         with pytest.raises(ch.GeometryDegenerateError):
@@ -85,9 +84,9 @@ class TestAodGeometry:
         rng = np.random.default_rng(5)
         for _ in range(20):
             look = ch.look_angles(rng.normal(scale=1.0, size=3), [0.3, 4.7, 0.2])
-            geo = ch.aod_geometry(look, ch.BeamOrientation(look[1], look[2]))
-            assert abs(geo.theta_aod) < 1e-12
-            assert abs(geo.phi_aod) < 1e-12
+            _, theta_aod, phi_aod = ch.aod_geometry(look, ch.BeamOrientation(look[1], look[2]))
+            assert abs(theta_aod) < 1e-12
+            assert abs(phi_aod) < 1e-12
 
 
 class TestElementGain:
@@ -205,10 +204,9 @@ class TestReceivedPower:
         tx = [0, 0, 0]
 
         def g_tx(beam):
-            geo = ch.aod_geometry(ch.look_angles(tx, cfg.rx_position), beam)
-            return (ch.element_gain(geo.theta_aod, geo.phi_aod)
-                    + ch.array_factor(geo.theta_aod, geo.phi_aod, beam,
-                                      TABLE_ARRAY, cfg.wavelength))
+            _, theta_aod, phi_aod = ch.aod_geometry(ch.look_angles(tx, cfg.rx_position), beam)
+            return (ch.element_gain(theta_aod, phi_aod)
+                    + ch.array_factor(theta_aod, phi_aod, beam, TABLE_ARRAY, cfg.wavelength))
 
         drop = power_from(tx, aligned, cfg) - power_from(tx, flipped, cfg)
         assert drop == pytest.approx(g_tx(aligned) - g_tx(flipped), abs=1e-9)

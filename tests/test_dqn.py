@@ -522,6 +522,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint header is cut short")):
             dqn.load_checkpoint(path)
 
+    def test_unsupported_version_names_the_path(self, tmp_path):
+        params = tiny_params(np.random.default_rng(21))
+        path = tmp_path / "ckpt.bin"
+        dqn.save_checkpoint(path, params, init_adam(params), 0, "{}")
+        raw = path.read_bytes()  # the version is the u32 after the 4-byte magic
+        path.write_bytes(raw[:4] + struct.pack("<I", 99) + raw[8:])
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: unsupported checkpoint version 99")):
+            dqn.load_checkpoint(path)
+
     @pytest.mark.parametrize("which", sorted(OVERSIZED_HEADERS))
     def test_oversized_header_lengths_are_refused_before_reading(self, tmp_path, which):
         path = tmp_path / "ckpt.bin"

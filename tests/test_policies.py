@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from wirebeam.channel import BeamOrientation, look_angles
-from wirebeam.env import CENTER_ACTION, N_ACTIONS, apply_action, encode_action
-from wirebeam.policies import PolicyKind, fixed_action, oracle_action, oracle_choice
+from wirebeam.env import CENTER_ACTION, N_ACTIONS, apply_action, decode_action
+from wirebeam.policies import PolicyKind, fixed_action, oracle_action
 
 from test_env import make_env
 
 A = math.radians(1.0)
 RX = np.array([0.0, 5.0, 0.23])
+ACTION = {decode_action(a): a for a in range(N_ACTIONS)}  # (d_theta, d_phi) -> index
 
 
 def brute_best_action(node, rx, beam, a):
@@ -45,7 +46,7 @@ class TestOracle:
         aligned = look_beam(node, RX)
         # steer 1 degree low in zenith; the target is then 1 degree higher
         beam = BeamOrientation(aligned.theta_s - A, aligned.phi_s)
-        assert oracle_action(look_angles(node, RX), beam, A) == encode_action(1, 0)
+        assert oracle_action(look_angles(node, RX), beam, A) == ACTION[1, 0]
 
     def test_oblique_offset_matches_brute_force(self):
         node = np.zeros(3)
@@ -93,7 +94,7 @@ class TestOracle:
 
 def nine_orientation_oracle(look, beam, a):
     """The oracle over nine `BeamOrientation`s, one `apply_action` per
-    candidate: the reference `oracle_choice` must match bit for bit."""
+    candidate: the reference `oracle_action` must match."""
     _, theta, phi = look
     target = BeamOrientation(theta, phi).unit_vector()
     best_action, best_angle = 0, math.inf
@@ -102,7 +103,7 @@ def nine_orientation_oracle(look, beam, a):
         ang = math.acos(max(-1.0, min(1.0, float(cand @ target))))
         if ang < best_angle:
             best_action, best_angle = idx, ang
-    return best_action, best_angle
+    return best_action
 
 
 class TestOracleCandidates:
@@ -126,7 +127,7 @@ class TestOracleCandidates:
             for phi in self.EDGE_AZIMUTHS:
                 beam = BeamOrientation(theta, phi)
                 for look in self.looks_near(beam, rng, 6):
-                    assert oracle_choice(look, beam, a) == nine_orientation_oracle(look, beam, a)
+                    assert oracle_action(look, beam, a) == nine_orientation_oracle(look, beam, a)
 
     def test_matches_nine_orientations_on_random_beams(self):
         rng = np.random.default_rng(42)
@@ -134,18 +135,17 @@ class TestOracleCandidates:
         for _ in range(2000):
             beam = BeamOrientation(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
             look = self.looks_near(beam, rng, 1)[0]
-            got = oracle_choice(look, beam, A)
+            got = oracle_action(look, beam, A)
             assert got == nine_orientation_oracle(look, beam, A)
-            assert oracle_action(look, beam, A) == got[0]
-            chosen.add(got[0])
+            chosen.add(got)
         assert chosen == set(range(N_ACTIONS))
 
     def test_ties_resolve_to_the_lowest_index(self):
         # one step below zenith 0 every azimuth gives the same candidate
         beam = BeamOrientation(A, 0.4)
         look = look_angles(np.zeros(3), [0.0, 0.0, 1.0])
-        assert oracle_choice(look, beam, A) == nine_orientation_oracle(look, beam, A)
-        assert oracle_action(look, beam, A) == encode_action(-1, -1)
+        assert oracle_action(look, beam, A) == nine_orientation_oracle(look, beam, A) \
+            == ACTION[-1, -1]
 
 
 class TestFixedBeam:

@@ -287,9 +287,10 @@ class TestImpulse:
     def test_single_substep_window(self):
         ev = wire.ImpulseEvent(point_number=4, force=[0, 0, 470], apply_time=1.0)
         dt = 1e-3
-        assert ev.active_at(1.0, dt)
-        assert not ev.active_at(1.0 - dt, dt)
-        assert not ev.active_at(1.0 + dt, dt)
+        acts = ev.acts(dt)
+        assert acts(1.0)
+        assert not acts(1.0 - dt)
+        assert not acts(1.0 + dt)
 
     def test_single_substep_velocity_kick(self):
         params = quiet_params(gravity=np.zeros(3))
@@ -306,7 +307,7 @@ class TestImpulse:
         ev = wire.ImpulseEvent(point_number=4, force=[0, 0, 470], apply_time=1.0,
                                duration_s=0.01)
         dt = 1e-3
-        active = [t for t in np.arange(0.99, 1.02, dt) if ev.active_at(t, dt)]
+        active = [t for t in np.arange(0.99, 1.02, dt) if ev.acts(dt)(t)]
         assert len(active) == 10
         assert active[0] == pytest.approx(1.0)
 
