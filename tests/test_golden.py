@@ -172,7 +172,7 @@ def test_moving_oracle_bytes_match_their_golden_digest(moving_outputs, name):
 
 def test_the_moving_oracle_leaves_the_centre_action(moving_outputs):
     actions = [row["action"] for ep in (0, 1) for row in csv.DictReader(
-        open(moving_outputs / f"trace_oracle_ep{ep:03d}.csv", newline=""))]
+        (moving_outputs / f"trace_oracle_ep{ep:03d}.csv").read_text().splitlines())]
     assert len(actions) == 40
     off_centre = sum(int(a) != CENTER_ACTION for a in actions)
     assert off_centre == MOVING_ORACLE_OFF_CENTRE

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from wirebeam.channel import BeamOrientation, look_angles
-from wirebeam.env import CENTER_ACTION, N_ACTIONS, apply_action, decode_action
+from wirebeam.env import CENTER_ACTION, N_ACTIONS, apply_action
 from wirebeam.policies import PolicyKind, fixed_action, oracle_action
 
-from test_env import make_env
+from test_env import ACTION, make_env
 
 A = math.radians(1.0)
 RX = np.array([0.0, 5.0, 0.23])
-ACTION = {decode_action(a): a for a in range(N_ACTIONS)}  # (d_theta, d_phi) -> index
 
 
 def brute_best_action(node, rx, beam, a):
