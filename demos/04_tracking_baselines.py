@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wirebeam.bench import make_env, policy_callable, rollout_episode
+from wirebeam.bench import make_envs, policy_callable, rollout_episode
 from wirebeam.config import default_config
 from wirebeam.env import angle_error_deg, write_trace_csv
 from wirebeam.policies import PolicyKind
@@ -22,10 +22,10 @@ SEED = 11
 
 results, errors = {}, {}
 for kind in (PolicyKind.ORACLE, PolicyKind.FIXED_BEAM):
-    env = make_env(cfg, SEED)
+    env = make_envs(cfg, [SEED])[0]
     results[kind] = rollout_episode(env, policy_callable(cfg, kind))
-    errors[kind] = [angle_error_deg(r.look, r.beam) for r in results[kind].rows]
-    write_trace_csv(OUT / f"episode_{kind.value}.csv", results[kind].rows,
+    errors[kind] = [angle_error_deg(r.look, r.beam) for r in results[kind]]
+    write_trace_csv(OUT / f"episode_{kind.value}.csv", results[kind],
                     cfg.channel, cfg.array)
 
 print("time    oracle dBm   fixed dBm   oracle err   fixed err")
@@ -33,12 +33,12 @@ for k in range(0, 300, 30):
     ro = results[PolicyKind.ORACLE]
     rf = results[PolicyKind.FIXED_BEAM]
     eo, ef = errors[PolicyKind.ORACLE], errors[PolicyKind.FIXED_BEAM]
-    print(f"{(k + 1) * 0.01:4.2f}s  {ro.rows[k].raw_power_dbm:10.2f} "
-          f"{rf.rows[k].raw_power_dbm:11.2f} "
+    print(f"{(k + 1) * 0.01:4.2f}s  {ro[k].raw_power_dbm:10.2f} "
+          f"{rf[k].raw_power_dbm:11.2f} "
           f"{eo[k]:10.2f}d {ef[k]:10.2f}d")
 
-for kind, res in results.items():
-    powers = [r.raw_power_dbm for r in res.rows]
+for kind, rows in results.items():
+    powers = [r.raw_power_dbm for r in rows]
     print(f"\n{kind.value:>6}: mean {np.mean(powers):7.2f} dBm, "
           f"worst {np.min(powers):7.2f} dBm, "
           f"mean angle error {np.mean(errors[kind]):.2f} deg")

@@ -9,6 +9,7 @@ Subpackage map:
 - policies: oracle and fixed-beam references
 - config:   experiment configuration files
 - bench:    training/evaluation/sweep orchestration and file outputs
+- files:    whole-or-nothing file writes
 """
 
 __version__ = "0.1.0"

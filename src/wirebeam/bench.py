@@ -5,8 +5,8 @@ config echo and seed, so such a result is re-derivable from the file
 alone.  Policy comparisons inside a sweep cell share identical environment
 seeds (paired-seed discipline), and completed sweep cells are skipped on
 re-run: a metrics file or checkpoint counts as done only when it loads
-and carries its cell's config echo.  Every file written here except the
-episode traces and exports lands whole or not at all.  An evaluation
+and carries its cell's config echo.  Every file written here lands whole
+or not at all (`files.atomic_open`).  An evaluation
 (`evaluate_policies`) builds the envs of all its policies and episodes
 together (`make_envs`) over one batch with one column per seed: the wire
 never reads the beam, so each episode's wire advances once and every
@@ -35,6 +35,7 @@ from .channel import write_pattern_csv
 from .config import SWEEP_AXES, ConfigError, ExperimentConfig, build_config
 from .env import (BeamTrackingEnv, EpisodeBatch, StepOutcome, angle_error_deg,
                   rollout, write_trace_csv)
+from .files import atomic_open
 from .policies import PolicyKind, fixed_action, oracle_action
 from .wire import simulate_trajectory, write_trajectory_csv
 
@@ -51,19 +52,10 @@ def derive_seed(base: int, *key: int) -> int:
 
 
 def make_envs(cfg: ExperimentConfig, seeds) -> list[BeamTrackingEnv]:
-    """One env per seed, their wire states advanced together in one
-    `EpisodeBatch`; envs of a repeated seed read the same column."""
+    """One env per seed over one `EpisodeBatch`, the one way envs are built;
+    envs of a repeated seed read the same column."""
     batch = EpisodeBatch(cfg.env, cfg.wire, cfg.wind, seeds)
-    return [BeamTrackingEnv(cfg.env, cfg.wire, cfg.wind, cfg.channel, cfg.array, seed, batch)
-            for seed in seeds]
-
-
-def make_env(cfg: ExperimentConfig, seed: int) -> BeamTrackingEnv:
-    return make_envs(cfg, [seed])[0]
-
-
-def env_factory(cfg: ExperimentConfig):
-    return lambda seed: make_env(cfg, seed)
+    return [BeamTrackingEnv(batch, seed, cfg.channel, cfg.array) for seed in seeds]
 
 
 def policy_callable(cfg: ExperimentConfig, kind: PolicyKind,
@@ -82,25 +74,19 @@ def policy_callable(cfg: ExperimentConfig, kind: PolicyKind,
 # rollouts and metrics
 # --------------------------------------------------------------------------
 
-@dataclass
-class EpisodeResult:
-    rows: list[StepOutcome]  # one per step, from the episode's start
-    impulse_time: float | None
+def rollout_episode(env: BeamTrackingEnv, policy_fn) -> list[StepOutcome]:
+    """The whole episode under `policy_fn` from a fresh env, one outcome a step."""
+    return rollout(env, policy_fn, env.cfg.episode_steps)
 
 
-def rollout_episode(env: BeamTrackingEnv, policy_fn) -> EpisodeResult:
-    """The whole episode under `policy_fn`, from a fresh env."""
-    return EpisodeResult(rows=rollout(env, policy_fn, env.cfg.episode_steps),
-                         impulse_time=env.schedule.impulse_time)
-
-
-def post_impulse_window(result: EpisodeResult, tau: float) -> list[float]:
-    """Powers at the steps within (t_impulse, t_impulse + 300 ms]."""
-    t0 = result.impulse_time
+def post_impulse_window(env: BeamTrackingEnv, outcomes: list[StepOutcome]) -> list[float]:
+    """Powers at the steps of `env`'s episode, rolled out from its start,
+    within (t_impulse, t_impulse + 300 ms]."""
+    t0 = env.schedule.impulse_time
     if t0 is None:
         return []
-    lo, hi = t0, t0 + POST_IMPULSE_WINDOW_S
-    return [r.raw_power_dbm for k, r in enumerate(result.rows, start=1)
+    lo, hi, tau = t0, t0 + POST_IMPULSE_WINDOW_S, env.cfg.tau
+    return [r.raw_power_dbm for k, r in enumerate(outcomes, start=1)
             if lo < k * tau <= hi + 1e-9]
 
 
@@ -121,14 +107,14 @@ class MetricsRecord:
         return json.dumps(d, sort_keys=True)
 
 
-def aggregate_metrics(cfg: ExperimentConfig, policy: str,
-                      results: list[EpisodeResult]) -> MetricsRecord:
-    powers = [r.raw_power_dbm for res in results for r in res.rows]
-    errors = [angle_error_deg(r.look, r.beam) for res in results for r in res.rows]
-    windows = [post_impulse_window(res, cfg.env.tau) for res in results]
+def aggregate_metrics(cfg: ExperimentConfig, policy: str, envs: list[BeamTrackingEnv],
+                      rollouts: list[list[StepOutcome]]) -> MetricsRecord:
+    powers = [r.raw_power_dbm for rows in rollouts for r in rows]
+    errors = [angle_error_deg(r.look, r.beam) for rows in rollouts for r in rows]
+    windows = [post_impulse_window(env, rows) for env, rows in zip(envs, rollouts)]
     window_means = [float(np.mean(w)) for w in windows if w]
     post = float(np.mean(window_means)) if window_means else None
-    return MetricsRecord(policy=policy, episodes=len(results),
+    return MetricsRecord(policy=policy, episodes=len(rollouts),
                          mean_power_dbm=float(np.mean(powers)),
                          mean_power_post_impulse_dbm=post,
                          mean_angle_error_deg=float(np.mean(errors)),
@@ -148,7 +134,8 @@ def run_train(cfg: ExperimentConfig, out_dir=None) -> tuple[Path, Path]:
         "oracle": policy_callable(cfg, PolicyKind.ORACLE),
         "fixed": policy_callable(cfg, PolicyKind.FIXED_BEAM),
     }
-    result = dqn.train(env_factory(cfg), cfg.train, cfg.seed, baselines)
+    result = dqn.train(lambda seed: make_envs(cfg, [seed])[0], cfg.train, cfg.seed,
+                       baselines)
 
     ckpt_path = out / "checkpoint.bin"
     dqn.save_checkpoint(ckpt_path, result.params, result.adam,
@@ -168,7 +155,7 @@ def run_train(cfg: ExperimentConfig, out_dir=None) -> tuple[Path, Path]:
 def _write_training_log(path, cfg: ExperimentConfig, log_rows: list[dict]):
     cols = ["global_step", "phase", "mean_eval_power_dbm", "mean_proxy_reward",
             "loss", "mean_oracle_power_dbm", "mean_fixed_power_dbm", "eval_seed"]
-    with dqn.atomic_open(path, newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write("# config " + cfg.echo_json() + "\n")
         w = csv.writer(fh)
         w.writerow(cols)
@@ -219,13 +206,13 @@ def _evaluate(cfg: ExperimentConfig, name: str, fn, envs, trace_dir) -> MetricsR
     """One policy's metrics over `envs`, with their traces in `trace_dir` if
     given; the step records are dropped on return, before the next policy
     runs."""
-    results = [rollout_episode(env, fn) for env in envs]
+    rollouts = [rollout_episode(env, fn) for env in envs]
     if trace_dir is not None:
         trace_dir.mkdir(parents=True, exist_ok=True)
-        for ep, res in enumerate(results):
-            write_trace_csv(trace_dir / f"trace_{name}_ep{ep:03d}.csv", res.rows,
+        for ep, rows in enumerate(rollouts):
+            write_trace_csv(trace_dir / f"trace_{name}_ep{ep:03d}.csv", rows,
                             cfg.channel, cfg.array)
-    return aggregate_metrics(cfg, name, results)
+    return aggregate_metrics(cfg, name, envs, rollouts)
 
 
 def run_eval(cfg: ExperimentConfig, checkpoint, policy: PolicyKind,
@@ -245,7 +232,7 @@ def run_eval(cfg: ExperimentConfig, checkpoint, policy: PolicyKind,
 
 
 def _write_text(path, text: str):
-    with dqn.atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         fh.write(text)
 
 
@@ -418,7 +405,7 @@ def _write_sweep_summary(path, cfg, sweep, records):
                 row.append(f"{np.mean(vals):.6f}" if vals else "")
                 row.append(f"{np.std(vals):.6f}" if vals else "")
             rows.append(row)
-    with dqn.atomic_open(path, newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write("# config " + cfg.echo_json() + "\n")
         w = csv.writer(fh)
         w.writerow(["axis", "value", "policy", "n",
@@ -440,7 +427,7 @@ def export_pattern(cfg: ExperimentConfig, out_dir=None, span_deg: float = 60.0,
                           f"got step_deg = {step_deg:g}, span_deg = {span_deg:g}")
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    env = make_env(cfg, cfg.seed)
+    env = make_envs(cfg, [cfg.seed])[0]
     path = out / "pattern.csv"
     write_pattern_csv(path, env.beam, cfg.channel, cfg.array, span_deg, step_deg)
     return path

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import atomic_open
+
 ELEMENT_MAX_GAIN_DBI = 8.0             # boresight element gain
 ELEMENT_HPBW_RAD = math.radians(65.0)  # half-power beamwidth of each cut
 ELEMENT_SIDELOBE_DB = 30.0             # per-cut and combined attenuation floor
@@ -133,6 +135,7 @@ class ArrayConfig:
 
 
 Look = tuple[float, float, float]  # (range [m], zenith [rad], azimuth [rad])
+_ANY_STEERING = BeamOrientation(0.0, 0.0)  # at zero relative angles, any steering
 
 
 def look_angles(tx_pos, rx_pos) -> Look:
@@ -217,18 +220,20 @@ def received_power(look: Look, beam: BeamOrientation,
 
 
 def boresight_power(look: Look, ch: ChannelConfig, ar: ArrayConfig) -> float:
-    """Power [dBm] with the main lobe aimed exactly at the receiver."""
-    _, theta, phi = look
-    return received_power(look, BeamOrientation(theta, phi), ch, ar)
+    """Power [dBm] with the main lobe aimed exactly at the receiver: peak
+    element gain, and the array factor at zero relative angles."""
+    g_tx = ELEMENT_MAX_GAIN_DBI + array_factor(0.0, 0.0, _ANY_STEERING, ar, ch.wavelength)
+    return (ch.tx_power_dbm + g_tx + ch.rx_gain_dbi + ch.beta_db
+            - 10.0 * ch.pathloss_exponent * math.log10(look[0]))
 
 
 def write_pattern_csv(path, beam: BeamOrientation, ch: ChannelConfig,
                       ar: ArrayConfig, span_deg: float = 60.0,
                       step_deg: float = 1.0):
-    """Export the gain pattern over a +-span grid of relative angles,
-    one row per (theta, phi) sample."""
+    """Export the gain pattern over a +-span grid of relative angles, one
+    row per (theta, phi) sample, written whole or not at all."""
     angles = np.arange(-span_deg, span_deg + 1e-9, step_deg)
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["theta_deg", "phi_deg", "af_db", "element_db", "total_db"])
         for th_d in angles:

@@ -183,7 +183,7 @@ class ExperimentConfig:
 # --------------------------------------------------------------------------
 
 def _parse_file(path) -> dict[str, str]:
-    values = {}
+    values, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -197,7 +197,10 @@ def _parse_file(path) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if not val:
                 raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-            values[key] = val
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: {key!r} is set twice, on lines "
+                                  f"{lines[key]} and {lineno}")
+            values[key], lines[key] = val, lineno
     return values
 
 

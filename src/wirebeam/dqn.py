@@ -9,18 +9,17 @@ fixed seed reproduces parameters bit for bit.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .env import N_ACTIONS, rollout
+from .files import atomic_open
 
 CHECKPOINT_MAGIC = b"WBQN"
 CHECKPOINT_VERSION = 1
@@ -317,12 +316,12 @@ def _segment(env, policy_fn, steps: int) -> tuple[float, float]:
             float(np.mean([o.proxy_reward for o in outcomes])))
 
 
-def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
+def train(build_env: Callable[[int], object], cfg: TrainConfig, seed: int,
           baseline_policies: dict[str, Callable] | None = None) -> TrainResult:
     """Run the full DQN protocol and return parameters plus the phase log.
 
-    env_factory(seed) must build a fresh episode handle exposing
-    .state_vector and .step(action) -> StepOutcome.  Every
+    build_env(seed) must build a fresh episode handle, one per training
+    episode or segment, exposing .state_vector and .step(action).  Every
     update_period_steps environment steps (once the buffer holds a full
     sample block), outer_iterations blocks of sample_block transitions are
     drawn and fitted for `epochs` passes of minibatch Adam updates; the
@@ -331,7 +330,7 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
     with any baseline policies run on the same evaluation seed.
     """
     rng = np.random.default_rng(seed)
-    env = env_factory(int(rng.integers(2 ** 63)))
+    env = build_env(int(rng.integers(2 ** 63)))
     s = np.asarray(env.state_vector, float)
     input_dim = s.size
 
@@ -349,7 +348,7 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
         buffer.push(s, action, out.proxy_reward, out.next_state, out.episode_done)
         s = np.asarray(out.next_state, float)
         if out.episode_done:
-            env = env_factory(int(rng.integers(2 ** 63)))
+            env = build_env(int(rng.integers(2 ** 63)))
             s = np.asarray(env.state_vector, float)
 
         if global_step % cfg.target_sync_steps == 0:
@@ -380,7 +379,7 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
                         losses.append(loss)
 
             eval_seed = int(rng.integers(2 ** 63))
-            mean_power, mean_reward = _segment(env_factory(eval_seed),
+            mean_power, mean_reward = _segment(build_env(eval_seed),
                                                greedy_policy(params), cfg.eval_steps)
             row = {"global_step": global_step, "phase": phase,
                    "mean_eval_power_dbm": mean_power,
@@ -389,7 +388,7 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
                    "eval_seed": eval_seed}
             for name, fn in (baseline_policies or {}).items():
                 row[f"mean_{name}_power_dbm"] = _segment(
-                    env_factory(eval_seed), fn, cfg.eval_steps)[0]
+                    build_env(eval_seed), fn, cfg.eval_steps)[0]
             result.log.append(row)
 
     result.total_steps = cfg.total_steps
@@ -400,21 +399,6 @@ def train(env_factory: Callable[[int], object], cfg: TrainConfig, seed: int,
 # --------------------------------------------------------------------------
 # checkpoints
 # --------------------------------------------------------------------------
-
-@contextlib.contextmanager
-def atomic_open(path, mode: str = "w", newline: str | None = None):
-    """Open a temporary file beside `path` that replaces `path` only once it
-    is written and closed, so a run cut short never leaves a partial file
-    under the final name.  `newline` is `open`'s, for text files."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, mode, newline=newline) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
 
 def _body(params: MlpParams, adam: AdamState) -> tuple[np.ndarray, ...]:
     """The checkpoint body in file order: the parameter vector, the weight

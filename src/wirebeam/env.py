@@ -1,22 +1,23 @@
 """Delayed-observation beam-tracking environment.
 
-An environment is one episode.  Its seed fixes the episode's random draws
-(the impulse time and the wire's noise seed, see `EpisodeSchedule`), and
-the wire states come from one `wire.trajectory` stream, one state per
-beam-refinement interval tau: the wire never reads the beam.  Several
-envs can share one stream through an `EpisodeBatch`, which holds one
-column per distinct seed, advances all of them together and keeps each
-state, so the envs can be rolled out one after another and envs of the
-same seed (one per policy) read the same column.  Each step applies the
-chosen steering action, takes the next wire state (the scheduled impulse
-acts when its time falls inside the interval), and the agent observes
-the sensed points of the state from `lookback` seconds ago together with
-the current steering vector.  The reward is the received
-power mapped through an affine clip to [-1, 1].  Each step computes the
-node's look geometry (`channel.look_angles`) once; the env keeps it and
-its `StepOutcome` carries it, so the reward, the oracle, the trace and
-the metrics all read it.  `rollout` steps a policy and returns one
-`StepOutcome` per step; every evaluation path records steps that way.
+An environment is a view of one episode of an `EpisodeBatch`.  The batch
+owns the task's `EnvConfig`, checked against the wire once, and one
+batched `wire.trajectory` stream, one state per beam-refinement interval
+tau: the wire never reads the beam.  It holds one column per distinct
+seed, whose draws (the impulse time and the wire's noise seed, see
+`EpisodeSchedule`) the seed fixes, advances all of them together and
+keeps each state, so the envs can be rolled out one after another and
+envs of the same seed (one per policy) read the same column.  Each step
+applies the chosen steering action, takes the next wire state (the
+scheduled impulse acts when its time falls inside the interval), and the
+agent observes the sensed points of the state from `lookback` seconds
+ago together with the current steering vector.  The reward is the
+received power mapped through an affine clip to [-1, 1].  Each step
+computes the node's look geometry (`channel.look_angles`) once; the env
+keeps it and its `StepOutcome` carries it, so the reward, the oracle,
+the trace and the metrics all read it.  `rollout` steps a policy and
+returns one `StepOutcome` per step; every evaluation path records steps
+that way.
 
 The observation vector is, per sensed point, [position (3), velocity (3)],
 blocks in sense-point order, followed by the unit steering vector (3).
@@ -34,6 +35,7 @@ import numpy as np
 from . import wire
 from .channel import (ArrayConfig, BeamOrientation, ChannelConfig, Look,
                       boresight_power, look_angles, received_power)
+from .files import atomic_open
 
 N_ACTIONS = 9
 CENTER_ACTION = 4  # (0, 0): decode(4) leaves the steering unchanged
@@ -82,6 +84,8 @@ class EnvConfig:
             raise ConfigError("tau and substep_dt must be positive")
         if not _is_multiple(self.lookback, self.tau):
             raise ConfigError("lookback not a multiple of tau")
+        if self.episode_duration <= 0 or not _is_multiple(self.episode_duration, self.tau):
+            raise ConfigError("episode_duration not a positive multiple of tau")
         if not _is_multiple(self.tau, self.substep_dt):
             raise ConfigError("tau not a multiple of the physics substep")
         if self.tx_point not in self.sense_points:
@@ -184,11 +188,14 @@ class EpisodeBatch:
     drawn from the seeds, and the stream advances every episode together.
     A batched state is computed on its first read and kept, so envs can be
     rolled out one after another: the first to reach a step advances the
-    stream, and the others read what it computed.
+    stream, and the others read what it computed.  `env_cfg`, checked
+    against the wire once, here, is the task of every env over the batch.
     """
 
     def __init__(self, env_cfg: EnvConfig, wire_params: wire.WireParams,
                  wind: wire.WindModel, seeds):
+        check_invariants(env_cfg, wire_params)
+        self.env_cfg = env_cfg
         self.seeds = list(dict.fromkeys(seeds))
         self.schedules = [EpisodeSchedule.draw(env_cfg, s) for s in self.seeds]
         impulses = [() if s.impulse_time is None else (env_cfg.impulse_at(s.impulse_time),)
@@ -238,32 +245,26 @@ class StepOutcome:
 
 
 class BeamTrackingEnv:
-    """One episode: the wire states so far, steering and schedule.
+    """A view of one episode of an `EpisodeBatch`, the one of `seed`: the
+    wire states so far, steering and schedule.
 
-    `states[k]` is the wire state after k steps, `states[0]` the
-    equilibrium, and `look` the current node's look geometry.  The states
-    are read from an `EpisodeBatch`: the given one, which must hold `seed`,
-    or else a batch of this episode alone.
-    Not safe for concurrent mutation; run independent instances in
-    parallel instead.  All randomness flows from the seed.
+    The task's `cfg` is the batch's.  `states[k]` is the wire state after
+    k steps, `states[0]` the equilibrium, and `look` the current node's
+    look geometry.  Not safe for concurrent mutation; run independent
+    instances in parallel instead.  All randomness flows from the seed.
     """
 
-    def __init__(self, env_cfg: EnvConfig, wire_params: wire.WireParams,
-                 wind: wire.WindModel, channel_cfg: ChannelConfig,
-                 array_cfg: ArrayConfig, seed: int = 0,
-                 batch: EpisodeBatch | None = None):
-        check_invariants(env_cfg, wire_params)
-        self.cfg = env_cfg
+    def __init__(self, batch: EpisodeBatch, seed: int, channel_cfg: ChannelConfig,
+                 array_cfg: ArrayConfig):
+        self.cfg = batch.env_cfg
         self.channel_cfg = channel_cfg
         self.array_cfg = array_cfg
-        self._sense_idx = np.array([p - 1 for p in env_cfg.sense_points])
-        self._tx_idx = env_cfg.tx_point - 1
-        if batch is None:
-            batch = EpisodeBatch(env_cfg, wire_params, wind, [seed])
+        self._sense_idx = np.array([p - 1 for p in self.cfg.sense_points])
+        self._tx_idx = self.cfg.tx_point - 1
         self._batch = batch
-        self._episode = self._batch.seeds.index(seed)
-        self.schedule = self._batch.schedules[self._episode]
-        self.states = [self._batch.state(self._episode, 0)]
+        self._episode = batch.seeds.index(seed)
+        self.schedule = batch.schedules[self._episode]
+        self.states = [batch.state(self._episode, 0)]
         self.look = look_angles(self.true_node_position, channel_cfg.rx_position)
         self.beam = self._initial_beam()
         self.state_vector = assemble_state(self.states[0], self._sense_idx, self.beam)
@@ -338,8 +339,9 @@ def angle_error_deg(look: Look, beam: BeamOrientation) -> float:
 def write_trace_csv(path, outcomes: list[StepOutcome], channel_cfg: ChannelConfig,
                     array_cfg: ArrayConfig):
     """One row per step of an episode rolled out from its start; the
-    optimal power is the power under continuous (un-quantized) perfect aim."""
-    with open(path, "w", newline="") as fh:
+    optimal power is the power under continuous (un-quantized) perfect aim.
+    Written whole or not at all."""
+    with atomic_open(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step", "time_s", "action", "theta_s_deg", "phi_s_deg",
                     "raw_power_dbm", "optimal_power_dbm", "proxy_reward",

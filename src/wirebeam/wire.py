@@ -42,6 +42,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .files import atomic_open
+
 
 class IntegrationDivergedError(RuntimeError):
     """Raised when a state component stops being finite; `episode` is the
@@ -137,19 +139,12 @@ class WireState:
 
 @dataclass(frozen=True)
 class WindModel:
-    """Mean wind velocity model v_o(t).
-
-    The default is a per-axis sinusoid amplitude*sin(2*pi*t/period), zero at
-    t = 0.  A custom callable overrides the sinusoids entirely.
-    """
+    """Mean wind velocity v_o(t): per axis amplitude*sin(2*pi*t/period)."""
 
     amplitude: float = 5.0                                    # [m/s]
     periods: tuple[float, float, float] = (4.0, 6.0, 8.0)     # [s]
-    mean_velocity_fn: Callable[[float], np.ndarray] | None = None
 
     def velocity(self, t: float) -> np.ndarray:
-        if self.mean_velocity_fn is not None:
-            return np.asarray(self.mean_velocity_fn(t), dtype=float)
         a, p = self.amplitude, self.periods
         return np.array([a * math.sin(2.0 * math.pi * t / p[0]),
                          a * math.sin(2.0 * math.pi * t / p[1]),
@@ -450,8 +445,8 @@ def simulate_trajectory(params: WireParams, wind: WindModel,
 
 
 def write_trajectory_csv(path, samples: Sequence[WireState]):
-    """Trajectory export: one row per (sample, point)."""
-    with open(path, "w", newline="") as fh:
+    """Trajectory export: one row per (sample, point), written whole or not at all."""
+    with atomic_open(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["time_s", "point_index", "x_m", "y_m", "z_m",
                     "vx_mps", "vy_mps", "vz_mps"])

@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wirebeam import bench, channel, dqn, wire
-from wirebeam.bench import (derive_seed, make_env, policy_callable,
+from wirebeam import bench, channel, dqn, files, wire
+from wirebeam.bench import (derive_seed, make_envs, policy_callable,
                             post_impulse_window, rollout_episode, run_eval,
                             run_sweep, run_train)
 from wirebeam.cli import main
 from wirebeam.config import ConfigError, default_config
-from wirebeam.env import angle_error_deg
+from wirebeam.env import angle_error_deg, write_trace_csv
 from wirebeam.policies import PolicyKind
 
 from test_dqn import OVERSIZED_HEADERS, write_oversized_checkpoint
@@ -48,37 +48,38 @@ def tiny_cfg(**extra):
 class TestRollouts:
     def test_oracle_angle_error_settles_below_one_degree(self):
         cfg = default_config(**{"env.episode_duration_s": "1.0"})
-        env = make_env(cfg, seed=5)
-        res = rollout_episode(env, policy_callable(cfg, PolicyKind.ORACLE))
-        errors = [angle_error_deg(r.look, r.beam) for r in res.rows]
+        env = make_envs(cfg, [5])[0]
+        rows = rollout_episode(env, policy_callable(cfg, PolicyKind.ORACLE))
+        errors = [angle_error_deg(r.look, r.beam) for r in rows]
         assert float(np.mean(errors[10:])) <= 1.0
 
     def test_fixed_below_oracle_on_paired_seed(self):
         cfg = default_config(**{"env.episode_duration_s": "1.0"})
         means = {}
         for kind in (PolicyKind.ORACLE, PolicyKind.FIXED_BEAM):
-            env = make_env(cfg, seed=3)
-            res = rollout_episode(env, policy_callable(cfg, kind))
-            means[kind] = np.mean([r.raw_power_dbm for r in res.rows])
+            env = make_envs(cfg, [3])[0]
+            rows = rollout_episode(env, policy_callable(cfg, kind))
+            means[kind] = np.mean([r.raw_power_dbm for r in rows])
         assert means[PolicyKind.FIXED_BEAM] < means[PolicyKind.ORACLE]
 
     def test_post_impulse_window_is_30_steps(self):
         cfg = default_config(scenario="wind_plus_impulse",
                              **{"wire.impulse_times_s": "1.0"})
-        env = make_env(cfg, seed=1)
-        res = rollout_episode(env, policy_callable(cfg, PolicyKind.FIXED_BEAM))
-        window = post_impulse_window(res, cfg.env.tau)
+        env = make_envs(cfg, [1])[0]
+        rows = rollout_episode(env, policy_callable(cfg, PolicyKind.FIXED_BEAM))
+        assert len(rows) == cfg.env.episode_steps and rows[-1].episode_done
+        window = post_impulse_window(env, rows)
         assert len(window) == 30
         # window covers steps 101..130 exactly
-        powers = [r.raw_power_dbm for r in res.rows]
+        powers = [r.raw_power_dbm for r in rows]
         np.testing.assert_array_equal(window, powers[100:130])
 
     def test_window_empty_when_impulse_at_episode_end(self):
         cfg = default_config(scenario="wind_plus_impulse",
                              **{"wire.impulse_times_s": "3.0"})
-        env = make_env(cfg, seed=1)
-        res = rollout_episode(env, policy_callable(cfg, PolicyKind.FIXED_BEAM))
-        assert post_impulse_window(res, cfg.env.tau) == []
+        env = make_envs(cfg, [1])[0]
+        rows = rollout_episode(env, policy_callable(cfg, PolicyKind.FIXED_BEAM))
+        assert post_impulse_window(env, rows) == []
 
 
 class TestRunEval:
@@ -128,8 +129,12 @@ class TestRunEval:
         assert len(calls) == 2 * cfg.env.episode_steps + 2
 
     def test_metrics_file_appears_only_when_whole(self, tmp_path, monkeypatch):
-        def fail(*args):
-            raise OSError("cannot move into place")
+        real_replace = os.replace
+
+        def fail(src, dst):  # the traces land, the metrics file cannot
+            if Path(dst).name.startswith("metrics"):
+                raise OSError("cannot move into place")
+            real_replace(src, dst)
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="cannot move"):
             run_eval(tiny_cfg(), None, PolicyKind.ORACLE, 1, tmp_path)
@@ -390,7 +395,7 @@ def cut_writes_to(monkeypatch, name):
     def cut_open(path, *args, **kwargs):
         fh = real_open(path, *args, **kwargs)
         return Cut(fh) if Path(path).name == name + ".tmp" else fh
-    monkeypatch.setattr(dqn, "open", cut_open, raising=False)
+    monkeypatch.setattr(files, "open", cut_open, raising=False)
 
 
 class TestWholeFiles:
@@ -415,6 +420,37 @@ class TestWholeFiles:
             run_sweep(tiny_cfg(seed=1, **sweep), out_dir=tmp_path)
         assert (tmp_path / name).read_bytes() == before
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("writer", ["trace", "pattern", "trajectory"])
+    def test_an_export_cut_mid_file_leaves_nothing(self, tmp_path, monkeypatch, writer):
+        cfg = tiny_cfg()
+        path = tmp_path / "out" / f"{writer}.csv"
+        path.parent.mkdir()
+
+        def cut(rows):  # two rows, then the error a killed run would see
+            yield from rows[:2]
+            raise RuntimeError("cut short")
+        with pytest.raises(RuntimeError, match="cut short"):
+            if writer == "trace":
+                env = make_envs(cfg, [0])[0]
+                rows = rollout_episode(env, policy_callable(cfg, PolicyKind.FIXED_BEAM))
+                write_trace_csv(path, cut(rows), cfg.channel, cfg.array)
+            elif writer == "pattern":
+                real_af, calls = channel.array_factor, []
+
+                def failing_af(*args):
+                    calls.append(args)
+                    if len(calls) > 2:
+                        raise RuntimeError("cut short")
+                    return real_af(*args)
+                monkeypatch.setattr(channel, "array_factor", failing_af)
+                beam = channel.BeamOrientation(math.pi / 2, math.pi / 2)
+                channel.write_pattern_csv(path, beam, cfg.channel, cfg.array, 2.0, 1.0)
+            else:
+                samples = wire.simulate_trajectory(cfg.wire, cfg.wind, [], 0.01,
+                                                   cfg.env.substep_dt, 0)
+                wire.write_trajectory_csv(path, cut(samples))
+        assert list(path.parent.iterdir()) == []
 
 
 class TestHelpers:

@@ -211,6 +211,16 @@ class TestReceivedPower:
         drop = power_from(tx, aligned, cfg) - power_from(tx, flipped, cfg)
         assert drop == pytest.approx(g_tx(aligned) - g_tx(flipped), abs=1e-9)
 
+    @pytest.mark.parametrize("array", [TABLE_ARRAY, ch.ArrayConfig(amplitude_norm="power_norm"),
+                                       ch.ArrayConfig(n_vertical=6, n_horizontal=5)])
+    def test_boresight_power_is_received_power_at_exact_aim(self, array):
+        cfg = ch.ChannelConfig(rx_position=[0.3, 5.0, 0.4])
+        rng = np.random.default_rng(3)
+        for tx in [[0, 0, 0], *rng.uniform(-2.0, 2.0, size=(50, 3))]:
+            look = ch.look_angles(tx, cfg.rx_position)
+            aimed = ch.received_power(look, ch.BeamOrientation(look[1], look[2]), cfg, array)
+            assert ch.boresight_power(look, cfg, array) == pytest.approx(aimed, abs=1e-9)
+
     def test_beta_default_is_free_space(self):
         cfg = ch.ChannelConfig()
         assert cfg.beta_db == pytest.approx(20.0 * math.log10(0.005 / (4 * math.pi)))

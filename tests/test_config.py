@@ -90,6 +90,20 @@ env.lookback_s = 0.08
         with pytest.raises(ConfigError, match="lookback not a multiple of tau"):
             default_config(**{"env.lookback_s": "0.015"})
 
+    @pytest.mark.parametrize("duration", ["0", "-1", "0.004", "0.205"])
+    def test_episode_duration_must_be_a_positive_multiple_of_tau(self, duration):
+        # 0 once gave an empty trace and a NaN mean power; 0.205 s became 20 steps
+        with pytest.raises(ConfigError, match="episode_duration not a positive multiple"):
+            default_config(**{"env.episode_duration_s": duration})
+
+    def test_key_set_twice_names_both_lines(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("wire.mass_total_kg = 10\n# comment\n\nseed = 1\n"
+                        "wire.mass_total_kg = 12\n")
+        with pytest.raises(ConfigError, match=r"twice\.cfg:5: 'wire\.mass_total_kg' "
+                                              r"is set twice, on lines 1 and 5"):
+            load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("wire.mass = 3\n")

@@ -9,13 +9,12 @@ import pytest
 from wirebeam import dqn
 from wirebeam import env as envmod
 from wirebeam import wire
-from wirebeam.bench import make_env as make_experiment_env
 from wirebeam.bench import make_envs as make_experiment_envs
 from wirebeam.bench import policy_callable
 from wirebeam.channel import (ArrayConfig, BeamOrientation, ChannelConfig,
                               boresight_power, look_angles, received_power)
 from wirebeam.config import default_config
-from wirebeam.env import (BeamTrackingEnv, ConfigError, EnvConfig,
+from wirebeam.env import (BeamTrackingEnv, ConfigError, EnvConfig, EpisodeBatch,
                           EpisodeFinishedError, apply_action, assemble_state,
                           decode_action, proxy_reward, rollout)
 from wirebeam.policies import PolicyKind
@@ -38,10 +37,11 @@ def channel_cfg(params):
 
 
 def make_env(seed=0, quiet=False, **env_overrides) -> BeamTrackingEnv:
+    """The env of `seed` over a batch of that episode alone."""
     params = wire_params(wind_diffusion=np.zeros((3, 3)) if quiet else 0.1 * np.eye(3))
     wind = wire.WindModel(amplitude=0.0 if quiet else 5.0)
-    cfg = EnvConfig(**env_overrides)
-    return BeamTrackingEnv(cfg, params, wind, channel_cfg(params), ArrayConfig(), seed)
+    batch = EpisodeBatch(EnvConfig(**env_overrides), params, wind, [seed])
+    return BeamTrackingEnv(batch, seed, channel_cfg(params), ArrayConfig())
 
 
 class TestActions:
@@ -158,8 +158,7 @@ class TestEnvConfigValidation:
     def test_stability_bound_enforced(self):
         params = wire_params(spring_k=1e6)  # dt = 1 ms is now unstable
         with pytest.raises(ConfigError, match="stability"):
-            BeamTrackingEnv(EnvConfig(), params, wire.WindModel(),
-                            channel_cfg(wire_params()), ArrayConfig(), 0)
+            EpisodeBatch(EnvConfig(), params, wire.WindModel(), [0])
 
     @pytest.mark.parametrize("overrides, match", [
         (dict(sense_points=(10, 22)), "sense point P22 outside 1..21"),
@@ -169,6 +168,15 @@ class TestEnvConfigValidation:
     def test_points_must_fit_the_wire(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             make_env(**overrides)
+
+    def test_invariants_checked_once_per_batch(self, monkeypatch):
+        calls, real_check = [], envmod.check_invariants
+        monkeypatch.setattr(envmod, "check_invariants",
+                            lambda *args: calls.append(args) or real_check(*args))
+        cfg = default_config(**{"env.episode_duration_s": "0.1"})
+        envs = make_experiment_envs(cfg, [1, 2, 2, 3])
+        assert calls == [(cfg.env, cfg.wire)]
+        assert all(e.cfg is cfg.env is e._batch.env_cfg for e in envs)
 
     def test_state_dim(self):
         assert EnvConfig().state_dim == 9
@@ -313,7 +321,7 @@ class TestSharedWireStream:
         cfg = default_config(scenario=scenario, state_mode="expanded", seed=seed,
                              **{"env.episode_duration_s": "1.5",
                                 "wire.impulse_times_s": "0.5055"})
-        e = make_experiment_env(cfg, seed)
+        e = make_experiment_envs(cfg, [seed])[0]
         actions = np.random.default_rng(seed).integers(0, 9, size=cfg.env.episode_steps)
         rollout(e, lambda env: int(actions[env.step_count]), cfg.env.episode_steps)
         impulses = []
@@ -361,7 +369,7 @@ class TestEpisodeBatch:
         # roll the batch out one episode after another, as run_eval does
         batched = [rollout(e, lambda env: int(env.step_count % 9), 30) for e in envs]
         for env, seed, outs in zip(envs, seeds, batched):
-            alone = make_experiment_env(cfg, seed)
+            alone = make_experiment_envs(cfg, [seed])[0]
             assert alone.schedule == env.schedule
             alone_outs = rollout(alone, lambda env: int(env.step_count % 9), 30)
             assert len(env.states) == len(alone.states) == 31
@@ -390,7 +398,7 @@ class TestEpisodeBatch:
         shared = [rollout(e, fn, cfg.env.episode_steps) for e, fn in zip(envs, policies)]
         assert envs[0]._batch._states[-1].positions.shape == (cfg.wire.n_points, 1, 3)
         for env, fn, outs in zip(envs, policies, shared):
-            alone = make_experiment_env(cfg, 5)
+            alone = make_experiment_envs(cfg, [5])[0]
             alone_outs = rollout(alone, fn, cfg.env.episode_steps)
             assert env.done and len(env.states) == len(alone.states) == 31
             for got, want in zip(env.states, alone.states):
@@ -418,8 +426,9 @@ class TestEpisodeBatch:
 
     def build(self, seed, batch=None):
         params = wire_params()
-        return BeamTrackingEnv(self.DIVERGING, params, wire.WindModel(), channel_cfg(params),
-                               ArrayConfig(), seed, batch)
+        if batch is None:  # the episode alone
+            batch = EpisodeBatch(self.DIVERGING, params, wire.WindModel(), [seed])
+        return BeamTrackingEnv(batch, seed, channel_cfg(params), ArrayConfig())
 
     def fail_step(self, env):
         """(step, error) of the step that diverged, or (None, None)."""
@@ -438,7 +447,7 @@ class TestEpisodeBatch:
         seeds = [calm[0], diverging[0], calm[1]]
         seeds.append(seeds[1])
 
-        batch = envmod.EpisodeBatch(cfg, params, wire.WindModel(), seeds)
+        batch = EpisodeBatch(cfg, params, wire.WindModel(), seeds)
         assert batch.seeds == seeds[:3]
         envs = [build(s, batch) for s in seeds]
         assert fail_step(envs[0]) == (None, None) and envs[0].done
@@ -461,7 +470,7 @@ class TestEpisodeBatch:
         # one env per policy over one diverging seed, as a sweep cell builds them
         seed = self.seeds_by_impulse_time()[1][0]
         _, err_alone = self.fail_step(self.build(seed))
-        batch = envmod.EpisodeBatch(self.DIVERGING, wire_params(), wire.WindModel(), [seed] * 3)
+        batch = EpisodeBatch(self.DIVERGING, wire_params(), wire.WindModel(), [seed] * 3)
         depths = []
         for env in [self.build(seed, batch) for _ in range(3)]:
             k, err = self.fail_step(env)
