@@ -216,18 +216,16 @@ def _evaluate(cfg: ExperimentConfig, name: str, fn, envs, trace_dir) -> MetricsR
 
 
 def run_eval(cfg: ExperimentConfig, checkpoint, policy: PolicyKind,
-             episodes: int, out_dir=None, write_traces: bool = True) -> MetricsRecord:
+             episodes: int, out_dir=None) -> MetricsRecord:
     """Greedy rollouts of one policy; emits per-episode traces and metrics."""
     if episodes <= 0:
         raise EvalError("episodes must be >= 1")
     fn = load_policy(cfg, policy, checkpoint)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    record = evaluate_policies(cfg, {policy.value: fn}, episodes,
-                               out if write_traces else None)[policy.value]
+    record = evaluate_policies(cfg, {policy.value: fn}, episodes, out)[policy.value]
     if isinstance(record, Exception):
         raise record
-    if write_traces:
-        _write_text(out / f"metrics_{policy.value}.json", record.to_json())
+    _write_text(out / f"metrics_{policy.value}.json", record.to_json())
     return record
 
 

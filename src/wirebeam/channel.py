@@ -177,7 +177,7 @@ def _coherent_row_magnitude(n: int, phase_step: float) -> float:
 
 
 def array_factor(theta: float, phi: float, beam: BeamOrientation,
-                 cfg: ArrayConfig, wavelength: float = 0.005) -> float:
+                 cfg: ArrayConfig, wavelength: float) -> float:
     """Array factor [dB] at relative angles (theta, phi).
 
     AF = 10*log10(1 + rho*(|a.w|^2 - 1)) with per-element phases

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -219,31 +220,24 @@ class _Reader:
     def raw(self, key) -> str:
         return self.values[key]
 
-    def floatv(self, key) -> float:
+    def number(self, key, kind=float, count=1, none_if=None):
+        """The finite numbers of `kind` at `key`: one number when count is 1,
+        else a tuple of `count` (of any length when count is None); None when
+        the value is the key's sentinel `none_if`."""
+        raw = self.raw(key)
+        if raw == none_if:
+            return None
         try:
-            return float(self.raw(key))
-        except ValueError as e:
-            raise ConfigError(f"{key}: expected a number, got {self.raw(key)!r}") from e
-
-    def intv(self, key) -> int:
-        try:
-            return int(self.raw(key))
-        except ValueError as e:
-            raise ConfigError(f"{key}: expected an integer, got {self.raw(key)!r}") from e
-
-    def float_list(self, key) -> tuple[float, ...]:
-        try:
-            return tuple(float(p) for p in self.raw(key).split(","))
-        except ValueError as e:
-            raise ConfigError(f"{key}: expected comma-separated numbers, "
-                              f"got {self.raw(key)!r}") from e
-
-    def int_list(self, key) -> tuple[int, ...]:
-        try:
-            return tuple(int(p) for p in self.raw(key).split(","))
-        except ValueError as e:
-            raise ConfigError(f"{key}: expected comma-separated integers, "
-                              f"got {self.raw(key)!r}") from e
+            vals = tuple(kind(p) for p in raw.split(","))
+        except ValueError:
+            vals = ()
+        if vals and all(map(math.isfinite, vals)) and count in (None, len(vals)):
+            return vals[0] if count == 1 else vals
+        noun = "integer" if kind is int else "finite number"
+        want = f"one {noun}" if count == 1 else f"{count or 'comma-separated'} {noun}s"
+        if none_if is not None:
+            want += f" or {none_if!r}"
+        raise ConfigError(f"{key}: expected {want}, got {raw!r}")
 
     def choice(self, key, options) -> str:
         v = self.raw(key)
@@ -251,8 +245,22 @@ class _Reader:
             raise ConfigError(f"{key}: must be one of {options}, got {v!r}")
         return v
 
-    def str_list(self, key) -> tuple[str, ...]:
-        return tuple(p.strip() for p in self.raw(key).split(","))
+
+# TrainConfig field annotation (a string: dqn postpones annotations) ->
+# the kind and count its train.<field> key is read with
+_FIELD_READS = {"float": (float, 1), "int": (int, 1), "tuple[int, ...]": (int, None)}
+
+
+@contextmanager
+def _section(name):
+    """Re-raise a ValueError from building `name` as a ConfigError naming
+    it; a ConfigError already names its key and passes through as is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{name}: {e}") from e
 
 
 # --------------------------------------------------------------------------
@@ -274,134 +282,90 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
 
     scenario = r.choice("scenario", SCENARIOS)
     state_mode = r.choice("state_mode", STATE_MODES)
-    seed = r.intv("seed")
+    seed = r.number("seed", int)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
-    diffusion_parts = r.float_list("wire.wind_diffusion")
-    if len(diffusion_parts) == 1:
-        diffusion = diffusion_parts[0] * np.eye(3)
-    elif len(diffusion_parts) == 9:
-        diffusion = np.array(diffusion_parts).reshape(3, 3)
-    else:
+    diffusion = r.number("wire.wind_diffusion", count=None)
+    if len(diffusion) not in (1, 9):
         raise ConfigError("wire.wind_diffusion: give one scalar (s -> s*I) "
                           "or nine row-major entries")
-
-    gravity = r.float_list("wire.gravity_mps2")
-    if len(gravity) != 3:
-        raise ConfigError("wire.gravity_mps2: expected three components")
-    try:
+    with _section("wire"):
         wire_params = wire_mod.WireParams(
-            n_points=r.intv("wire.n_points"),
-            mass_total=r.floatv("wire.mass_total_kg"),
-            spring_k=r.floatv("wire.spring_k_n_per_m"),
-            drag_c=r.floatv("wire.drag_c_per_s"),
-            gravity=np.array(gravity),
-            wind_diffusion=diffusion,
-            endpoint_separation=r.floatv("wire.endpoint_separation_m"),
+            n_points=r.number("wire.n_points", int),
+            mass_total=r.number("wire.mass_total_kg"),
+            spring_k=r.number("wire.spring_k_n_per_m"),
+            drag_c=r.number("wire.drag_c_per_s"),
+            gravity=np.array(r.number("wire.gravity_mps2", count=3)),
+            wind_diffusion=(diffusion[0] * np.eye(3) if len(diffusion) == 1
+                            else np.array(diffusion).reshape(3, 3)),
+            endpoint_separation=r.number("wire.endpoint_separation_m"),
         )
-    except ValueError as e:
-        raise ConfigError(f"wire: {e}") from e
-
-    wind = wire_mod.WindModel(amplitude=r.floatv("wind.amplitude_mps"),
-                              periods=_three(r.float_list("wind.periods_s"),
-                                             "wind.periods_s"))
+    with _section("wind"):
+        wind = wire_mod.WindModel(amplitude=r.number("wind.amplitude_mps"),
+                                  periods=r.number("wind.periods_s", count=3))
 
     # receiver on the building wall: across the road from the wire midpoint,
     # at the height of the wire endpoints (sag above the origin)
     sag = wire_mod.sag_depth(wire_params)
-    rx_position = np.array([0.0, r.floatv("channel.rx_distance_m"), sag])
+    rx_position = np.array([0.0, r.number("channel.rx_distance_m"), sag])
 
-    ref_raw = r.raw("channel.pathloss_ref_db")
-    pathloss_ref = None if ref_raw == "free_space" else _as_float(
-        ref_raw, "channel.pathloss_ref_db")
-    try:
+    with _section("channel/array"):
         channel = ChannelConfig(
-            tx_power_dbm=r.floatv("channel.tx_power_dbm"),
-            wavelength=r.floatv("channel.wavelength_m"),
-            rx_gain_dbi=r.floatv("channel.rx_gain_dbi"),
-            pathloss_exponent=r.floatv("channel.pathloss_exponent"),
-            pathloss_ref_db=pathloss_ref,
+            tx_power_dbm=r.number("channel.tx_power_dbm"),
+            wavelength=r.number("channel.wavelength_m"),
+            rx_gain_dbi=r.number("channel.rx_gain_dbi"),
+            pathloss_exponent=r.number("channel.pathloss_exponent"),
+            pathloss_ref_db=r.number("channel.pathloss_ref_db", none_if="free_space"),
             rx_position=rx_position,
         )
         array = ArrayConfig(
-            n_vertical=r.intv("array.n_vertical"),
-            n_horizontal=r.intv("array.n_horizontal"),
-            corr_coeff=r.floatv("array.corr_coeff"),
-            spacing_v=r.floatv("array.spacing_v_m"),
-            spacing_h=r.floatv("array.spacing_h_m"),
+            n_vertical=r.number("array.n_vertical", int),
+            n_horizontal=r.number("array.n_horizontal", int),
+            corr_coeff=r.number("array.corr_coeff"),
+            spacing_v=r.number("array.spacing_v_m"),
+            spacing_h=r.number("array.spacing_h_m"),
             amplitude_norm=r.choice("array.amplitude_norm",
                                     ("paper_literal", "power_norm")),
         )
-    except ValueError as e:
-        raise ConfigError(f"channel/array: {e}") from e
 
-    tx_point = r.intv("env.tx_point")
-    if state_mode == "single_point":
-        sense_points = (tx_point,)
-    else:
-        sense_points = r.int_list("env.sense_points")
-
-    eq = wire_mod.solve_equilibrium(wire_params)
-    offset_raw = r.raw("env.reward_offset_dbm")
-    if offset_raw == "auto":
+    tx_point = r.number("env.tx_point", int)
+    sense_points = r.number("env.sense_points", int, count=None)
+    reward_offset = r.number("env.reward_offset_dbm", none_if="auto")
+    if reward_offset is None:
         # centre the linear reward band 0-10 dB below perfect alignment
+        eq = wire_mod.solve_equilibrium(wire_params)
         look = look_angles(eq.positions[tx_point - 1], rx_position)
         reward_offset = boresight_power(look, channel, array) - 5.0
-    else:
-        reward_offset = _as_float(offset_raw, "env.reward_offset_dbm")
-
-    dur_raw = r.raw("wire.impulse_duration_s")
-    impulse_duration = None if dur_raw == "substep" else _as_float(
-        dur_raw, "wire.impulse_duration_s")
+    impulse_duration = r.number("wire.impulse_duration_s", none_if="substep")
 
     env_cfg = EnvConfig(
-        tau=r.floatv("env.tau_s"),
-        lookback=r.floatv("env.lookback_s"),
-        episode_duration=r.floatv("env.episode_duration_s"),
-        refine_angle=math.radians(r.floatv("env.refine_angle_deg")),
+        tau=r.number("env.tau_s"),
+        lookback=r.number("env.lookback_s"),
+        episode_duration=r.number("env.episode_duration_s"),
+        refine_angle=math.radians(r.number("env.refine_angle_deg")),
         tx_point=tx_point,
-        sense_points=sense_points,
+        sense_points=(tx_point,) if state_mode == "single_point" else sense_points,
         reward_offset_dbm=reward_offset,
-        reward_scale_db=r.floatv("env.reward_scale_db"),
+        reward_scale_db=r.number("env.reward_scale_db"),
         impulse_enabled=(scenario == "wind_plus_impulse"),
-        impulse_times_s=r.float_list("wire.impulse_times_s"),
-        impulse_point=r.intv("wire.impulse_point"),
-        impulse_force=_three(r.float_list("wire.impulse_force_n"),
-                             "wire.impulse_force_n"),
+        impulse_times_s=r.number("wire.impulse_times_s", count=None),
+        impulse_point=r.number("wire.impulse_point", int),
+        impulse_force=r.number("wire.impulse_force_n", count=3),
         impulse_duration_s=impulse_duration,
-        substep_dt=r.floatv("wire.substep_dt_s"),
+        substep_dt=r.number("wire.substep_dt_s"),
     )
 
-    try:
-        train = TrainConfig(
-            discount=r.floatv("train.discount"),
-            epsilon_train=r.floatv("train.epsilon_train"),
-            epsilon_eval=r.floatv("train.epsilon_eval"),
-            learning_rate=r.floatv("train.learning_rate"),
-            update_period_steps=r.intv("train.update_period_steps"),
-            sample_block=r.intv("train.sample_block"),
-            minibatch=r.intv("train.minibatch"),
-            epochs=r.intv("train.epochs"),
-            outer_iterations=r.intv("train.outer_iterations"),
-            target_sync_steps=r.intv("train.target_sync_steps"),
-            total_steps=r.intv("train.total_steps"),
-            eval_steps=r.intv("train.eval_steps"),
-            adam_beta1=r.floatv("train.adam_beta1"),
-            adam_beta2=r.floatv("train.adam_beta2"),
-            adam_eps=r.floatv("train.adam_eps"),
-            replay_capacity=r.intv("train.replay_capacity"),
-            hidden_sizes=r.int_list("train.hidden_sizes"),
-        )
-    except ValueError as e:
-        raise ConfigError(f"train: {e}") from e
+    with _section("train"):
+        train = TrainConfig(**{f.name: r.number(f"train.{f.name}", *_FIELD_READS[f.type])
+                               for f in fields(TrainConfig)})
 
     sweep = SweepSpec(axis=r.raw("sweep.axis"),
-                      values=r.float_list("sweep.values"),
-                      repetitions=r.intv("sweep.repetitions"),
-                      policies=r.str_list("sweep.policies"))
+                      values=r.number("sweep.values", count=None),
+                      repetitions=r.number("sweep.repetitions", int),
+                      policies=tuple(p.strip() for p in r.raw("sweep.policies").split(",")))
 
-    eval_episodes = r.intv("eval.episodes")
+    eval_episodes = r.number("eval.episodes", int)
     if eval_episodes < 1:
         raise ConfigError("eval.episodes must be >= 1")
 
@@ -422,19 +386,6 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     )
     check_invariants(cfg.env, cfg.wire)
     return cfg
-
-
-def _three(vals, key):
-    if len(vals) != 3:
-        raise ConfigError(f"{key}: expected three components")
-    return tuple(vals)
-
-
-def _as_float(raw, key):
-    try:
-        return float(raw)
-    except ValueError as e:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from e
 
 
 def apply_smoke(values: dict[str, str]) -> dict[str, str]:

@@ -286,6 +286,8 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
         for name in ("epsilon_train", "epsilon_eval"):

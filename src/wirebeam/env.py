@@ -138,7 +138,7 @@ def _is_multiple(value: float, unit: float) -> bool:
     if value < 0:
         return False
     ratio = value / unit
-    return abs(ratio - round(ratio)) < 1e-9
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) < 1e-9
 
 
 def decode_action(index: int) -> tuple[int, int]:

@@ -144,6 +144,10 @@ class WindModel:
     amplitude: float = 5.0                                    # [m/s]
     periods: tuple[float, float, float] = (4.0, 6.0, 8.0)     # [s]
 
+    def __post_init__(self):
+        if not all(p > 0 for p in self.periods):
+            raise ValueError(f"wind periods must be positive, got {self.periods}")
+
     def velocity(self, t: float) -> np.ndarray:
         a, p = self.amplitude, self.periods
         return np.array([a * math.sin(2.0 * math.pi * t / p[0]),

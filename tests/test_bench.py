@@ -157,8 +157,7 @@ class TestRunTrain:
     def test_checkpoint_evaluates(self, tmp_path):
         cfg = tiny_cfg()
         ckpt, _ = run_train(cfg, tmp_path)
-        rec = run_eval(cfg, ckpt, PolicyKind.DQN_GREEDY, 1, tmp_path,
-                       write_traces=False)
+        rec = run_eval(cfg, ckpt, PolicyKind.DQN_GREEDY, 1, tmp_path)
         assert math.isfinite(rec.mean_power_dbm)
 
 
@@ -606,6 +605,20 @@ class TestCli:
         in_file = self.write_cfg(tmp_path, self.SMALL_SWEEP + "seed = -1\n")
         assert main([*verb, "--config", in_file, "--out", str(out)]) == 1
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("env.tau_s = nan", "env.tau_s: expected one finite number, got 'nan'"),
+        ("wind.periods_s = 0, 6, 8", "wind: wind periods must be positive"),
+        ("train.hidden_sizes = 0", "train: hidden_sizes must all be >= 1"),
+    ])
+    def test_malformed_value_exits_1_with_one_error_line(self, tmp_path, capsys,
+                                                         line, message):
+        out = tmp_path / "out"
+        cfg = self.write_cfg(tmp_path, line + "\n")
+        assert main(["train", "--smoke", "--config", cfg, "--out", str(out)]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [

@@ -1,5 +1,6 @@
 """Config parsing, defaults, provenance, validation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from wirebeam import config as cfgmod
 from wirebeam.channel import boresight_power, look_angles
 from wirebeam.config import (ConfigError, SweepSpec, build_config, default_config,
                              load_config)
+from wirebeam.dqn import TrainConfig
 from wirebeam.wire import solve_equilibrium
 
 
@@ -207,3 +209,71 @@ env.lookback_s = 0.08
         # a repeated policy would give the summary two identical rows
         with pytest.raises(ConfigError, match=f"policy '{named}' is listed more than once"):
             build_config({"sweep.policies": policies})
+
+
+def _is_numbers(text):
+    try:
+        [float(p) for p in text.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+# every key read as numbers: those whose default is numbers, and the two
+# whose default is a sentinel word
+NUMBER_KEYS = sorted([k for k, v in cfgmod.DEFAULTS.items() if _is_numbers(v)]
+                     + ["channel.pathloss_ref_db", "env.reward_offset_dbm"])
+
+
+class TestNumbers:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", NUMBER_KEYS)
+    def test_non_finite_refused_naming_the_key_once(self, key, bad):
+        # in the first entry of a list, so that the count still fits
+        parts = cfgmod.DEFAULTS[key].split(",")
+        value = ",".join([bad] + parts[1:])
+        with pytest.raises(ConfigError) as info:
+            default_config(**{key: value})
+        message = str(info.value)
+        assert message.startswith(f"{key}: ") and message.count(key) == 1
+        assert repr(value) in message
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", "1.5", "seed: expected one integer, got '1.5'"),
+        ("wire.gravity_mps2", "0, -9.8", "wire.gravity_mps2: expected 3 finite numbers, "
+                                         "got '0, -9.8'"),
+        ("train.hidden_sizes", "8, x", "train.hidden_sizes: expected comma-separated "
+                                       "integers, got '8, x'"),
+        ("channel.pathloss_ref_db", "free space", "channel.pathloss_ref_db: expected one "
+                                                  "finite number or 'free_space', got "
+                                                  "'free space'"),
+    ])
+    def test_malformed_value_names_key_and_value(self, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            default_config(**{key: value})
+        assert str(info.value) == message
+
+    def test_train_keys_are_train_config_fields(self):
+        # build_config reads each field from its train.<field> key
+        keys = {k.removeprefix("train.") for k in cfgmod.DEFAULTS if k.startswith("train.")}
+        assert keys == {f.name for f in dataclasses.fields(TrainConfig)}
+        assert default_config().train == TrainConfig()
+
+    @pytest.mark.parametrize("sizes", ["0", "-4, 8", "8, 0, 8"])
+    def test_hidden_sizes_below_one_refused(self, sizes):
+        # a zero-width layer once trained a network with a constant policy
+        with pytest.raises(ConfigError, match=r"^train: hidden_sizes must all be >= 1"):
+            default_config(**{"train.hidden_sizes": sizes})
+
+    @pytest.mark.parametrize("periods", ["0, 6, 8", "4, -6, 8"])
+    def test_wind_periods_must_be_positive(self, periods):
+        with pytest.raises(ConfigError, match=r"^wind: wind periods must be positive"):
+            default_config(**{"wind.periods_s": periods})
+
+    @pytest.mark.parametrize("key, value", [("env.lookback_s", "1e308"),
+                                            ("env.episode_duration_s", "1e308"),
+                                            ("env.tau_s", "1e-320")])
+    def test_overflowing_ratio_to_tau_is_not_a_multiple(self, key, value):
+        # round() of an infinite ratio raised OverflowError past the CLI
+        with pytest.raises(ConfigError, match="not a .*multiple of tau"):
+            default_config(**{key: value})

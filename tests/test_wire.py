@@ -278,6 +278,13 @@ class TestWindModel:
         assert abs(v2[0]) < 1e-12
         np.testing.assert_allclose(v2[1:], [4.3301, 5.0], atol=1e-4)
 
+    @pytest.mark.parametrize("periods", [(0.0, 6.0, 8.0), (4.0, -6.0, 8.0),
+                                         (4.0, 6.0, math.nan)])
+    def test_periods_must_be_positive(self, periods):
+        # a zero period divided by zero at the first wind sample, mid-run
+        with pytest.raises(ValueError, match="wind periods must be positive"):
+            wire.WindModel(periods=periods)
+
 
 class TestImpulse:
     def test_single_substep_window(self):
