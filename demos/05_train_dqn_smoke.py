@@ -18,10 +18,9 @@ cfg = default_config(**{
     "train.sample_block": "256",
     "train.target_sync_steps": "600",
     "eval.episodes": "2",
-    "output_dir": str(OUT),
 })
 
-ckpt, log = run_train(cfg)
+ckpt, log = run_train(cfg, OUT)
 print(f"checkpoint: {ckpt}")
 print(f"log:        {log}\n")
 

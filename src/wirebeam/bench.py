@@ -5,8 +5,10 @@ config echo and seed, so such a result is re-derivable from the file
 alone.  Policy comparisons inside a sweep cell share identical environment
 seeds (paired-seed discipline), and completed sweep cells are skipped on
 re-run: a metrics file or checkpoint counts as done only when it loads
-and carries its cell's config echo.  Every file written here lands whole
-or not at all (`files.atomic_open`).  An evaluation
+and carries its cell's config echo.  Every file written here goes through
+`wirebeam.files`: it lands whole or not at all, and its directory, which
+the caller names, appears with it, so a run that fails before its first
+write leaves no directory behind.  An evaluation
 (`evaluate_policies`) builds the envs of all its policies and episodes
 together (`make_envs`) over one batch with one column per seed: the wire
 never reads the beam, so each episode's wire advances once and every
@@ -20,7 +22,6 @@ process.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -35,7 +36,7 @@ from .channel import write_pattern_csv
 from .config import SWEEP_AXES, ConfigError, ExperimentConfig, build_config
 from .env import (BeamTrackingEnv, EpisodeBatch, StepOutcome, angle_error_deg,
                   rollout, write_trace_csv)
-from .files import atomic_open
+from .files import write_csv, write_text
 from .policies import PolicyKind, fixed_action, oracle_action
 from .wire import simulate_trajectory, write_trajectory_csv
 
@@ -125,11 +126,9 @@ def aggregate_metrics(cfg: ExperimentConfig, policy: str, envs: list[BeamTrackin
 # top-level runs
 # --------------------------------------------------------------------------
 
-def run_train(cfg: ExperimentConfig, out_dir=None) -> tuple[Path, Path]:
+def run_train(cfg: ExperimentConfig, out_dir) -> tuple[Path, Path]:
     """Train per the config; returns (checkpoint path, training-log path)."""
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+    out = Path(out_dir)
     baselines = {
         "oracle": policy_callable(cfg, PolicyKind.ORACLE),
         "fixed": policy_callable(cfg, PolicyKind.FIXED_BEAM),
@@ -139,13 +138,13 @@ def run_train(cfg: ExperimentConfig, out_dir=None) -> tuple[Path, Path]:
 
     ckpt_path = out / "checkpoint.bin"
     dqn.save_checkpoint(ckpt_path, result.params, result.adam,
-                        result.total_steps, cfg.echo_json())
-    sidecar = {"seed": cfg.seed, "total_steps": result.total_steps,
+                        cfg.train.total_steps, cfg.echo_json())
+    sidecar = {"seed": cfg.seed, "total_steps": cfg.train.total_steps,
                "scenario": cfg.scenario, "state_mode": cfg.state_mode,
                "update_period_steps": cfg.train.update_period_steps,
                "target_sync_steps": cfg.train.target_sync_steps,
                "phases": len(result.log)}
-    _write_text(out / "checkpoint.bin.json", json.dumps(sidecar, sort_keys=True))
+    write_text(out / "checkpoint.bin.json", json.dumps(sidecar, sort_keys=True))
 
     log_path = out / "training_log.csv"
     _write_training_log(log_path, cfg, result.log)
@@ -155,12 +154,8 @@ def run_train(cfg: ExperimentConfig, out_dir=None) -> tuple[Path, Path]:
 def _write_training_log(path, cfg: ExperimentConfig, log_rows: list[dict]):
     cols = ["global_step", "phase", "mean_eval_power_dbm", "mean_proxy_reward",
             "loss", "mean_oracle_power_dbm", "mean_fixed_power_dbm", "eval_seed"]
-    with atomic_open(path, newline="") as fh:
-        fh.write("# config " + cfg.echo_json() + "\n")
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for row in log_rows:
-            w.writerow([row.get(c, "") for c in cols])
+    write_csv(path, cols, ([row.get(c, "") for c in cols] for row in log_rows),
+              cfg.echo_json())
 
 
 def load_policy(cfg: ExperimentConfig, kind: PolicyKind, checkpoint):
@@ -208,7 +203,6 @@ def _evaluate(cfg: ExperimentConfig, name: str, fn, envs, trace_dir) -> MetricsR
     runs."""
     rollouts = [rollout_episode(env, fn) for env in envs]
     if trace_dir is not None:
-        trace_dir.mkdir(parents=True, exist_ok=True)
         for ep, rows in enumerate(rollouts):
             write_trace_csv(trace_dir / f"trace_{name}_ep{ep:03d}.csv", rows,
                             cfg.channel, cfg.array)
@@ -216,22 +210,17 @@ def _evaluate(cfg: ExperimentConfig, name: str, fn, envs, trace_dir) -> MetricsR
 
 
 def run_eval(cfg: ExperimentConfig, checkpoint, policy: PolicyKind,
-             episodes: int, out_dir=None) -> MetricsRecord:
+             episodes: int, out_dir) -> MetricsRecord:
     """Greedy rollouts of one policy; emits per-episode traces and metrics."""
     if episodes <= 0:
         raise EvalError("episodes must be >= 1")
     fn = load_policy(cfg, policy, checkpoint)
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out = Path(out_dir)
     record = evaluate_policies(cfg, {policy.value: fn}, episodes, out)[policy.value]
     if isinstance(record, Exception):
         raise record
-    _write_text(out / f"metrics_{policy.value}.json", record.to_json())
+    write_text(out / f"metrics_{policy.value}.json", record.to_json())
     return record
-
-
-def _write_text(path, text: str):
-    with atomic_open(path) as fh:
-        fh.write(text)
 
 
 def _read_metrics(path) -> MetricsRecord | None:
@@ -267,7 +256,7 @@ def sweep_cell_config(cfg: ExperimentConfig, axis: str, value: float,
         raise ConfigError(f"sweep over {axis} = {value:g}: {e}") from e
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
+def run_sweep(cfg: ExperimentConfig, out_dir) -> Path:
     """One MetricsRecord per (value, repetition, policy) of cfg.sweep, plus
     a summary.
 
@@ -284,12 +273,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
     cells = [(value, rep, sweep_cell_config(cfg, sweep.axis, value,
                                             derive_seed(cfg.seed, vi, rep)))
              for vi, value in enumerate(sweep.values) for rep in range(sweep.repetitions)]
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out = Path(out_dir)
     dirs = [out / sweep.cell_name(value, rep) for value, rep, _ in cells]
     outcomes = {}  # (cell index, policy) -> (status, record or None)
     pending = {}  # cell index -> the policies it has to compute
     for i, ((_, _, cell_cfg), cell_dir) in enumerate(zip(cells, dirs)):
-        cell_dir.mkdir(parents=True, exist_ok=True)
         todo = []
         for policy_name in sweep.policies:
             record = _read_metrics(cell_dir / f"metrics_{policy_name}.json")
@@ -315,8 +303,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
 
     summary_path = out / f"sweep_{sweep.axis}_summary.csv"
     _write_sweep_summary(summary_path, cfg, sweep, records)
-    _write_text(out / f"sweep_{sweep.axis}_cells.json",
-                json.dumps({"echo": cfg.echo(), "cells": entries}, sort_keys=True))
+    write_text(out / f"sweep_{sweep.axis}_cells.json",
+               json.dumps({"echo": cfg.echo(), "cells": entries}, sort_keys=True))
     return summary_path
 
 
@@ -343,7 +331,7 @@ def run_sweep_cell(cfg: ExperimentConfig, cell_dir: Path,
         try:
             if isinstance(record, Exception):
                 raise record
-            _write_text(cell_dir / f"metrics_{policy_name}.json", record.to_json())
+            write_text(cell_dir / f"metrics_{policy_name}.json", record.to_json())
             outcomes[policy_name] = ("ok", record)
         except Exception as e:  # record the failure, keep sweeping
             outcomes[policy_name] = (f"failed: {e}", None)
@@ -403,39 +391,32 @@ def _write_sweep_summary(path, cfg, sweep, records):
                 row.append(f"{np.mean(vals):.6f}" if vals else "")
                 row.append(f"{np.std(vals):.6f}" if vals else "")
             rows.append(row)
-    with atomic_open(path, newline="") as fh:
-        fh.write("# config " + cfg.echo_json() + "\n")
-        w = csv.writer(fh)
-        w.writerow(["axis", "value", "policy", "n",
-                    "mean_power_dbm", "std_power_dbm",
-                    "mean_power_post_impulse_dbm", "std_power_post_impulse_dbm",
-                    "mean_angle_error_deg", "std_angle_error_deg"])
-        w.writerows(rows)
+    write_csv(path, ["axis", "value", "policy", "n",
+                     "mean_power_dbm", "std_power_dbm",
+                     "mean_power_post_impulse_dbm", "std_power_post_impulse_dbm",
+                     "mean_angle_error_deg", "std_angle_error_deg"],
+              rows, cfg.echo_json())
 
 
 # --------------------------------------------------------------------------
 # auxiliary exports (pattern / trajectory verbs)
 # --------------------------------------------------------------------------
 
-def export_pattern(cfg: ExperimentConfig, out_dir=None, span_deg: float = 60.0,
-                   step_deg: float = 1.0) -> Path:
+def export_pattern(cfg: ExperimentConfig, out_dir, span_deg: float,
+                   step_deg: float) -> Path:
     """Beam-pattern CSV around the equilibrium boresight steering."""
     if step_deg <= 0 or span_deg < 0:
         raise ConfigError(f"pattern needs step_deg > 0 and span_deg >= 0, "
                           f"got step_deg = {step_deg:g}, span_deg = {span_deg:g}")
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     env = make_envs(cfg, [cfg.seed])[0]
-    path = out / "pattern.csv"
+    path = Path(out_dir) / "pattern.csv"
     write_pattern_csv(path, env.beam, cfg.channel, cfg.array, span_deg, step_deg)
     return path
 
 
-def export_trajectory(cfg: ExperimentConfig, out_dir=None, duration: float = 0.5,
-                      impulse_time: float = 0.0, with_wind: bool = False) -> Path:
-    """Impulse-response trajectory export (wire positions over time).
-    The impulse and duration are checked, and the trajectory simulated,
-    before `out_dir` is made."""
+def export_trajectory(cfg: ExperimentConfig, out_dir, duration: float,
+                      impulse_time: float, with_wind: bool) -> Path:
+    """Impulse-response trajectory export (wire positions over time)."""
     wind = cfg.wind if with_wind else type(cfg.wind)(amplitude=0.0)
     params = cfg.wire
     if not with_wind:
@@ -443,8 +424,6 @@ def export_trajectory(cfg: ExperimentConfig, out_dir=None, duration: float = 0.5
     samples = simulate_trajectory(params, wind, [cfg.env.impulse_at(impulse_time)],
                                   duration, cfg.env.substep_dt, cfg.seed,
                                   sample_every=cfg.env.tau)
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "trajectory.csv"
+    path = Path(out_dir) / "trajectory.csv"
     write_trajectory_csv(path, samples)
     return path

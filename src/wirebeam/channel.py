@@ -18,13 +18,12 @@ to each of them.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .files import atomic_open
+from .files import write_csv
 
 ELEMENT_MAX_GAIN_DBI = 8.0             # boresight element gain
 ELEMENT_HPBW_RAD = math.radians(65.0)  # half-power beamwidth of each cut
@@ -228,19 +227,18 @@ def boresight_power(look: Look, ch: ChannelConfig, ar: ArrayConfig) -> float:
 
 
 def write_pattern_csv(path, beam: BeamOrientation, ch: ChannelConfig,
-                      ar: ArrayConfig, span_deg: float = 60.0,
-                      step_deg: float = 1.0):
+                      ar: ArrayConfig, span_deg: float, step_deg: float):
     """Export the gain pattern over a +-span grid of relative angles, one
     row per (theta, phi) sample, written whole or not at all."""
     angles = np.arange(-span_deg, span_deg + 1e-9, step_deg)
-    with atomic_open(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta_deg", "phi_deg", "af_db", "element_db", "total_db"])
+
+    def rows():
         for th_d in angles:
             th = math.radians(th_d)
             for ph_d in angles:
                 ph = math.radians(ph_d)
                 af = array_factor(th, ph, beam, ar, ch.wavelength)
                 el = element_gain(th, ph)
-                w.writerow([f"{th_d:.3f}", f"{ph_d:.3f}",
-                            f"{af:.6f}", f"{el:.6f}", f"{af + el:.6f}"])
+                yield [f"{th_d:.3f}", f"{ph_d:.3f}",
+                       f"{af:.6f}", f"{el:.6f}", f"{af + el:.6f}"]
+    write_csv(path, ["theta_deg", "phi_deg", "af_db", "element_db", "total_db"], rows())

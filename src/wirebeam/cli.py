@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", required=True, help="key=value config file")
         sp.add_argument("--seed", type=int, default=None, help="override the seed")
-        sp.add_argument("--out", default=None, help="output directory")
+        sp.add_argument("--out", default=None, help="output directory (default: output_dir)")
         sp.add_argument("--smoke", action="store_true",
                         help="reduced-scale profile for quick runs")
 
@@ -80,21 +80,22 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
+    out = args.out if args.out is not None else cfg.output_dir
     try:
         if args.verb == "train":
-            ckpt, log = bench.run_train(cfg, args.out)
+            ckpt, log = bench.run_train(cfg, out)
             print(f"checkpoint: {ckpt}\ntraining log: {log}")
         elif args.verb == "eval":
             record = bench.run_eval(cfg, args.checkpoint, PolicyKind(args.policy),
-                                    cfg.eval_episodes, args.out)
+                                    cfg.eval_episodes, out)
             print(record.to_json())
         elif args.verb == "sweep":
-            summary = bench.run_sweep(cfg, args.out)
+            summary = bench.run_sweep(cfg, out)
             print(f"sweep summary: {summary}")
         elif args.verb == "pattern":
-            print(bench.export_pattern(cfg, args.out, args.span_deg, args.step_deg))
+            print(bench.export_pattern(cfg, out, args.span_deg, args.step_deg))
         elif args.verb == "trajectory":
-            print(bench.export_trajectory(cfg, args.out, args.duration_s,
+            print(bench.export_trajectory(cfg, out, args.duration_s,
                                           args.impulse_time_s, args.with_wind))
     except (ConfigError, bench.EvalError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -307,7 +307,8 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
 
     # receiver on the building wall: across the road from the wire midpoint,
     # at the height of the wire endpoints (sag above the origin)
-    sag = wire_mod.sag_depth(wire_params)
+    with np.errstate(all="ignore"):  # extreme inputs overflow: refused below
+        sag = wire_mod.sag_depth(wire_params)
     rx_position = np.array([0.0, r.number("channel.rx_distance_m"), sag])
 
     with _section("channel/array"):
@@ -334,9 +335,15 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     reward_offset = r.number("env.reward_offset_dbm", none_if="auto")
     if reward_offset is None:
         # centre the linear reward band 0-10 dB below perfect alignment
-        eq = wire_mod.solve_equilibrium(wire_params)
-        look = look_angles(eq.positions[tx_point - 1], rx_position)
-        reward_offset = boresight_power(look, channel, array) - 5.0
+        with np.errstate(all="ignore"):
+            eq = wire_mod.solve_equilibrium(wire_params)
+            look = look_angles(eq.positions[tx_point - 1], rx_position)
+            reward_offset = boresight_power(look, channel, array) - 5.0
+    # the receiver position is finite when the sag is
+    for name, v in (("sag_depth_m", sag), ("reward_offset_dbm", reward_offset)):
+        if not math.isfinite(v):
+            raise ConfigError(f"derived.{name} is not finite ({v}): the wire or "
+                              f"channel values overflow it")
     impulse_duration = r.number("wire.impulse_duration_s", none_if="substep")
 
     env_cfg = EnvConfig(

@@ -307,7 +307,6 @@ class TrainResult:
     params: MlpParams
     adam: AdamState
     log: list[dict] = field(default_factory=list)
-    total_steps: int = 0
     target_params: MlpParams | None = None
 
 
@@ -393,7 +392,6 @@ def train(build_env: Callable[[int], object], cfg: TrainConfig, seed: int,
                     build_env(eval_seed), fn, cfg.eval_steps)[0]
             result.log.append(row)
 
-    result.total_steps = cfg.total_steps
     result.target_params = target
     return result
 

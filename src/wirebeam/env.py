@@ -26,7 +26,6 @@ With a single sensed point (the node itself) the length is 9.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ import numpy as np
 from . import wire
 from .channel import (ArrayConfig, BeamOrientation, ChannelConfig, Look,
                       boresight_power, look_angles, received_power)
-from .files import atomic_open
+from .files import write_csv
 
 N_ACTIONS = 9
 CENTER_ACTION = 4  # (0, 0): decode(4) leaves the steering unchanged
@@ -341,16 +340,13 @@ def write_trace_csv(path, outcomes: list[StepOutcome], channel_cfg: ChannelConfi
     """One row per step of an episode rolled out from its start; the
     optimal power is the power under continuous (un-quantized) perfect aim.
     Written whole or not at all."""
-    with atomic_open(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "time_s", "action", "theta_s_deg", "phi_s_deg",
-                    "raw_power_dbm", "optimal_power_dbm", "proxy_reward",
-                    "node_x", "node_y", "node_z"])
-        for k, o in enumerate(outcomes, start=1):
-            optimal = boresight_power(o.look, channel_cfg, array_cfg)
-            w.writerow([k, f"{o.time_s:.6f}", o.action,
-                        f"{math.degrees(o.beam.theta_s):.6f}",
-                        f"{math.degrees(o.beam.phi_s):.6f}",
-                        f"{o.raw_power_dbm:.6f}", f"{optimal:.6f}",
-                        f"{o.proxy_reward:.6f}",
-                        *(f"{v:.9f}" for v in o.node)])
+    write_csv(path, ["step", "time_s", "action", "theta_s_deg", "phi_s_deg",
+                     "raw_power_dbm", "optimal_power_dbm", "proxy_reward",
+                     "node_x", "node_y", "node_z"],
+              ([k, f"{o.time_s:.6f}", o.action,
+                f"{math.degrees(o.beam.theta_s):.6f}",
+                f"{math.degrees(o.beam.phi_s):.6f}",
+                f"{o.raw_power_dbm:.6f}",
+                f"{boresight_power(o.look, channel_cfg, array_cfg):.6f}",
+                f"{o.proxy_reward:.6f}", *(f"{v:.9f}" for v in o.node)]
+               for k, o in enumerate(outcomes, start=1)))

@@ -34,7 +34,6 @@ Point numbering follows the P1..PN convention: user-facing indices are
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -42,7 +41,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .files import atomic_open
+from .files import write_csv
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -450,12 +449,8 @@ def simulate_trajectory(params: WireParams, wind: WindModel,
 
 def write_trajectory_csv(path, samples: Sequence[WireState]):
     """Trajectory export: one row per (sample, point), written whole or not at all."""
-    with atomic_open(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s", "point_index", "x_m", "y_m", "z_m",
-                    "vx_mps", "vy_mps", "vz_mps"])
-        for st in samples:
-            for i in range(st.positions.shape[0]):
-                w.writerow([f"{st.time:.6f}", i + 1,
-                            *(f"{v:.9f}" for v in st.positions[i]),
-                            *(f"{v:.9f}" for v in st.velocities[i])])
+    write_csv(path, ["time_s", "point_index", "x_m", "y_m", "z_m",
+                     "vx_mps", "vy_mps", "vz_mps"],
+              ([f"{st.time:.6f}", i + 1, *(f"{v:.9f}" for v in st.positions[i]),
+                *(f"{v:.9f}" for v in st.velocities[i])]
+               for st in samples for i in range(st.positions.shape[0])))

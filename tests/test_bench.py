@@ -160,6 +160,16 @@ class TestRunTrain:
         rec = run_eval(cfg, ckpt, PolicyKind.DQN_GREEDY, 1, tmp_path)
         assert math.isfinite(rec.mean_power_dbm)
 
+    def test_a_run_that_fails_before_writing_leaves_no_directory(self, tmp_path,
+                                                                  monkeypatch):
+        def failing_train(*args, **kwargs):
+            raise RuntimeError("learner diverged")
+        monkeypatch.setattr(dqn, "train", failing_train)
+        out = tmp_path / "run"
+        with pytest.raises(RuntimeError, match="learner diverged"):
+            run_train(tiny_cfg(), out)
+        assert not out.exists()
+
 
 # (axis, a good value, a value that forms no valid config)
 BAD_SWEEP_VALUES = [("lookback", "0.02", "0.015"), ("lookback", "0.02", "-0.02"),
@@ -358,7 +368,7 @@ class TestSweepWorkers:
         exited = "failed: worker exited before the cell finished"
         assert statuses() == [(10.0, "oracle", "ok"), (10.0, "dqn", "ok"),
                               (12.0, "oracle", exited), (12.0, "dqn", exited)]
-        assert not list((out / "cell_mass_12_rep0").iterdir())
+        assert not (out / "cell_mass_12_rep0").exists()
         stamps = {p: p.stat().st_mtime_ns for p in survivor.iterdir()}
 
         monkeypatch.setattr(bench, "run_train", real_train)
@@ -420,6 +430,17 @@ class TestWholeFiles:
         assert (tmp_path / name).read_bytes() == before
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("echo", [None, '{"seed": 0}'])
+    def test_write_csv_writes_echo_header_and_rows(self, tmp_path, echo):
+        path = tmp_path / "new" / "dir" / "table.csv"
+        files.write_csv(path, ["a", "b"], ([k, f"{k / 4:.2f}"] for k in range(3)), echo)
+        lines = ["a,b", "0,0.00", "1,0.25", "2,0.50"]
+        if echo is not None:
+            lines.insert(0, '# config {"seed": 0}')
+        assert path.read_bytes() == "".join(
+            line + ("\n" if line.startswith("#") else "\r\n") for line in lines).encode()
+        assert list(path.parent.iterdir()) == [path]
+
     @pytest.mark.parametrize("writer", ["trace", "pattern", "trajectory"])
     def test_an_export_cut_mid_file_leaves_nothing(self, tmp_path, monkeypatch, writer):
         cfg = tiny_cfg()
@@ -462,7 +483,8 @@ class TestHelpers:
         p = bench.export_pattern(cfg, tmp_path, span_deg=3.0, step_deg=1.0)
         assert p.read_text().splitlines()[0] == \
             "theta_deg,phi_deg,af_db,element_db,total_db"
-        t = bench.export_trajectory(cfg, tmp_path, duration=0.05)
+        t = bench.export_trajectory(cfg, tmp_path, duration=0.05, impulse_time=0.0,
+                                    with_wind=False)
         assert t.read_text().splitlines()[0].startswith("time_s,point_index")
 
 
@@ -474,6 +496,35 @@ def perfbench_span_targets() -> list[tuple[str, str]]:
                   if isinstance(node, ast.Assign)
                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACE_TARGETS"])
     return [(ast.literal_eval(e.elts[0]), ast.literal_eval(e.elts[1])) for e in assign.value.elts]
+
+
+def test_only_files_writes_files():
+    # one owner for every output: other modules write through wirebeam.files
+    package = Path(files.__file__).parent
+    found = []
+    for source in sorted(package.rglob("*.py")):
+        if source.name == "files.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                names = []
+            if "csv" in names:
+                found.append(f"{source.name}:{node.lineno}: imports csv")
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("mkdir", "makedirs"):
+                found.append(f"{source.name}:{node.lineno}: makes a directory")
+            modes = [a.value for a in [*node.args, *(k.value for k in node.keywords)]
+                     if isinstance(a, ast.Constant) and re.fullmatch(r"[rwaxbt+]+", str(a.value))]
+            if name == "open" and any(set(m) & set("wax") for m in modes):
+                found.append(f"{source.name}:{node.lineno}: opens for writing")
+    assert found == []
 
 
 def test_every_perfbench_span_target_exists():
@@ -611,6 +662,7 @@ class TestCli:
         ("env.tau_s = nan", "env.tau_s: expected one finite number, got 'nan'"),
         ("wind.periods_s = 0, 6, 8", "wind: wind periods must be positive"),
         ("train.hidden_sizes = 0", "train: hidden_sizes must all be >= 1"),
+        ("wire.mass_total_kg = 1e308", "derived.reward_offset_dbm is not finite"),
     ])
     def test_malformed_value_exits_1_with_one_error_line(self, tmp_path, capsys,
                                                          line, message):

@@ -277,3 +277,15 @@ class TestNumbers:
         # round() of an infinite ratio raised OverflowError past the CLI
         with pytest.raises(ConfigError, match="not a .*multiple of tau"):
             default_config(**{key: value})
+
+    @pytest.mark.parametrize("key, value, derived", [
+        ("wire.mass_total_kg", "1e308", "reward_offset_dbm"),
+        ("wire.gravity_mps2", "0, 0, 1e308", "reward_offset_dbm"),
+        ("wire.endpoint_separation_m", "1e308", "reward_offset_dbm"),
+        ("channel.rx_distance_m", "1e308", "reward_offset_dbm"),
+        ("wire.spring_k_n_per_m", "1e-320", "sag_depth_m"),
+    ])
+    def test_overflowing_derived_quantity_refused(self, key, value, derived):
+        # each built a -inf or nan reward offset after a numpy overflow warning
+        with pytest.raises(ConfigError, match=rf"^derived\.{derived} is not finite"):
+            default_config(**{key: value})
