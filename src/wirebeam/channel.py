@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -140,7 +141,7 @@ _ANY_STEERING = BeamOrientation(0.0, 0.0)  # at zero relative angles, any steeri
 def look_angles(tx_pos, rx_pos) -> Look:
     """(range, absolute zenith, absolute azimuth) of rx_pos seen from tx_pos."""
     d = np.asarray(rx_pos, float) - np.asarray(tx_pos, float)
-    r = float(np.linalg.norm(d))
+    r = math.sqrt(d.dot(d))  # np.linalg.norm's BLAS dot and rounded square root
     if r <= 0.0:
         raise GeometryDegenerateError("transmitter and receiver positions coincide")
     theta = math.acos(max(-1.0, min(1.0, d[2] / r)))
@@ -218,12 +219,15 @@ def received_power(look: Look, beam: BeamOrientation,
             - 10.0 * ch.pathloss_exponent * math.log10(r))
 
 
-def boresight_power(look: Look, ch: ChannelConfig, ar: ArrayConfig) -> float:
-    """Power [dBm] with the main lobe aimed exactly at the receiver: peak
-    element gain, and the array factor at zero relative angles."""
+def boresight_power(ch: ChannelConfig, ar: ArrayConfig) -> Callable[[Look], float]:
+    """Power [dBm] with the main lobe aimed exactly at the receiver, as a
+    function of the look geometry: peak element gain, and the array factor
+    at zero relative angles.  Everything but the path loss is computed
+    once, here."""
     g_tx = ELEMENT_MAX_GAIN_DBI + array_factor(0.0, 0.0, _ANY_STEERING, ar, ch.wavelength)
-    return (ch.tx_power_dbm + g_tx + ch.rx_gain_dbi + ch.beta_db
-            - 10.0 * ch.pathloss_exponent * math.log10(look[0]))
+    gains = ch.tx_power_dbm + g_tx + ch.rx_gain_dbi + ch.beta_db
+    slope = 10.0 * ch.pathloss_exponent
+    return lambda look: gains - slope * math.log10(look[0])
 
 
 def write_pattern_csv(path, beam: BeamOrientation, ch: ChannelConfig,

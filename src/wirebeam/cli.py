@@ -1,15 +1,24 @@
 """Command-line entry points.
 
 Verbs: train, eval, sweep, pattern, trajectory.  Exit codes: 0 success,
-1 configuration/validation problem, 2 runtime failure.
+1 configuration/validation problem, 2 runtime failure.  BLAS runs on one
+thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS
+says otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from . import bench
+# One BLAS thread unless the user set a count, before numpy loads: every
+# product here is small, and forked sweep workers would each start a
+# thread per core (a pooled sweep then ran slower than one process).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from . import bench  # noqa: E402  (loads numpy)
 from .config import (DEFAULTS, SWEEP_AXES, ConfigError, apply_smoke,
                      build_config, _parse_file)
 from .policies import PolicyKind

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -308,7 +308,8 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     # receiver on the building wall: across the road from the wire midpoint,
     # at the height of the wire endpoints (sag above the origin)
     with np.errstate(all="ignore"):  # extreme inputs overflow: refused below
-        sag = wire_mod.sag_depth(wire_params)
+        eq = wire_mod.solve_equilibrium(wire_params)
+        sag = wire_mod.sag_depth(wire_params, eq)
     rx_position = np.array([0.0, r.number("channel.rx_distance_m"), sag])
 
     with _section("channel/array"):
@@ -333,17 +334,6 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     tx_point = r.number("env.tx_point", int)
     sense_points = r.number("env.sense_points", int, count=None)
     reward_offset = r.number("env.reward_offset_dbm", none_if="auto")
-    if reward_offset is None:
-        # centre the linear reward band 0-10 dB below perfect alignment
-        with np.errstate(all="ignore"):
-            eq = wire_mod.solve_equilibrium(wire_params)
-            look = look_angles(eq.positions[tx_point - 1], rx_position)
-            reward_offset = boresight_power(look, channel, array) - 5.0
-    # the receiver position is finite when the sag is
-    for name, v in (("sag_depth_m", sag), ("reward_offset_dbm", reward_offset)):
-        if not math.isfinite(v):
-            raise ConfigError(f"derived.{name} is not finite ({v}): the wire or "
-                              f"channel values overflow it")
     impulse_duration = r.number("wire.impulse_duration_s", none_if="substep")
 
     env_cfg = EnvConfig(
@@ -353,7 +343,7 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         refine_angle=math.radians(r.number("env.refine_angle_deg")),
         tx_point=tx_point,
         sense_points=(tx_point,) if state_mode == "single_point" else sense_points,
-        reward_offset_dbm=reward_offset,
+        reward_offset_dbm=0.0 if reward_offset is None else reward_offset,  # auto: below
         reward_scale_db=r.number("env.reward_scale_db"),
         impulse_enabled=(scenario == "wind_plus_impulse"),
         impulse_times_s=r.number("wire.impulse_times_s", count=None),
@@ -362,6 +352,24 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         impulse_duration_s=impulse_duration,
         substep_dt=r.number("wire.substep_dt_s"),
     )
+    check_invariants(env_cfg, wire_params)
+
+    # the power under perfect aim at the equilibrium node (the tx point is
+    # interior, checked above), the best an episode can reach before the
+    # wire moves
+    with _section("channel"), np.errstate(all="ignore"):
+        boresight = boresight_power(channel, array)(
+            look_angles(eq.positions[tx_point - 1], rx_position))
+    if reward_offset is None:
+        # centre the linear reward band 0-10 dB below perfect alignment
+        reward_offset = boresight - 5.0
+        env_cfg = replace(env_cfg, reward_offset_dbm=reward_offset)
+    # the receiver position is finite when the sag is
+    for name, v in (("sag_depth_m", sag), ("reward_offset_dbm", reward_offset),
+                    ("boresight_power_dbm", boresight)):
+        if not math.isfinite(v):
+            raise ConfigError(f"derived.{name} is not finite ({v}): the wire or "
+                              f"channel values overflow it")
 
     with _section("train"):
         train = TrainConfig(**{f.name: r.number(f"train.{f.name}", *_FIELD_READS[f.type])
@@ -391,7 +399,6 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
             "weight_init": "he-uniform hidden, uniform(+-1e-3) output, zero biases",
         },
     )
-    check_invariants(cfg.env, cfg.wire)
     return cfg
 
 

@@ -293,23 +293,25 @@ class BeamTrackingEnv:
         return self.state.positions[self._tx_idx]
 
     def step(self, action: int) -> StepOutcome:
-        if self.done:
+        k = len(self.states)  # the step count after this step
+        if k > self.cfg.episode_steps:
             raise EpisodeFinishedError("episode already finished; an env runs one episode")
         self.beam = apply_action(self.beam, action, self.cfg.refine_angle)
-        self.states.append(self._batch.state(self._episode, len(self.states)))
+        state = self._batch.state(self._episode, k)
+        self.states.append(state)
         # the observation is the state `lookback` ago, the equilibrium before that
-        delayed = self.states[max(self.step_count - self.cfg.lag_steps, 0)]
+        delayed = self.states[max(k - self.cfg.lag_steps, 0)]
         self.state_vector = assemble_state(delayed, self._sense_idx, self.beam)
-        node = self.true_node_position
+        node = state.positions[self._tx_idx]
         self.look = look_angles(node, self.channel_cfg.rx_position)
         raw = received_power(self.look, self.beam, self.channel_cfg, self.array_cfg)
         reward = proxy_reward(raw, self.cfg.reward_offset_dbm, self.cfg.reward_scale_db)
         return StepOutcome(next_state=self.state_vector,
                            proxy_reward=reward,
                            raw_power_dbm=raw,
-                           episode_done=self.done,
+                           episode_done=k >= self.cfg.episode_steps,
                            action=action,
-                           time_s=self.state.time,
+                           time_s=state.time,
                            beam=self.beam,
                            node=node,
                            look=self.look)
@@ -340,6 +342,7 @@ def write_trace_csv(path, outcomes: list[StepOutcome], channel_cfg: ChannelConfi
     """One row per step of an episode rolled out from its start; the
     optimal power is the power under continuous (un-quantized) perfect aim.
     Written whole or not at all."""
+    optimal = boresight_power(channel_cfg, array_cfg)
     write_csv(path, ["step", "time_s", "action", "theta_s_deg", "phi_s_deg",
                      "raw_power_dbm", "optimal_power_dbm", "proxy_reward",
                      "node_x", "node_y", "node_z"],
@@ -347,6 +350,6 @@ def write_trace_csv(path, outcomes: list[StepOutcome], channel_cfg: ChannelConfi
                 f"{math.degrees(o.beam.theta_s):.6f}",
                 f"{math.degrees(o.beam.phi_s):.6f}",
                 f"{o.raw_power_dbm:.6f}",
-                f"{boresight_power(o.look, channel_cfg, array_cfg):.6f}",
-                f"{o.proxy_reward:.6f}", *(f"{v:.9f}" for v in o.node)]
+                f"{optimal(o.look):.6f}",
+                f"{o.proxy_reward:.6f}", *(f"{v:.9f}" for v in o.node.tolist())]
                for k, o in enumerate(outcomes, start=1)))

@@ -23,10 +23,14 @@ act at once; each impulse's window is computed once, in a `Forcing`.
 state after every stride of substeps.  It advances one chain or a batch
 of E episodes, positions (N, E, 3), each with its own noise generator
 and impulses, in one `step` call per substep; each episode of a batch
-is bit for bit its chain alone, and one chain is the batch of one.  The
-tracking environment takes one state per tau from it and keeps them all
-as its sensor history, which relies on `step` never modifying its input
-state; `simulate_trajectory` returns a finite slice of the stream.
+is bit for bit its chain alone, and one chain is the batch of one.  Each
+stride, every live episode draws its noise in place into its own block
+of one (E, stride, N-2, 3) array; one copy turns that into the
+(stride, N-2, E, 3) layout whose substep k is the (N-2, E, 3) noise of
+one `step` call.  The tracking environment takes one state per tau from
+it and keeps them all as its sensor history, which relies on `step`
+never modifying its input state; `simulate_trajectory` returns a finite
+slice of the stream.
 
 Point numbering follows the P1..PN convention: user-facing indices are
 1-based, array storage is 0-based.
@@ -226,24 +230,6 @@ class Forcing:
                 acc[at] += accel
 
 
-def interior_acceleration(state: WireState, params: WireParams,
-                          forcing: Forcing | None = None) -> np.ndarray:
-    """Acceleration of the interior points: gravity + tensile coupling (+ impulses).
-
-    Returns a new array of the interior points, (N-2, 3) or (N-2, E, 3).
-    With a `forcing`, every event active during the substep starting at
-    state.time adds its force.
-    """
-    x = state.positions
-    acc = x[2:] + x[:-2]
-    acc -= 2.0 * x[1:-1]
-    acc *= params.spring_accel_coeff
-    acc += params.gravity
-    if forcing is not None:
-        forcing.add(acc, state.time)
-    return acc
-
-
 def solve_equilibrium(params: WireParams) -> WireState:
     """Static shape of the chain with no wind and no impulse.
 
@@ -280,9 +266,11 @@ def solve_equilibrium(params: WireParams) -> WireState:
     return WireState(time=0.0, positions=pos, velocities=np.zeros((n, 3)))
 
 
-def sag_depth(params: WireParams) -> float:
-    """Vertical drop of the midpoint node below the endpoints, s0 [m]."""
-    eq = solve_equilibrium(params)
+def sag_depth(params: WireParams, eq: WireState | None = None) -> float:
+    """Vertical drop of the midpoint node below the endpoints, s0 [m], in
+    the equilibrium `eq` of `params`, solved here when not given."""
+    if eq is None:
+        eq = solve_equilibrium(params)
     return float(eq.positions[0, 2] - eq.positions[(params.n_points - 1) // 2, 2])
 
 
@@ -321,9 +309,10 @@ def step(state: WireState, params: WireParams, wind: WindModel,
         out = state.copy()
         _substeps(out, params, wind, forcing, dt, kicks)
         # a non-finite velocity makes the position it moves non-finite, and
-        # any inf or nan makes a sum non-finite; a finite sum that overflows
-        # only sends the block through the exact check below
-        if math.isfinite(out.positions[1:-1].sum()):
+        # any inf or nan makes the sum of squares non-finite; a finite one
+        # that overflows only sends the block through the exact check below
+        x = out.positions[1:-1].ravel()
+        if math.isfinite(x.dot(x)):
             return out
         # a non-finite value stays non-finite, so replay one substep at a
         # time from the start to find the substep that produced it
@@ -344,24 +333,34 @@ def _substeps(state: WireState, params: WireParams, wind: WindModel,
               forcing: Forcing, dt: float, kicks: np.ndarray):
     """Advance `state` in place by one substep per row of the scaled noise.
 
-    The velocity update is v + (acc - c*(v - v_o))*dt + kick, then
-    x + v*dt; each operation keeps the operand order of that expression,
-    and acts elementwise, so a block is bit for bit the same as one
-    substep per call, and each episode of a batch the same as its chain
-    alone.
+    The interior acceleration is the tensile coupling
+    (k0*N/m)*(x[i+1] + x[i-1] - 2*x[i]) plus gravity plus every impulse
+    active during the substep.  The velocity update is
+    v + (acc - c*(v - v_o))*dt + kick, then x + v*dt; each operation keeps
+    the operand order of those expressions, and acts elementwise, so a
+    block is bit for bit the same as one substep per call, and each
+    episode of a batch the same as its chain alone.
     """
-    x = state.positions[1:-1]
+    pos = state.positions
+    x, x_lo, x_hi = pos[1:-1], pos[:-2], pos[2:]
     v = state.velocities[1:-1]
+    coeff, gravity, drag_c = params.spring_accel_coeff, params.gravity, params.drag_c
+    t = state.time
     for kick in kicks:
-        acc = interior_acceleration(state, params, forcing)
-        drag = v - wind.velocity(state.time)
-        drag *= params.drag_c
+        acc = x_hi + x_lo
+        acc -= x + x  # 2*x, exactly, without a scalar operand to convert
+        acc *= coeff
+        acc += gravity
+        forcing.add(acc, t)
+        drag = v - wind.velocity(t)
+        drag *= drag_c
         acc -= drag
         acc *= dt
         v += acc
         v += kick
         x += v * dt
-        state.time += dt
+        t += dt
+    state.time = t
 
 
 def trajectory(params: WireParams, wind: WindModel, impulses, dt: float,
@@ -372,8 +371,11 @@ def trajectory(params: WireParams, wind: WindModel, impulses, dt: float,
     One seed is one chain, and `impulses` its events.  A sequence of E
     seeds is a batch of E episodes advanced together, positions (N, E, 3),
     and `impulses` holds one sequence of events per episode.  Every
-    stride, each episode draws one (stride, N-2, 3) standard normal block
-    from its own default_rng(seed), so each episode of a batch is bit for
+    stride, each live episode draws one (stride, N-2, 3) standard normal
+    block from its own default_rng(seed), in place into its row of one
+    (E, stride, N-2, 3) array, which one copy turns into the contiguous
+    (stride, N-2, E, 3) noise of the stride's `step` calls; an episode
+    that leaves drops its column.  So each episode of a batch is bit for
     bit the stream of its seed alone; one chain is the batch of one,
     yielded without its episode axis.  A chain that stops being finite
     raises IntegrationDivergedError.  In a batch the episode leaves
@@ -402,9 +404,12 @@ def trajectory(params: WireParams, wind: WindModel, impulses, dt: float,
                                               state.velocities[:, 0])
         if not live:
             return
-        noise = np.empty((stride, params.n_points - 2, len(live), 3))
-        for j, e in enumerate(live):  # cheaper than np.stack
-            noise[:, :, j] = rngs[e].standard_normal((stride, params.n_points - 2, 3))
+        blocks = np.empty((len(live), stride, params.n_points - 2, 3))
+        for j, e in enumerate(live):
+            rngs[e].standard_normal(out=blocks[j])
+        # substep k's (N-2, E, 3) draws, made contiguous in one copy per
+        # stride: the kick product would otherwise copy each strided view
+        noise = np.ascontiguousarray(blocks.transpose(1, 2, 0, 3))
         # one call per substep, not per stride: perfbench's per-layer test
         # counts ten `step` calls per tracking step
         k = 0

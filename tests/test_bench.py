@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -757,6 +758,20 @@ class TestCli:
         assert main(["eval", "--config", cfg, "--policy", "dqn", "--checkpoint",
                      str(ckpt), "--out", str(tmp_path)]) == 1
         assert f"{ckpt}: checkpoint " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_blas_threads_default_to_one_and_a_set_count_wins(self, preset):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        # the package itself must not load numpy, or the setting would come late
+        script = ("import sys, os, wirebeam; assert 'numpy' not in sys.modules; "
+                  "import wirebeam.cli; print(os.environ['OPENBLAS_NUM_THREADS'], "
+                  "os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])")
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out == [preset or "1", "1", "1"]
 
     def test_train_smoke_verb(self, tmp_path):
         text = "\n".join(f"{k} = {v}" for k, v in TINY_TRAIN.items()) + "\n"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wirebeam import channel as ch
 
@@ -74,6 +76,21 @@ class TestAodGeometry:
                                           ch.BeamOrientation(0.0, 0.0))
         assert r == pytest.approx(math.sqrt(25.01), rel=1e-12)
         assert theta_aod == pytest.approx(math.acos(0.1 / math.sqrt(25.01)), rel=1e-12)
+
+    @settings(max_examples=300, database=None)
+    @given(*[st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3,
+                      max_size=3)] * 2)
+    @example([0.0, 0.0, 0.0], [1e200, -3.0, 2e160])      # the square overflows
+    @example([-1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0])  # the difference overflows
+    @example([0.0, 0.0, 0.0], [1e-170, 0.0, 0.0])        # the square underflows
+    def test_range_is_the_norm_bit_for_bit(self, tx, rx):
+        with np.errstate(all="ignore"):  # the angles of an infinite range are nan
+            norm = float(np.linalg.norm(np.asarray(rx, float) - np.asarray(tx, float)))
+            if norm == 0.0:
+                with pytest.raises(ch.GeometryDegenerateError):
+                    ch.look_angles(tx, rx)
+                return
+            assert ch.look_angles(tx, rx)[0].hex() == norm.hex()
 
     def test_coincident_positions_raise(self):
         with pytest.raises(ch.GeometryDegenerateError):
@@ -219,7 +236,7 @@ class TestReceivedPower:
         for tx in [[0, 0, 0], *rng.uniform(-2.0, 2.0, size=(50, 3))]:
             look = ch.look_angles(tx, cfg.rx_position)
             aimed = ch.received_power(look, ch.BeamOrientation(look[1], look[2]), cfg, array)
-            assert ch.boresight_power(look, cfg, array) == pytest.approx(aimed, abs=1e-9)
+            assert ch.boresight_power(cfg, array)(look) == pytest.approx(aimed, abs=1e-9)
 
     def test_beta_default_is_free_space(self):
         cfg = ch.ChannelConfig()

@@ -84,7 +84,7 @@ env.lookback_s = 0.08
         cfg = default_config()
         eq = solve_equilibrium(cfg.wire)
         look = look_angles(eq.positions[9], cfg.channel.rx_position)
-        expected = boresight_power(look, cfg.channel, cfg.array) - 5.0
+        expected = boresight_power(cfg.channel, cfg.array)(look) - 5.0
         assert cfg.env.reward_offset_dbm == pytest.approx(expected, abs=1e-9)
         assert cfg.provenance["env.reward_offset_dbm"] == "default:auto-reward-offset"
 
@@ -284,8 +284,31 @@ class TestNumbers:
         ("wire.endpoint_separation_m", "1e308", "reward_offset_dbm"),
         ("channel.rx_distance_m", "1e308", "reward_offset_dbm"),
         ("wire.spring_k_n_per_m", "1e-320", "sag_depth_m"),
+        ("wire.gravity_mps2", "0, 0, 1e300", "boresight_power_dbm"),
+        ("wire.mass_total_kg", "1e308", "boresight_power_dbm"),
     ])
     def test_overflowing_derived_quantity_refused(self, key, value, derived):
-        # each built a -inf or nan reward offset after a numpy overflow warning
+        # each built a -inf or nan reward offset after a numpy overflow warning;
+        # the boresight rows fix the offset, and their episodes' power was -inf
+        fixed = {"env.reward_offset_dbm": "-50"} if derived == "boresight_power_dbm" else {}
         with pytest.raises(ConfigError, match=rf"^derived\.{derived} is not finite"):
-            default_config(**{key: value})
+            default_config(**{key: value}, **fixed)
+
+    @pytest.mark.parametrize("offset", ["auto", "-50"])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"env.tx_point": "30"}, "sense point P30 outside 1..21"),
+        ({"env.tx_point": "11", "wire.gravity_mps2": "0, 0, 0",
+          "channel.rx_distance_m": "0"}, "channel: transmitter and receiver positions coincide"),
+    ])
+    def test_no_boresight_power_is_a_config_error(self, overrides, message, offset):
+        # the auto offset raised IndexError and GeometryDegenerateError past the CLI
+        with pytest.raises(ConfigError, match=message):
+            default_config(**overrides, **{"env.reward_offset_dbm": offset})
+
+    @pytest.mark.parametrize("offset", ["auto", "-50"])
+    def test_one_equilibrium_solve_per_build(self, monkeypatch, offset):
+        calls, real = [], cfgmod.wire_mod.solve_equilibrium
+        monkeypatch.setattr(cfgmod.wire_mod, "solve_equilibrium",
+                            lambda params: calls.append(params) or real(params))
+        cfg = default_config(**{"env.reward_offset_dbm": offset})
+        assert calls == [cfg.wire]

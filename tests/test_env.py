@@ -240,7 +240,7 @@ class TestStepping:
         look = look_angles(e.true_node_position, e.channel_cfg.rx_position)
         expected = received_power(look, e.beam, e.channel_cfg, e.array_cfg)
         assert out.raw_power_dbm == pytest.approx(expected, abs=1e-9)
-        optimal = boresight_power(look, e.channel_cfg, e.array_cfg)
+        optimal = boresight_power(e.channel_cfg, e.array_cfg)(look)
         assert out.raw_power_dbm <= optimal + 1e-12
 
     def test_episode_ends_exactly_at_step_300(self):
@@ -308,7 +308,7 @@ class TestStepping:
         last = lines[-1].split(",")
         assert last[0] == "5" and last[2] == str(envmod.CENTER_ACTION)
         look = look_angles(outs[-1].node, e.channel_cfg.rx_position)
-        optimal = boresight_power(look, e.channel_cfg, e.array_cfg)
+        optimal = boresight_power(e.channel_cfg, e.array_cfg)(look)
         assert last[6] == f"{optimal:.6f}"
 
 

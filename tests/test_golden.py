@@ -28,10 +28,16 @@ a fresh run and after a resume pass that finds every cell cached; its
 digest was recorded before cached cells were checked against their echo.
 The same sweep run in this process and in two forked workers writes the
 same summary and cells-file bytes.
+
+The benchmark's `eval_paired` unit, run once at full scale on its default
+seed, must give the digests `perfbench/workloads.py` pins for it: 300-step
+episodes with impulses and the 57-dimensional state, where the tiny runs
+above stop after 20 steps.
 """
 
 import csv
 import hashlib
+import importlib
 import os
 from pathlib import Path
 
@@ -222,3 +228,14 @@ def test_sweep_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     assert len(pids[2, "fresh"]) == 4 and 1 <= len(set(pids[2, "fresh"])) <= 2
     assert os.getpid() not in pids[2, "fresh"]
     assert pids[1, "resume"] == pids[2, "resume"] == []  # every cell cached: no worker
+
+
+def test_full_scale_eval_paired_unit_matches_the_benchmark_pins(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    unit = workloads.EvalPaired()
+    ctx = unit.setup(workloads.DEFAULT_SEED, "full", tmp_path)
+    run = unit.unit(ctx, tmp_path)
+    unit.check(ctx, tmp_path, run)
+    assert run.failed == 0
+    assert run.digests == workloads.PINNED["eval_paired"]
