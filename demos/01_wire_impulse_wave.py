@@ -6,21 +6,20 @@ displacement wave toward the far end.  The script prints when each point
 peaks and saves the full trajectory as CSV.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from wirebeam.wire import (ImpulseEvent, WindModel, WireParams,
-                           simulate_trajectory, solve_equilibrium,
+from wirebeam.config import default_config
+from wirebeam.wire import (ImpulseEvent, simulate_trajectory, solve_equilibrium,
                            write_trajectory_csv)
 
 OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
 
-params = WireParams(n_points=21, mass_total=10.0, spring_k=1000.0, drag_c=1.0,
-                    gravity=np.array([0.0, 0.0, -9.8]),
-                    wind_diffusion=np.zeros((3, 3)),  # no wind: pure wave
-                    endpoint_separation=10.0)
+table = default_config()  # the 21-point, 10 kg, 1000 N/m wire of the table
+params = replace(table.wire, wind_diffusion=np.zeros((3, 3)))  # no wind: pure wave
 
 eq = solve_equilibrium(params)
 print(f"wire sag at the midpoint: {eq.positions[0, 2]:.4f} m")
@@ -28,7 +27,7 @@ print(f"stability bound for the substep: {params.max_stable_dt() * 1e3:.2f} ms\n
 
 hit = ImpulseEvent(point_number=4, force=[0.0, 0.0, 470.0], apply_time=0.0,
                    duration_s=0.01)
-samples = simulate_trajectory(params, WindModel(amplitude=0.0), [hit],
+samples = simulate_trajectory(params, replace(table.wind, amplitude=0.0), [hit],
                               duration=0.45, dt=1e-3, seed=0)
 
 dz = np.array([s.positions[:, 2] - eq.positions[:, 2] for s in samples])

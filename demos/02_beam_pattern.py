@@ -5,17 +5,20 @@ measures the half-power beamwidths, then exports a 2D pattern grid.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from wirebeam.channel import (ArrayConfig, BeamOrientation, ChannelConfig,
-                              array_factor, element_gain, write_pattern_csv)
+from wirebeam.channel import (BeamOrientation, array_factor, element_gain,
+                              write_pattern_csv)
+from wirebeam.config import default_config
 
 OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
 
-array = ArrayConfig()  # 32 vertical x 8 horizontal, half-wavelength spacing
+table = default_config()
+array = table.array  # 32 vertical x 8 horizontal, half-wavelength spacing
 beam = BeamOrientation(math.pi / 2, math.pi / 2)
 lam = 0.005
 
@@ -45,6 +48,6 @@ print(f"element pattern: {element_gain(0, 0):.0f} dBi peak, "
       f"{element_gain(math.radians(32.5), 0):.0f} dBi at the 65 deg half-power edge")
 
 path = OUT / "pattern_grid.csv"
-write_pattern_csv(path, beam, ChannelConfig(rx_position=[0, 5, 0]), array,
+write_pattern_csv(path, beam, replace(table.channel, rx_position=[0, 5, 0]), array,
                   span_deg=15.0, step_deg=0.25)
 print(f"\n2D pattern grid written to {path}")

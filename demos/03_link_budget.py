@@ -7,15 +7,17 @@ reads its look geometry, computed once by `look_angles`.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from wirebeam.channel import (ArrayConfig, BeamOrientation, ChannelConfig,
-                              aod_geometry, array_factor, element_gain,
-                              look_angles, received_power)
+from wirebeam.channel import (BeamOrientation, aod_geometry, array_factor,
+                              element_gain, look_angles, received_power)
+from wirebeam.config import default_config
 
-cfg = ChannelConfig(rx_position=[0.0, 5.0, 0.0])
-array = ArrayConfig()
+table = default_config()
+cfg = replace(table.channel, rx_position=[0.0, 5.0, 0.0])
+array = table.array
 tx = np.zeros(3)
 look = look_angles(tx, cfg.rx_position)  # (range, zenith, azimuth) of the receiver
 aligned = BeamOrientation(math.pi / 2, math.pi / 2)

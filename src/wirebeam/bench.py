@@ -136,18 +136,19 @@ def run_train(cfg: ExperimentConfig, out_dir) -> tuple[Path, Path]:
     result = dqn.train(lambda seed: make_envs(cfg, [seed])[0], cfg.train, cfg.seed,
                        baselines)
 
-    ckpt_path = out / "checkpoint.bin"
-    dqn.save_checkpoint(ckpt_path, result.params, result.adam,
-                        cfg.train.total_steps, cfg.echo_json())
     sidecar = {"seed": cfg.seed, "total_steps": cfg.train.total_steps,
                "scenario": cfg.scenario, "state_mode": cfg.state_mode,
                "update_period_steps": cfg.train.update_period_steps,
                "target_sync_steps": cfg.train.target_sync_steps,
                "phases": len(result.log)}
     write_text(out / "checkpoint.bin.json", json.dumps(sidecar, sort_keys=True))
-
     log_path = out / "training_log.csv"
     _write_training_log(log_path, cfg, result.log)
+
+    # the checkpoint last: a sweep skips a cell's training once it lands
+    ckpt_path = out / "checkpoint.bin"
+    dqn.save_checkpoint(ckpt_path, result.params, result.adam,
+                        cfg.train.total_steps, cfg.echo_json())
     return ckpt_path, log_path
 
 
@@ -417,7 +418,7 @@ def export_pattern(cfg: ExperimentConfig, out_dir, span_deg: float,
 def export_trajectory(cfg: ExperimentConfig, out_dir, duration: float,
                       impulse_time: float, with_wind: bool) -> Path:
     """Impulse-response trajectory export (wire positions over time)."""
-    wind = cfg.wind if with_wind else type(cfg.wind)(amplitude=0.0)
+    wind = cfg.wind if with_wind else dataclasses.replace(cfg.wind, amplitude=0.0)
     params = cfg.wire
     if not with_wind:
         params = dataclasses.replace(params, wind_diffusion=np.zeros((3, 3)))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -80,22 +81,21 @@ class BeamOrientation:
 class ChannelConfig:
     """Link-budget constants."""
 
-    tx_power_dbm: float = 23.0
-    wavelength: float = 0.005          # [m]
-    rx_gain_dbi: float = 8.0           # constant over angle
-    pathloss_exponent: float = 2.0     # alpha
-    pathloss_ref_db: float | None = None   # beta [dB at 1 m]; None -> free space
-    rx_position: np.ndarray | None = None  # [m], 3-vector
+    tx_power_dbm: float
+    wavelength: float                # [m]
+    rx_gain_dbi: float               # constant over angle
+    pathloss_exponent: float         # alpha
+    pathloss_ref_db: float | None    # beta [dB at 1 m]; None -> free space
+    rx_position: np.ndarray          # [m], 3-vector
 
     def __post_init__(self):
         if self.wavelength <= 0:
             raise ValueError("wavelength must be positive")
         if self.pathloss_exponent < 1:
             raise ValueError("pathloss_exponent must be >= 1")
-        pos = np.zeros(3) if self.rx_position is None else np.asarray(self.rx_position, float)
-        object.__setattr__(self, "rx_position", pos)
+        object.__setattr__(self, "rx_position", np.asarray(self.rx_position, float))
 
-    @property
+    @cached_property  # every received_power reads it
     def beta_db(self) -> float:
         """Path gain at 1 m; free-space (lambda/4pi)^2 unless overridden."""
         if self.pathloss_ref_db is not None:
@@ -112,12 +112,12 @@ class ArrayConfig:
     so boresight reaches 10*log10(n_v*n_h).
     """
 
-    n_vertical: int = 32
-    n_horizontal: int = 8
-    corr_coeff: float = 1.0
-    spacing_v: float = 0.0025  # [m]
-    spacing_h: float = 0.0025  # [m]
-    amplitude_norm: str = "paper_literal"
+    n_vertical: int
+    n_horizontal: int
+    corr_coeff: float
+    spacing_v: float  # [m]
+    spacing_h: float  # [m]
+    amplitude_norm: str
 
     def __post_init__(self):
         if self.n_vertical < 1 or self.n_horizontal < 1:

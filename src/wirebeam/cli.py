@@ -20,7 +20,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from . import bench  # noqa: E402  (loads numpy)
 from .config import (DEFAULTS, SWEEP_AXES, ConfigError, apply_smoke,
-                     build_config, _parse_file)
+                     build_config, parse_file)
 from .policies import PolicyKind
 
 
@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> "ExperimentConfig":
-    values = _parse_file(args.config)
+    values = parse_file(args.config)
     if args.smoke:
         values = apply_smoke(values)
     values.update({key: str(v) for key, v in vars(args).items()

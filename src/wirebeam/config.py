@@ -1,12 +1,14 @@
 """Experiment configuration: parsing, defaults, validation, echo.
 
 Config files are flat ``section.key = value`` lines ('#' starts a comment).
-Every key has a default, so an empty file is a valid Table-style baseline
-run.  Loading materializes all defaults, records where each value came
-from ("file" or "default[:note]"), derives the quantities that depend on
-the wire shape (receiver position, auto reward offset), and validates the
-cross-module invariants.  The echo of a loaded config is embedded in every
-output file so results stay re-derivable from their own headers.
+`DEFAULTS` is the only source of defaults: every key has one there, so an
+empty file is a valid Table-style baseline run, and the config dataclasses
+have none and take every value explicitly.  Building materializes all
+defaults, records where each value came from ("file" or "default[:note]"),
+derives the quantities that depend on the wire shape (receiver position,
+auto reward offset), and validates the cross-module invariants.  The echo
+of a built config is embedded in every output file so results stay
+re-derivable from their own headers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -117,7 +119,7 @@ class SweepSpec:
     axis: str
     values: tuple[float, ...]
     repetitions: int
-    policies: tuple[str, ...] = tuple(k.value for k in PolicyKind)
+    policies: tuple[str, ...]
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -164,9 +166,9 @@ class ExperimentConfig:
     train: TrainConfig
     sweep: SweepSpec
     eval_episodes: int
-    values: dict[str, str] = field(default_factory=dict)      # all keys, string form
-    provenance: dict[str, str] = field(default_factory=dict)  # key -> file|default[:note]
-    derived: dict[str, object] = field(default_factory=dict)  # materialized quantities
+    values: dict[str, str]       # all keys, string form
+    provenance: dict[str, str]   # key -> file|default[:note]
+    derived: dict[str, object]   # materialized quantities
 
     def echo(self) -> dict:
         """JSON-serializable header embedded in every output file."""
@@ -183,7 +185,8 @@ class ExperimentConfig:
 # parsing helpers
 # --------------------------------------------------------------------------
 
-def _parse_file(path) -> dict[str, str]:
+def parse_file(path) -> dict[str, str]:
+    """The key -> value strings set in the config file at `path`."""
     values, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -266,11 +269,6 @@ def _section(name):
 # --------------------------------------------------------------------------
 # loading
 # --------------------------------------------------------------------------
-
-def load_config(path) -> ExperimentConfig:
-    """Parse, default-fill, derive, and validate an experiment config file."""
-    return build_config(_parse_file(path))
-
 
 def default_config(**overrides: str) -> ExperimentConfig:
     """The all-defaults config, with optional key -> value-string overrides."""

@@ -63,10 +63,6 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return MlpParams(self.dims, self.flat.copy())
 
-    def equals(self, other: "MlpParams") -> bool:
-        """Exact equality of architecture and every parameter."""
-        return self.dims == other.dims and np.array_equal(self.flat, other.flat)
-
 
 def init_mlp(dims: tuple[int, ...], rng: np.random.Generator) -> MlpParams:
     """He-uniform hidden layers, small-uniform output layer, zero biases."""
@@ -266,23 +262,23 @@ class ReplayBuffer:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    discount: float = 0.99
-    epsilon_train: float = 0.2
-    epsilon_eval: float = 0.0
-    learning_rate: float = 1e-4
-    update_period_steps: int = 300
-    sample_block: int = 2048
-    minibatch: int = 32
-    epochs: int = 8
-    outer_iterations: int = 4
-    target_sync_steps: int = 3000
-    total_steps: int = 100_000
-    eval_steps: int = 300
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    replay_capacity: int = 50_000
-    hidden_sizes: tuple[int, ...] = (128, 128, 128)
+    discount: float
+    epsilon_train: float
+    epsilon_eval: float
+    learning_rate: float
+    update_period_steps: int
+    sample_block: int
+    minibatch: int
+    epochs: int
+    outer_iterations: int
+    target_sync_steps: int
+    total_steps: int
+    eval_steps: int
+    adam_beta1: float
+    adam_beta2: float
+    adam_eps: float
+    replay_capacity: int
+    hidden_sizes: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,20 +57,20 @@ class EnvConfig:
     multiple of the physics substep.  Point indices are 1-based P-numbers.
     """
 
-    tau: float = 0.01                 # beam-refinement interval [s]
-    lookback: float = 0.02            # sensor staleness T [s]
-    episode_duration: float = 3.0     # [s]
-    refine_angle: float = math.radians(1.0)  # grid step A [rad]
-    tx_point: int = 10                # P-number carrying the radio
-    sense_points: tuple[int, ...] = (10,)
-    reward_offset_dbm: float = -48.0  # b_c
-    reward_scale_db: float = 5.0      # d_c
-    impulse_enabled: bool = False
-    impulse_times_s: tuple[float, ...] = (1.0, 2.0, 3.0)
-    impulse_point: int = 4
-    impulse_force: tuple[float, float, float] = (0.0, 0.0, 470.0)
-    impulse_duration_s: float | None = None  # None: single physics substep
-    substep_dt: float = 0.001         # physics substep [s]
+    tau: float                  # beam-refinement interval [s]
+    lookback: float             # sensor staleness T [s]
+    episode_duration: float     # [s]
+    refine_angle: float         # grid step A [rad]
+    tx_point: int               # P-number carrying the radio
+    sense_points: tuple[int, ...]
+    reward_offset_dbm: float    # b_c
+    reward_scale_db: float      # d_c
+    impulse_enabled: bool
+    impulse_times_s: tuple[float, ...]
+    impulse_point: int
+    impulse_force: tuple[float, float, float]
+    impulse_duration_s: float | None  # None: single physics substep
+    substep_dt: float           # physics substep [s]
 
     def __post_init__(self):
         object.__setattr__(self, "sense_points", tuple(self.sense_points))
@@ -90,19 +91,20 @@ class EnvConfig:
         if self.tx_point not in self.sense_points:
             raise ConfigError("tx_point must be among sense_points")
 
-    @property
+    # computed on first read and kept: an env step reads them
+    @cached_property
     def lag_steps(self) -> int:
         return int(round(self.lookback / self.tau))
 
-    @property
+    @cached_property
     def substeps_per_tau(self) -> int:
         return int(round(self.tau / self.substep_dt))
 
-    @property
+    @cached_property
     def episode_steps(self) -> int:
         return int(round(self.episode_duration / self.tau))
 
-    @property
+    @cached_property
     def state_dim(self) -> int:
         return 6 * len(self.sense_points) + 3
 

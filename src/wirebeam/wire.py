@@ -144,8 +144,8 @@ class WireState:
 class WindModel:
     """Mean wind velocity v_o(t): per axis amplitude*sin(2*pi*t/period)."""
 
-    amplitude: float = 5.0                                    # [m/s]
-    periods: tuple[float, float, float] = (4.0, 6.0, 8.0)     # [s]
+    amplitude: float                   # [m/s]
+    periods: tuple[float, float, float]  # [s]
 
     def __post_init__(self):
         if not all(p > 0 for p in self.periods):

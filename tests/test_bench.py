@@ -335,6 +335,34 @@ class TestSweepCellCheckpoint:
         for name in ("checkpoint.bin", "training_log.csv", "metrics_dqn.json"):
             assert (bad / name).read_bytes() == (clean / name).read_bytes()
 
+    @pytest.mark.parametrize("name", ["checkpoint.bin.json", "training_log.csv",
+                                      "checkpoint.bin"])
+    def test_a_cell_killed_mid_training_retrains_on_rerun(self, tmp_path, monkeypatch,
+                                                          name):
+        # a kill lands between two writes; a rerun that trusted a checkpoint
+        # written before the kill would skip training and never write the rest
+        class Killed(BaseException):
+            """Passes the `except Exception` handlers, as a kill does."""
+
+        cfg = tiny_cfg()
+        clean, killed = tmp_path / "clean", tmp_path / "killed"
+        assert bench.run_sweep_cell(cfg, clean, ["dqn"])["dqn"][0] == "ok"
+        real_open = open
+
+        def killing_open(path, *args, **kwargs):
+            if Path(path).name == name + ".tmp":
+                raise Killed
+            return real_open(path, *args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(files, "open", killing_open, raising=False)
+            with pytest.raises(Killed):
+                bench.run_sweep_cell(cfg, killed, ["dqn"])
+        assert bench.run_sweep_cell(cfg, killed, ["dqn"])["dqn"][0] == "ok"
+        assert sorted(p.name for p in killed.iterdir()) == \
+            sorted(p.name for p in clean.iterdir())
+        for path in clean.iterdir():
+            assert (killed / path.name).read_bytes() == path.read_bytes()
+
 
 class TestSweepWorkers:
     """A sweep's cells run in forked worker processes."""
@@ -525,6 +553,33 @@ def test_only_files_writes_files():
                      if isinstance(a, ast.Constant) and re.fullmatch(r"[rwaxbt+]+", str(a.value))]
             if name == "open" and any(set(m) & set("wax") for m in modes):
                 found.append(f"{source.name}:{node.lineno}: opens for writing")
+    assert found == []
+
+
+def test_no_module_reads_another_modules_private_names():
+    # one public name per job: a name another module needs is not private
+    package = Path(files.__file__).parent
+    modules = {source.stem for source in package.glob("*.py")}
+    found = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        aliases = set()  # the names this module binds to other wirebeam modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or
+                                                     node.module.startswith("wirebeam")):
+                for a in node.names:
+                    if node.module in (None, "wirebeam") and a.name in modules:
+                        aliases.add(a.asname or a.name)
+                    elif a.name.startswith("_"):
+                        found.append(f"{source.name}:{node.lineno}: imports {a.name}")
+            elif isinstance(node, ast.Import):
+                aliases.update(a.asname or a.name for a in node.names
+                               if a.name.startswith("wirebeam"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") and \
+                    not node.attr.endswith("__") and ast.unparse(node.value) in aliases:
+                found.append(f"{source.name}:{node.lineno}: reads "
+                             f"{ast.unparse(node.value)}.{node.attr}")
     assert found == []
 
 

@@ -1,6 +1,7 @@
 """Channel model: geometry, element pattern, array factor, link budget."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wirebeam import channel as ch
+from wirebeam.config import default_config
 
-TABLE_ARRAY = ch.ArrayConfig()  # 32 x 8, rho = 1, 2.5 mm spacing
+TABLE = default_config()
+TABLE_ARRAY = TABLE.array  # 32 x 8, rho = 1, 2.5 mm spacing
 LAMBDA = 0.005
+
+
+def channel_to(rx_position, **overrides) -> ch.ChannelConfig:
+    """The table's link budget with the receiver at `rx_position`."""
+    return replace(TABLE.channel, rx_position=rx_position, **overrides)
 
 
 def power_from(tx, beam, cfg: ch.ChannelConfig) -> float:
@@ -129,7 +137,7 @@ class TestArrayFactor:
                 pytest.approx(0.0, abs=1e-12)
 
     def test_boresight_power_norm_gain(self):
-        cfg = ch.ArrayConfig(amplitude_norm="power_norm")
+        cfg = replace(TABLE_ARRAY, amplitude_norm="power_norm")
         beam = ch.BeamOrientation(math.pi / 2, math.pi / 2)
         assert ch.array_factor(0.0, 0.0, beam, cfg, LAMBDA) == \
             pytest.approx(10.0 * math.log10(256), rel=1e-9)
@@ -152,7 +160,7 @@ class TestArrayFactor:
             theta = rng.uniform(-1.0, 1.0)
             phi = rng.uniform(-1.0, 1.0)
             for norm in ("paper_literal", "power_norm"):
-                cfg = ch.ArrayConfig(amplitude_norm=norm)
+                cfg = replace(TABLE_ARRAY, amplitude_norm=norm)
                 got = ch.array_factor(theta, phi, beam, cfg, LAMBDA)
                 want = brute_force_af_db(theta, phi, beam, cfg, LAMBDA)
                 assert got == pytest.approx(want, abs=1e-9)
@@ -160,7 +168,7 @@ class TestArrayFactor:
     def test_boresight_is_the_maximum_on_the_grid(self):
         grid = np.radians(np.arange(-60.0, 61.0, 1.0))
         for norm in ("paper_literal", "power_norm"):
-            cfg = ch.ArrayConfig(amplitude_norm=norm)
+            cfg = replace(TABLE_ARRAY, amplitude_norm=norm)
             for beam in (ch.BeamOrientation(math.pi / 2, math.pi / 2),
                          ch.BeamOrientation(1.3, 0.7)):
                 best = ch.array_factor(0.0, 0.0, beam, cfg, LAMBDA)
@@ -178,7 +186,7 @@ class TestArrayFactor:
 
     def test_bounds_for_both_norms(self):
         rng = np.random.default_rng(7)
-        power_cfg = ch.ArrayConfig(amplitude_norm="power_norm")
+        power_cfg = replace(TABLE_ARRAY, amplitude_norm="power_norm")
         cap = 10.0 * math.log10(256)
         for _ in range(300):
             beam = ch.BeamOrientation(rng.uniform(0, math.pi),
@@ -191,7 +199,7 @@ class TestArrayFactor:
 class TestReceivedPower:
     def test_friis_free_space_value(self):
         # independent Friis computation at r = 5 m, perfect boresight
-        cfg = ch.ChannelConfig(rx_position=[0, 5, 0])
+        cfg = channel_to([0, 5, 0])
         beam = ch.BeamOrientation(math.pi / 2, math.pi / 2)
         got = power_from([0, 0, 0], beam, cfg)
         path_loss = 20.0 * math.log10(4.0 * math.pi * 5.0 / 0.005)
@@ -200,22 +208,21 @@ class TestReceivedPower:
 
     def test_doubling_range_costs_6db(self):
         beam = ch.BeamOrientation(math.pi / 2, math.pi / 2)
-        p5 = power_from([0, 0, 0], beam, ch.ChannelConfig(rx_position=[0, 5, 0]))
-        p10 = power_from([0, 0, 0], beam, ch.ChannelConfig(rx_position=[0, 10, 0]))
+        p5 = power_from([0, 0, 0], beam, channel_to([0, 5, 0]))
+        p10 = power_from([0, 0, 0], beam, channel_to([0, 10, 0]))
         assert p5 - p10 == pytest.approx(20.0 * math.log10(2.0), rel=1e-9)
 
     def test_tx_power_shifts_additively(self):
         beam = ch.BeamOrientation(1.4, 1.2)
-        base = ch.ChannelConfig(rx_position=[0.4, 4.0, 0.3])
-        up = ch.ChannelConfig(tx_power_dbm=base.tx_power_dbm + 7.5,
-                              rx_position=[0.4, 4.0, 0.3])
+        base = channel_to([0.4, 4.0, 0.3])
+        up = channel_to([0.4, 4.0, 0.3], tx_power_dbm=base.tx_power_dbm + 7.5)
         tx = [0.1, -0.2, 0.05]
         delta = power_from(tx, beam, up) - power_from(tx, beam, base)
         assert delta == pytest.approx(7.5, abs=1e-12)
 
     def test_misalignment_drop_equals_gain_difference(self):
         # same range, so the power drop is exactly the transmit-gain drop
-        cfg = ch.ChannelConfig(rx_position=[0, 5, 0])
+        cfg = channel_to([0, 5, 0])
         aligned = ch.BeamOrientation(math.pi / 2, math.pi / 2)
         flipped = ch.BeamOrientation(math.pi / 2, -math.pi / 2)
         tx = [0, 0, 0]
@@ -228,10 +235,11 @@ class TestReceivedPower:
         drop = power_from(tx, aligned, cfg) - power_from(tx, flipped, cfg)
         assert drop == pytest.approx(g_tx(aligned) - g_tx(flipped), abs=1e-9)
 
-    @pytest.mark.parametrize("array", [TABLE_ARRAY, ch.ArrayConfig(amplitude_norm="power_norm"),
-                                       ch.ArrayConfig(n_vertical=6, n_horizontal=5)])
+    @pytest.mark.parametrize("array", [TABLE_ARRAY,
+                                       replace(TABLE_ARRAY, amplitude_norm="power_norm"),
+                                       replace(TABLE_ARRAY, n_vertical=6, n_horizontal=5)])
     def test_boresight_power_is_received_power_at_exact_aim(self, array):
-        cfg = ch.ChannelConfig(rx_position=[0.3, 5.0, 0.4])
+        cfg = channel_to([0.3, 5.0, 0.4])
         rng = np.random.default_rng(3)
         for tx in [[0, 0, 0], *rng.uniform(-2.0, 2.0, size=(50, 3))]:
             look = ch.look_angles(tx, cfg.rx_position)
@@ -239,9 +247,9 @@ class TestReceivedPower:
             assert ch.boresight_power(cfg, array)(look) == pytest.approx(aimed, abs=1e-9)
 
     def test_beta_default_is_free_space(self):
-        cfg = ch.ChannelConfig()
+        cfg = TABLE.channel
         assert cfg.beta_db == pytest.approx(20.0 * math.log10(0.005 / (4 * math.pi)))
-        cfg2 = ch.ChannelConfig(pathloss_ref_db=-60.0)
+        cfg2 = replace(cfg, pathloss_ref_db=-60.0)
         assert cfg2.beta_db == -60.0
 
 
@@ -249,7 +257,7 @@ class TestPatternExport:
     def test_pattern_csv(self, tmp_path):
         path = tmp_path / "pattern.csv"
         ch.write_pattern_csv(path, ch.BeamOrientation(math.pi / 2, math.pi / 2),
-                             ch.ChannelConfig(rx_position=[0, 5, 0]), TABLE_ARRAY,
+                             channel_to([0, 5, 0]), TABLE_ARRAY,
                              span_deg=5.0, step_deg=1.0)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "theta_deg,phi_deg,af_db,element_db,total_db"

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from wirebeam import config as cfgmod
-from wirebeam.channel import boresight_power, look_angles
-from wirebeam.config import (ConfigError, SweepSpec, build_config, default_config,
-                             load_config)
+from wirebeam.channel import ArrayConfig, ChannelConfig, boresight_power, look_angles
+from wirebeam.config import (ConfigError, ExperimentConfig, SweepSpec, build_config,
+                             default_config, parse_file)
 from wirebeam.dqn import TrainConfig
-from wirebeam.wire import solve_equilibrium
+from wirebeam.env import EnvConfig
+from wirebeam.wire import WindModel, solve_equilibrium
 
 
 class TestDefaultsMatchTableParameters:
@@ -64,7 +65,7 @@ wire.mass_total_kg = 15.0
 scenario = wind_plus_impulse   # trailing comment
 env.lookback_s = 0.08
 """)
-        cfg = load_config(path)
+        cfg = build_config(parse_file(path))
         assert cfg.wire.mass_total == 15.0
         assert cfg.scenario == "wind_plus_impulse"
         assert cfg.env.impulse_enabled
@@ -104,13 +105,13 @@ env.lookback_s = 0.08
                         "wire.mass_total_kg = 12\n")
         with pytest.raises(ConfigError, match=r"twice\.cfg:5: 'wire\.mass_total_kg' "
                                               r"is set twice, on lines 1 and 5"):
-            load_config(path)
+            build_config(parse_file(path))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("wire.mass = 3\n")
         with pytest.raises(ConfigError, match="unknown key"):
-            load_config(path)
+            build_config(parse_file(path))
 
     def test_build_config_rejects_unknown_keys(self):
         # a stray key would otherwise ride along in every echo
@@ -134,7 +135,7 @@ env.lookback_s = 0.08
         path = tmp_path / "bad.cfg"
         path.write_text("wire.mass_total_kg = 10\nnot a key value line\n")
         with pytest.raises(ConfigError, match=":2"):
-            load_config(path)
+            build_config(parse_file(path))
 
     def test_wire_invariants_shared_with_the_env(self):
         # the env's own check runs at load time, with the env's message
@@ -257,7 +258,25 @@ class TestNumbers:
         # build_config reads each field from its train.<field> key
         keys = {k.removeprefix("train.") for k in cfgmod.DEFAULTS if k.startswith("train.")}
         assert keys == {f.name for f in dataclasses.fields(TrainConfig)}
-        assert default_config().train == TrainConfig()
+
+    @pytest.mark.parametrize("cls", [EnvConfig, ChannelConfig, ArrayConfig, TrainConfig,
+                                     WindModel, SweepSpec, ExperimentConfig],
+                             ids=lambda cls: cls.__name__)
+    def test_config_dataclasses_have_no_defaults(self, cls):
+        # DEFAULTS is the one owner of every default; a field default would
+        # be a second copy, free to disagree with it
+        with_default = [f.name for f in dataclasses.fields(cls)
+                        if f.default is not dataclasses.MISSING
+                        or f.default_factory is not dataclasses.MISSING]
+        assert with_default == []
+
+    def test_build_config_reads_every_key(self, monkeypatch):
+        # a key in DEFAULTS that nothing reads would only ride along in the echo
+        read, real_raw = set(), cfgmod._Reader.raw
+        monkeypatch.setattr(cfgmod._Reader, "raw",
+                            lambda self, key: read.add(key) or real_raw(self, key))
+        default_config()
+        assert read == set(cfgmod.DEFAULTS)
 
     @pytest.mark.parametrize("sizes", ["0", "-4, 8", "8, 0, 8"])
     def test_hidden_sizes_below_one_refused(self, sizes):

@@ -2,6 +2,7 @@
 
 import math
 import traceback
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +12,14 @@ from wirebeam import env as envmod
 from wirebeam import wire
 from wirebeam.bench import make_envs as make_experiment_envs
 from wirebeam.bench import policy_callable
-from wirebeam.channel import (ArrayConfig, BeamOrientation, ChannelConfig,
-                              boresight_power, look_angles, received_power)
+from wirebeam.channel import BeamOrientation, boresight_power, look_angles, received_power
 from wirebeam.config import default_config
-from wirebeam.env import (BeamTrackingEnv, ConfigError, EnvConfig, EpisodeBatch,
-                          EpisodeFinishedError, apply_action, assemble_state,
-                          decode_action, proxy_reward, rollout)
+from wirebeam.env import (BeamTrackingEnv, ConfigError, EpisodeBatch, EpisodeFinishedError,
+                          apply_action, assemble_state, decode_action, proxy_reward,
+                          rollout)
 from wirebeam.policies import PolicyKind
 
+TABLE = default_config()
 A_DEG = math.radians(1.0)
 ACTION = {decode_action(a): a for a in range(envmod.N_ACTIONS)}  # (d_theta, d_phi) -> index
 
@@ -33,15 +34,15 @@ def wire_params(**overrides):
 
 def channel_cfg(params):
     sag = wire.sag_depth(params)
-    return ChannelConfig(rx_position=np.array([0.0, 5.0, sag]))
+    return replace(TABLE.channel, rx_position=np.array([0.0, 5.0, sag]))
 
 
 def make_env(seed=0, quiet=False, **env_overrides) -> BeamTrackingEnv:
     """The env of `seed` over a batch of that episode alone."""
     params = wire_params(wind_diffusion=np.zeros((3, 3)) if quiet else 0.1 * np.eye(3))
-    wind = wire.WindModel(amplitude=0.0 if quiet else 5.0)
-    batch = EpisodeBatch(EnvConfig(**env_overrides), params, wind, [seed])
-    return BeamTrackingEnv(batch, seed, channel_cfg(params), ArrayConfig())
+    wind = replace(TABLE.wind, amplitude=0.0) if quiet else TABLE.wind
+    batch = EpisodeBatch(replace(TABLE.env, **env_overrides), params, wind, [seed])
+    return BeamTrackingEnv(batch, seed, channel_cfg(params), TABLE.array)
 
 
 class TestActions:
@@ -149,16 +150,16 @@ class TestStateAssembly:
 class TestEnvConfigValidation:
     def test_lookback_must_be_multiple_of_tau(self):
         with pytest.raises(ConfigError, match="lookback not a multiple of tau"):
-            EnvConfig(lookback=0.015)
+            replace(TABLE.env, lookback=0.015)
 
     def test_tx_point_must_be_sensed(self):
         with pytest.raises(ConfigError):
-            EnvConfig(sense_points=(2, 4), tx_point=10)
+            replace(TABLE.env, sense_points=(2, 4), tx_point=10)
 
     def test_stability_bound_enforced(self):
         params = wire_params(spring_k=1e6)  # dt = 1 ms is now unstable
         with pytest.raises(ConfigError, match="stability"):
-            EpisodeBatch(EnvConfig(), params, wire.WindModel(), [0])
+            EpisodeBatch(TABLE.env, params, TABLE.wind, [0])
 
     @pytest.mark.parametrize("overrides, match", [
         (dict(sense_points=(10, 22)), "sense point P22 outside 1..21"),
@@ -179,8 +180,8 @@ class TestEnvConfigValidation:
         assert all(e.cfg is cfg.env is e._batch.env_cfg for e in envs)
 
     def test_state_dim(self):
-        assert EnvConfig().state_dim == 9
-        expanded = EnvConfig(sense_points=(2, 4, 6, 8, 10, 12, 14, 16, 18))
+        assert TABLE.env.state_dim == 9
+        expanded = replace(TABLE.env, sense_points=(2, 4, 6, 8, 10, 12, 14, 16, 18))
         assert expanded.state_dim == 57
 
 
@@ -339,12 +340,12 @@ class TestSharedWireStream:
             assert np.array_equal(got.velocities, want.velocities)
 
     def test_impulse_at_builds_the_configured_event(self):
-        cfg = EnvConfig(impulse_point=6, impulse_force=(1.0, -2.0, 300.0),
-                        impulse_duration_s=0.02)
+        cfg = replace(TABLE.env, impulse_point=6, impulse_force=(1.0, -2.0, 300.0),
+                      impulse_duration_s=0.02)
         ev = cfg.impulse_at(1.25)
         assert (ev.point_number, ev.apply_time, ev.duration_s) == (6, 1.25, 0.02)
         np.testing.assert_array_equal(ev.force, [1.0, -2.0, 300.0])
-        assert EnvConfig().impulse_at(0.0).duration_s is None
+        assert replace(cfg, impulse_duration_s=None).impulse_at(0.0).duration_s is None
 
     def test_a_finished_episode_stays_finished(self):
         e = make_env(seed=4, quiet=True, episode_duration=0.02)
@@ -415,8 +416,8 @@ class TestEpisodeBatch:
 
     # the force's (N/m)*F overflows: an episode whose impulse comes at
     # 55.5 ms diverges in its sixth step; at 5 s it never comes
-    DIVERGING = EnvConfig(episode_duration=0.1, impulse_enabled=True,
-                          impulse_times_s=(0.0555, 5.0), impulse_force=(0.0, 0.0, 1e308))
+    DIVERGING = replace(TABLE.env, episode_duration=0.1, impulse_enabled=True,
+                        impulse_times_s=(0.0555, 5.0), impulse_force=(0.0, 0.0, 1e308))
 
     def seeds_by_impulse_time(self):
         times = {s: envmod.EpisodeSchedule.draw(self.DIVERGING, s).impulse_time
@@ -427,8 +428,8 @@ class TestEpisodeBatch:
     def build(self, seed, batch=None):
         params = wire_params()
         if batch is None:  # the episode alone
-            batch = EpisodeBatch(self.DIVERGING, params, wire.WindModel(), [seed])
-        return BeamTrackingEnv(batch, seed, channel_cfg(params), ArrayConfig())
+            batch = EpisodeBatch(self.DIVERGING, params, TABLE.wind, [seed])
+        return BeamTrackingEnv(batch, seed, channel_cfg(params), TABLE.array)
 
     def fail_step(self, env):
         """(step, error) of the step that diverged, or (None, None)."""
@@ -447,7 +448,7 @@ class TestEpisodeBatch:
         seeds = [calm[0], diverging[0], calm[1]]
         seeds.append(seeds[1])
 
-        batch = EpisodeBatch(cfg, params, wire.WindModel(), seeds)
+        batch = EpisodeBatch(cfg, params, TABLE.wind, seeds)
         assert batch.seeds == seeds[:3]
         envs = [build(s, batch) for s in seeds]
         assert fail_step(envs[0]) == (None, None) and envs[0].done
@@ -470,7 +471,7 @@ class TestEpisodeBatch:
         # one env per policy over one diverging seed, as a sweep cell builds them
         seed = self.seeds_by_impulse_time()[1][0]
         _, err_alone = self.fail_step(self.build(seed))
-        batch = EpisodeBatch(self.DIVERGING, wire_params(), wire.WindModel(), [seed] * 3)
+        batch = EpisodeBatch(self.DIVERGING, wire_params(), TABLE.wind, [seed] * 3)
         depths = []
         for env in [self.build(seed, batch) for _ in range(3)]:
             k, err = self.fail_step(env)

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wirebeam import wire
+from wirebeam.config import default_config
 
 
 def table_params(**overrides):
@@ -22,7 +24,8 @@ def quiet_params(**overrides):
     return table_params(**overrides)
 
 
-STILL = wire.WindModel(amplitude=0.0)
+WIND = default_config().wind  # the table's: 5 m/s, periods 4, 6 and 8 s
+STILL = replace(WIND, amplitude=0.0)
 
 
 def interior_acceleration(state, params):
@@ -126,7 +129,7 @@ class TestStep:
         st = wire.solve_equilibrium(params)
         p0, pn = st.positions[0].copy(), st.positions[-1].copy()
         for _ in range(100):
-            st = wire.step(st, params, wire.WindModel(), (), 1e-3,
+            st = wire.step(st, params, WIND, (), 1e-3,
                            rng.standard_normal((19, 3)))
         assert np.array_equal(st.positions[0], p0)
         assert np.array_equal(st.positions[-1], pn)
@@ -200,7 +203,7 @@ class TestBlockStep:
     @pytest.mark.parametrize("case", ["coupled_diffusion", "straddling_impulse",
                                       "custom_wind"])
     def test_block_equals_single_substeps(self, case):
-        params, wind, impulses = table_params(), wire.WindModel(), ()
+        params, wind, impulses = table_params(), WIND, ()
         if case == "coupled_diffusion":
             params = table_params(wind_diffusion=COUPLED_DIFFUSION)
         elif case == "straddling_impulse":
@@ -257,7 +260,7 @@ class TestBlockStep:
             noise = np.zeros((200, 19, 3))
         before = start.copy()
         try:
-            wire.step(start, params, wire.WindModel(), impulses, dt, noise)
+            wire.step(start, params, WIND, impulses, dt, noise)
         except wire.IntegrationDivergedError:
             assert case == "divergence_replay"
         else:
@@ -274,16 +277,16 @@ class TestBlockStep:
 
 class TestWindModel:
     def test_zero_at_t0(self):
-        np.testing.assert_allclose(wire.WindModel().velocity(0.0), 0.0,
+        np.testing.assert_allclose(WIND.velocity(0.0), 0.0,
                                    atol=1e-15)
 
     def test_values_at_t1_and_t2(self):
-        v1 = wire.WindModel().velocity(1.0)
+        v1 = WIND.velocity(1.0)
         np.testing.assert_allclose(v1, [5.0, 4.3301, 3.5355], atol=1e-4)
         np.testing.assert_allclose(
             v1, [5 * math.sin(math.pi / 2), 5 * math.sin(math.pi / 3),
                  5 * math.sin(math.pi / 4)], rtol=1e-12)
-        v2 = wire.WindModel().velocity(2.0)
+        v2 = WIND.velocity(2.0)
         assert abs(v2[0]) < 1e-12
         np.testing.assert_allclose(v2[1:], [4.3301, 5.0], atol=1e-4)
 
@@ -292,7 +295,7 @@ class TestWindModel:
     def test_periods_must_be_positive(self, periods):
         # a zero period divided by zero at the first wind sample, mid-run
         with pytest.raises(ValueError, match="wind periods must be positive"):
-            wire.WindModel(periods=periods)
+            replace(WIND, periods=periods)
 
 
 class TestImpulse:
@@ -333,7 +336,7 @@ class TestImpulse:
 class TestTrajectory:
     def test_seed_determinism_bit_identical(self):
         params = table_params()
-        kw = dict(params=params, wind=wire.WindModel(), impulses=[], duration=0.2,
+        kw = dict(params=params, wind=WIND, impulses=[], duration=0.2,
                   dt=1e-3, seed=42)
         a = wire.simulate_trajectory(**kw)
         b = wire.simulate_trajectory(**kw)
@@ -380,20 +383,20 @@ class TestTrajectory:
 
     def test_samples_every_stride_and_drops_a_partial_last_one(self):
         params = table_params()
-        samples = wire.simulate_trajectory(params, wire.WindModel(), [], 0.025, 1e-3, 3,
+        samples = wire.simulate_trajectory(params, WIND, [], 0.025, 1e-3, 3,
                                            sample_every=0.01)
         assert [round(s.time, 9) for s in samples] == [0.0, 0.01, 0.02]
-        every = wire.simulate_trajectory(params, wire.WindModel(), [], 0.025, 1e-3, 3)
+        every = wire.simulate_trajectory(params, WIND, [], 0.025, 1e-3, 3)
         assert len(every) == 26
         assert_same_state(samples[2], every[20])
 
     def test_stream_starts_at_equilibrium_and_draws_one_block_per_stride(self):
         params = table_params()
-        stream = wire.trajectory(params, wire.WindModel(), [], 1e-3, 8, 4)
+        stream = wire.trajectory(params, WIND, [], 1e-3, 8, 4)
         first, second = next(stream), next(stream)
         assert_same_state(first, wire.solve_equilibrium(params))
         noise = np.random.default_rng(8).standard_normal((4, 19, 3))
-        assert_same_state(second, wire.step(first, params, wire.WindModel(), [], 1e-3,
+        assert_same_state(second, wire.step(first, params, WIND, [], 1e-3,
                                             noise))
         # endless: it runs on past any duration a caller has in mind
         assert all(next(stream).time > 0 for _ in range(50))
@@ -461,20 +464,20 @@ class TestBatchedStream:
             params = table_params(wind_diffusion=COUPLED_DIFFUSION)
         n = 8
         batch = list(itertools.islice(
-            wire.trajectory(params, wire.WindModel(), impulses, 1e-3, self.SEEDS, 10), n))
+            wire.trajectory(params, WIND, impulses, 1e-3, self.SEEDS, 10), n))
         assert batch[0].positions.shape == (21, 3, 3)
         for e, seed in enumerate(self.SEEDS):
             alone = list(itertools.islice(
-                wire.trajectory(params, wire.WindModel(), impulses[e], 1e-3, seed, 10), n))
+                wire.trajectory(params, WIND, impulses[e], 1e-3, seed, 10), n))
             of_one = episode_states(
-                wire.trajectory(params, wire.WindModel(), [impulses[e]], 1e-3, [seed], 10), 0, n)
+                wire.trajectory(params, WIND, [impulses[e]], 1e-3, [seed], 10), 0, n)
             for k, (b, a, o) in enumerate(zip(batch, alone, of_one)):
                 got = wire.WireState(b.time, b.positions[:, e], b.velocities[:, e])
                 assert_same_state(got, a)
                 assert_same_state(o, a)
             if impulses[e]:  # the impulse moved this episode off its quiet twin
                 quiet = list(itertools.islice(
-                    wire.trajectory(params, wire.WindModel(), [], 1e-3, seed, 10), n))
+                    wire.trajectory(params, WIND, [], 1e-3, seed, 10), n))
                 assert not np.array_equal(alone[-1].velocities, quiet[-1].velocities)
 
     def test_a_diverging_episode_leaves_the_others_untouched(self):
@@ -482,7 +485,7 @@ class TestBatchedStream:
         # substep from 30 ms that holds 30.5 ms
         huge = wire.ImpulseEvent(point_number=6, force=[0.0, 0.0, 1e308], apply_time=0.0305)
         impulses = [self.IMPULSES[0], [huge], []]
-        params, wind, n = table_params(), wire.WindModel(), 8
+        params, wind, n = table_params(), WIND, 8
         with pytest.raises(wire.IntegrationDivergedError) as single:
             list(itertools.islice(wire.trajectory(params, wind, [huge], 1e-3, 12, 10), n))
         assert single.value.point_number == 6 and single.value.time == pytest.approx(0.030)
