@@ -333,6 +333,14 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     sense_points = r.number("env.sense_points", int, count=None)
     reward_offset = r.number("env.reward_offset_dbm", none_if="auto")
     impulse_duration = r.number("wire.impulse_duration_s", none_if="substep")
+    impulse_times = r.number("wire.impulse_times_s", count=None)
+    # in either scenario: an episode's ImpulseEvent would not name the key
+    if impulse_duration is not None and impulse_duration <= 0:
+        raise ConfigError("wire.impulse_duration_s: expected a positive number or "
+                          f"'substep', got {r.raw('wire.impulse_duration_s')!r}")
+    if min(impulse_times) < 0:
+        raise ConfigError("wire.impulse_times_s: expected numbers >= 0, got "
+                          f"{r.raw('wire.impulse_times_s')!r}")
 
     env_cfg = EnvConfig(
         tau=r.number("env.tau_s"),
@@ -344,7 +352,7 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         reward_offset_dbm=0.0 if reward_offset is None else reward_offset,  # auto: below
         reward_scale_db=r.number("env.reward_scale_db"),
         impulse_enabled=(scenario == "wind_plus_impulse"),
-        impulse_times_s=r.number("wire.impulse_times_s", count=None),
+        impulse_times_s=impulse_times,
         impulse_point=r.number("wire.impulse_point", int),
         impulse_force=r.number("wire.impulse_force_n", count=3),
         impulse_duration_s=impulse_duration,

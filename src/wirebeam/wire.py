@@ -19,18 +19,15 @@ substep is the arithmetic rather than per-call set-up, and it is bit for
 bit the same as n one-substep calls.  Wind and impulses are still
 evaluated at the start of every substep, and any number of impulses may
 act at once; each impulse's window is computed once, in a `Forcing`.
-`trajectory` is the one seeded wire stream: the equilibrium, then the
-state after every stride of substeps.  It advances one chain or a batch
-of E episodes, positions (N, E, 3), each with its own noise generator
-and impulses, in one `step` call per substep; each episode of a batch
-is bit for bit its chain alone, and one chain is the batch of one.  Each
-stride, every live episode draws its noise in place into its own block
-of one (E, stride, N-2, 3) array; one copy turns that into the
-(stride, N-2, E, 3) layout whose substep k is the (N-2, E, 3) noise of
-one `step` call.  The tracking environment takes one state per tau from
-it and keeps them all as its sensor history, which relies on `step`
-never modifying its input state; `simulate_trajectory` returns a finite
-slice of the stream.
+`step` only integrates, and leaves a value that overflows inf or NaN.
+`trajectory` is the one seeded wire stream, and the one place that
+finds a divergence: the equilibrium, then the state after every stride
+of substeps, of one chain or of a batch of E episodes, positions
+(N, E, 3), each with its own noise generator and impulses; each episode
+of a batch is bit for bit its chain alone.  The tracking environment
+takes one state per tau from it and keeps them all as its sensor
+history, which relies on `step` never modifying its input state;
+`simulate_trajectory` returns a finite slice of the stream.
 
 Point numbering follows the P1..PN convention: user-facing indices are
 1-based, array storage is 0-based.
@@ -49,16 +46,14 @@ from .files import write_csv
 
 
 class IntegrationDivergedError(RuntimeError):
-    """Raised when a state component stops being finite; `episode` is the
-    batch episode holding it, None for a single chain."""
+    """A chain stopped being finite: its lowest non-finite point after the
+    first substep that made one, and that substep's start time."""
 
-    def __init__(self, point_number: int, time: float, episode: int | None = None):
+    def __init__(self, point_number: int, time: float):
         self.point_number = point_number
         self.time = time
-        self.episode = episode
-        where = "" if episode is None else f" of episode {episode}"
         super().__init__(
-            f"integration diverged at P{point_number}{where} (t = {time:.6f} s); "
+            f"integration diverged at P{point_number} (t = {time:.6f} s); "
             "reduce the substep or check the stiffness/mass ratio"
         )
 
@@ -220,7 +215,7 @@ class Forcing:
             for ev in events:
                 ev.validate_for(params)
                 at = (ev.point_number - 2, e) if batched else ev.point_number - 2
-                with np.errstate(over="ignore"):  # `step` reports what overflows
+                with np.errstate(over="ignore"):  # `trajectory` reports what overflows
                     self._pushes.append((at, coeff * ev.force, ev.acts(dt)))
 
     def add(self, acc: np.ndarray, t: float):
@@ -285,11 +280,8 @@ def step(state: WireState, params: WireParams, wind: WindModel,
     `impulses` is a `Forcing` built for dt, or its events: a sequence for
     one chain, one sequence per episode for a batch.  Every event active
     during a substep adds its force there.  Endpoints are never touched,
-    and the input state is not modified.
-
-    Raises IntegrationDivergedError naming the first non-finite point, the
-    start time of the substep that produced it and, for a batch, the
-    lowest episode holding that point.
+    and the input state is not modified.  A value that overflows is left
+    inf or NaN, and stays so in later substeps; `trajectory` reports it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -308,24 +300,6 @@ def step(state: WireState, params: WireParams, wind: WindModel,
         kicks *= math.sqrt(dt)
         out = state.copy()
         _substeps(out, params, wind, forcing, dt, kicks)
-        # a non-finite velocity makes the position it moves non-finite, and
-        # any inf or nan makes the sum of squares non-finite; a finite one
-        # that overflows only sends the block through the exact check below
-        x = out.positions[1:-1].ravel()
-        if math.isfinite(x.dot(x)):
-            return out
-        # a non-finite value stays non-finite, so replay one substep at a
-        # time from the start to find the substep that produced it
-        out = state.copy()
-        for k in range(len(kicks)):
-            t = out.time
-            _substeps(out, params, wind, forcing, dt, kicks[k:k + 1])
-            bad = ~(np.isfinite(out.positions[1:-1]).all(axis=-1)
-                    & np.isfinite(out.velocities[1:-1]).all(axis=-1))
-            if bad.any():
-                # the lowest bad point, and the lowest episode holding it
-                point, *episode = np.unravel_index(np.argmax(bad), bad.shape)
-                raise IntegrationDivergedError(int(point) + 2, t, *map(int, episode))
     return out
 
 
@@ -363,6 +337,29 @@ def _substeps(state: WireState, params: WireParams, wind: WindModel,
     state.time = t
 
 
+def _finite(state: WireState) -> np.ndarray:
+    """Whether each interior point (of each episode) is finite."""
+    return (np.isfinite(state.positions[1:-1]).all(axis=-1)
+            & np.isfinite(state.velocities[1:-1]).all(axis=-1))
+
+
+def _divergence(start: WireState, params: WireParams, wind: WindModel,
+                impulses: Sequence[ImpulseEvent], dt: float,
+                noise: np.ndarray) -> IntegrationDivergedError:
+    """The error of a chain that stops being finite within the block of
+    substeps `noise` from `start`, found by replaying it one substep at a
+    time: a non-finite value stays non-finite, so the first substep that
+    leaves a point non-finite names the divergence."""
+    state = start
+    for kick in noise:
+        t = state.time
+        state = step(state, params, wind, impulses, dt, kick)
+        bad = ~_finite(state)
+        if bad.any():
+            break
+    return IntegrationDivergedError(int(np.argmax(bad)) + 2, t)
+
+
 def trajectory(params: WireParams, wind: WindModel, impulses, dt: float,
                seed: int | Sequence[int], stride: int) -> Iterator[WireState]:
     """Endless seeded stream: the equilibrium, then the state after every
@@ -371,62 +368,54 @@ def trajectory(params: WireParams, wind: WindModel, impulses, dt: float,
     One seed is one chain, and `impulses` its events.  A sequence of E
     seeds is a batch of E episodes advanced together, positions (N, E, 3),
     and `impulses` holds one sequence of events per episode.  Every
-    stride, each live episode draws one (stride, N-2, 3) standard normal
-    block from its own default_rng(seed), in place into its row of one
+    stride, each episode draws one (stride, N-2, 3) standard normal block
+    from its own default_rng(seed), in place into its row of one
     (E, stride, N-2, 3) array, which one copy turns into the contiguous
-    (stride, N-2, E, 3) noise of the stride's `step` calls; an episode
-    that leaves drops its column.  So each episode of a batch is bit for
-    bit the stream of its seed alone; one chain is the batch of one,
-    yielded without its episode axis.  A chain that stops being finite
-    raises IntegrationDivergedError.  In a batch the episode leaves
-    instead: from that stride on its columns are NaN and `diverged` holds
-    its error, and the other episodes go on untouched.
+    (stride, N-2, E, 3) noise of the stride's `step` calls.  So each
+    episode of a batch is bit for bit the stream of its seed alone; one
+    chain is the batch of one, yielded without its episode axis.  After
+    each stride, one check finds the episodes that stopped being finite
+    in it, and `_divergence` names each one's point and time.  A chain
+    raises that error in place of its next state; in a batch, the
+    episode's columns are NaN from that state on, `diverged` holds its
+    error, and the others go on untouched until every episode diverged.
     """
     batched = np.ndim(seed) == 1
     seeds = list(seed) if batched else [seed]
     episodes = list(impulses) if batched else [impulses]
     rngs = [np.random.default_rng(s) for s in seeds]
-    live = list(range(len(seeds)))  # the episodes still finite, in batch order
     forcing = Forcing(params, episodes, dt, True)
     eq = solve_equilibrium(params)
-    shape = (params.n_points, len(seeds), 3)
     work = WireState(0.0, np.repeat(eq.positions[:, None], len(seeds), axis=1),
-                     np.zeros(shape))
-    diverged = {}
+                     np.zeros((params.n_points, len(seeds), 3)))
+    blocks = np.empty((len(seeds), stride, params.n_points - 2, 3))
     while True:
-        state = work
-        if diverged:
-            state = WireState(work.time, np.full(shape, np.nan), np.full(shape, np.nan),
-                              dict(diverged))
-            state.positions[:, live] = work.positions
-            state.velocities[:, live] = work.velocities
-        yield state if batched else WireState(state.time, state.positions[:, 0],
-                                              state.velocities[:, 0])
-        if not live:
+        yield work if batched else WireState(work.time, work.positions[:, 0],
+                                             work.velocities[:, 0])
+        if len(work.diverged) == len(seeds):
             return
-        blocks = np.empty((len(live), stride, params.n_points - 2, 3))
-        for j, e in enumerate(live):
-            rngs[e].standard_normal(out=blocks[j])
+        for block, rng in zip(blocks, rngs):
+            rng.standard_normal(out=block)
         # substep k's (N-2, E, 3) draws, made contiguous in one copy per
         # stride: the kick product would otherwise copy each strided view
         noise = np.ascontiguousarray(blocks.transpose(1, 2, 0, 3))
+        start = work
         # one call per substep, not per stride: perfbench's per-layer test
         # counts ten `step` calls per tracking step
-        k = 0
-        while k < stride and live:
-            try:
-                work = step(work, params, wind, forcing, dt, noise[k])
-                k += 1
-            except IntegrationDivergedError as err:
-                e = live.pop(err.episode)
-                diverged[e] = IntegrationDivergedError(err.point_number, err.time)
-                if not batched:
-                    raise diverged[e] from None
-                # the episode leaves the batch, and the others redo the substep
-                keep = np.arange(len(live) + 1) != err.episode
-                work = WireState(work.time, work.positions[:, keep], work.velocities[:, keep])
-                noise = noise[:, :, keep]
-                forcing = Forcing(params, [episodes[i] for i in live], dt, True)
+        for kick in noise:
+            work = step(work, params, wind, forcing, dt, kick)
+        # exact once per stride: no substep turns an inf or NaN finite again
+        bad = ~_finite(work).all(axis=0)
+        bad[list(work.diverged)] = False  # their columns are NaN already
+        for e in np.flatnonzero(bad).tolist():
+            err = _divergence(WireState(start.time, start.positions[:, e],
+                                        start.velocities[:, e]),
+                              params, wind, episodes[e], dt, noise[:, :, e])
+            if not batched:
+                raise err
+            work.diverged[e] = err
+            work.positions[:, e] = np.nan
+            work.velocities[:, e] = np.nan
 
 
 def simulate_trajectory(params: WireParams, wind: WindModel,

@@ -248,11 +248,20 @@ class TestNumbers:
         ("channel.pathloss_ref_db", "free space", "channel.pathloss_ref_db: expected one "
                                                   "finite number or 'free_space', got "
                                                   "'free space'"),
+        # refused with or without impulses: an episode drawing one raised a
+        # bare ValueError, and wind_only accepted them
+        ("wire.impulse_duration_s", "0", "wire.impulse_duration_s: expected a positive "
+                                         "number or 'substep', got '0'"),
+        ("wire.impulse_duration_s", "-0.01", "wire.impulse_duration_s: expected a "
+                                             "positive number or 'substep', got '-0.01'"),
+        ("wire.impulse_times_s", "1, -2, 3", "wire.impulse_times_s: expected numbers >= 0, "
+                                             "got '1, -2, 3'"),
     ])
     def test_malformed_value_names_key_and_value(self, key, value, message):
-        with pytest.raises(ConfigError) as info:
-            default_config(**{key: value})
-        assert str(info.value) == message
+        for scenario in cfgmod.SCENARIOS:
+            with pytest.raises(ConfigError) as info:
+                default_config(scenario=scenario, **{key: value})
+            assert str(info.value) == message
 
     def test_train_keys_are_train_config_fields(self):
         # build_config reads each field from its train.<field> key

@@ -1,8 +1,10 @@
 """Wire physics: equilibrium and integrator oracles, invariants."""
 
+import ast
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,13 +153,19 @@ class TestStep:
         two = tensile(2.0) - base
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-12, atol=1e-12)
 
-    def test_nonfinite_state_raises_named_point(self):
+    def test_a_nonfinite_value_stays_nonfinite(self):
+        # what lets `trajectory` check once per stride: `step` raises
+        # nothing, and no substep turns an inf or nan finite again
         params = table_params()
         st = wire.solve_equilibrium(params)
         st.positions[5, 2] = np.inf
-        with pytest.raises(wire.IntegrationDivergedError) as err:
-            wire.step(st, params, STILL, (), 1e-3, np.zeros((19, 3)))
-        assert "P" in str(err.value)
+        for block in np.random.default_rng(3).standard_normal((50, 19, 3)):
+            out = wire.step(st, params, WIND, (), 1e-3, block)
+            for before, after in ((st.positions, out.positions),
+                                  (st.velocities, out.velocities)):
+                assert not (~np.isfinite(before) & np.isfinite(after)).any()
+            st = out
+        assert not np.isfinite(st.positions[1:-1, 2]).any()  # it spread along z
 
     def test_drag_dissipates_energy(self):
         # zero diffusion, zero mean wind, perturbed equilibrium: windowed mean
@@ -225,24 +233,7 @@ class TestBlockStep:
         assert_same_state(blocks, single_substeps(start, params, wind, impulses, dt, noise))
         assert blocks.time == pytest.approx(0.02)
 
-    def test_divergence_mid_block_names_the_same_point_and_time(self):
-        # dt = 1 ms is past the stability bound for k0 = 1e6; a large
-        # displacement of P6 overflows after tens of substeps
-        params = quiet_params(spring_k=1e6)
-        dt, n = 1e-3, 200
-        start = wire.solve_equilibrium(params)
-        start.positions[5, 2] += 1e250
-        noise = np.zeros((n, 19, 3))
-
-        with pytest.raises(wire.IntegrationDivergedError) as single:
-            single_substeps(start, params, STILL, (), dt, noise)
-        with pytest.raises(wire.IntegrationDivergedError) as block:
-            wire.step(start, params, STILL, (), dt, noise)
-        assert 0 < single.value.time < (n - 1) * dt
-        assert block.value.point_number == single.value.point_number
-        assert block.value.time == single.value.time
-
-    @pytest.mark.parametrize("case", ["one_substep", "block", "divergence_replay"])
+    @pytest.mark.parametrize("case", ["one_substep", "block"])
     def test_input_state_is_left_unchanged(self, case):
         # the env keeps the returned states as its sensor history
         params, dt = table_params(), 1e-3
@@ -253,18 +244,8 @@ class TestBlockStep:
         start.velocities[1:-1] += 0.01
         if case == "one_substep":
             noise = noise[0]
-        elif case == "divergence_replay":
-            params = quiet_params(spring_k=1e6)  # as in the divergence test above
-            start = wire.solve_equilibrium(params)
-            start.positions[5, 2] += 1e250
-            noise = np.zeros((200, 19, 3))
         before = start.copy()
-        try:
-            wire.step(start, params, WIND, impulses, dt, noise)
-        except wire.IntegrationDivergedError:
-            assert case == "divergence_replay"
-        else:
-            assert case != "divergence_replay"
+        wire.step(start, params, WIND, impulses, dt, noise)
         assert_same_state(start, before)
 
     @pytest.mark.parametrize("shape", [(19, 2), (18, 3), (4, 18, 3), (2, 2, 19, 3)])
@@ -514,18 +495,123 @@ class TestBatchedStream:
         states = list(wire.trajectory(table_params(), STILL, [[huge]], 1e-3, [0], 10))
         assert len(states) == 2 and 0 in states[1].diverged
 
-    def test_batched_step_names_the_episode(self):
-        params = quiet_params(spring_k=1e6)  # as in the divergence test above
-        eq = wire.solve_equilibrium(params)
-        start = wire.WireState(0.0, np.repeat(eq.positions[:, None], 3, axis=1),
-                               np.zeros((21, 3, 3)))
-        start.positions[5, 2, 2] += 1e250
-        with pytest.raises(wire.IntegrationDivergedError) as batch:
-            wire.step(start, params, STILL, [[], [], []], 1e-3, np.zeros((200, 19, 3, 3)))
-        chain = wire.WireState(0.0, start.positions[:, 2], start.velocities[:, 2])
-        with pytest.raises(wire.IntegrationDivergedError) as alone:
-            wire.step(chain, params, STILL, [], 1e-3, np.zeros((200, 19, 3)))
-        assert batch.value.episode == 2 and alone.value.episode is None
-        assert (batch.value.point_number, batch.value.time) == (alone.value.point_number,
-                                                                alone.value.time)
-        assert f"P{alone.value.point_number} of episode 2 " in str(batch.value)
+
+def huge(point, apply_time):
+    """A one-substep force whose (N/m)*F overflows: the point's velocity
+    and position turn inf in the substep that holds apply_time."""
+    return wire.ImpulseEvent(point_number=point, force=[0.0, 0.0, 1e308],
+                             apply_time=apply_time)
+
+
+def first_divergence(params, wind, impulses, dt, seed, n):
+    """Reference: (point, substep start time, substep index) of the first
+    non-finite interior point of the chain that `trajectory` streams for
+    `seed`, from one `step` call per substep checked after each."""
+    noise = np.random.default_rng(seed).standard_normal((n, params.n_points - 2, 3))
+    state = wire.solve_equilibrium(params)
+    for k in range(n):
+        t = state.time
+        state = wire.step(state, params, wind, impulses, dt, noise[k])
+        bad = ~(np.isfinite(state.positions[1:-1])
+                & np.isfinite(state.velocities[1:-1])).all(axis=1)
+        if bad.any():
+            return int(np.argmax(bad)) + 2, t, k
+    raise AssertionError(f"finite for {n} substeps")
+
+
+def diverge_alone(params, wind, impulses, dt, seed, stride):
+    """(states yielded, error) of a single chain's stream."""
+    states = []
+    with pytest.raises(wire.IntegrationDivergedError) as err:
+        for state in wire.trajectory(params, wind, impulses, dt, seed, stride):
+            states.append(state)
+    return states, err.value
+
+
+class TestDivergence:
+    """`trajectory` finds a divergence once per stride and names the same
+    point and substep as one `step` call per substep checked after each;
+    `step` itself only integrates."""
+
+    @pytest.mark.parametrize("stride", [1, 10, 200])
+    def test_every_stride_names_the_same_point_and_time(self, stride):
+        # dt = 1 ms is past the stability bound for k0 = 1e6: a large kick
+        # at P6 in substep 12 grows until P3 overflows in substep 87
+        params = quiet_params(spring_k=1e6)
+        impulses = [wire.ImpulseEvent(point_number=6, force=[0.0, 0.0, 1e250],
+                                      apply_time=0.0125)]
+        point, t, k = first_divergence(params, STILL, impulses, 1e-3, 0, 200)
+        assert (point, k) == (3, 87)
+        states, err = diverge_alone(params, STILL, impulses, 1e-3, 0, stride)
+        assert len(states) == k // stride + 1  # raised in place of the next state
+        assert (err.point_number, err.time) == (point, t)
+        assert str(err) == ("integration diverged at P3 (t = 0.087000 s); reduce the "
+                            "substep or check the stiffness/mass ratio")
+
+    @pytest.mark.parametrize("apply_time, k", [(0.0305, 30), (0.0395, 39)],
+                             ids=["first_substep", "last_substep"])
+    def test_first_and_last_substep_of_a_stride(self, apply_time, k):
+        params = table_params()
+        impulses = [huge(6, apply_time)]
+        point, t, first = first_divergence(params, WIND, impulses, 1e-3, 12, 40)
+        assert (point, first) == (6, k)
+        states, err = diverge_alone(params, WIND, impulses, 1e-3, 12, 10)
+        assert len(states) == 4 and (err.point_number, err.time) == (6, t)
+        # the batch of one: the column turns NaN in the same state, and ends
+        batch = list(wire.trajectory(params, WIND, [impulses], 1e-3, [12], 10))
+        assert len(batch) == 5 and not batch[3].diverged
+        assert str(batch[4].diverged[0]) == str(err)
+        assert np.isnan(batch[4].positions).all() and np.isnan(batch[4].velocities).all()
+
+    def test_two_episodes_diverging_in_one_stride(self):
+        # episodes 0 and 1 diverge in the fourth stride (30..40 ms), at P9 in
+        # substep 31 and at P4 in substep 37; episode 2 carries an impulse
+        params, seeds, n = table_params(), [11, 12, 13], 8
+        impulses = [[huge(9, 0.0315)], [huge(4, 0.0375)], TestBatchedStream.IMPULSES[0]]
+        batch = list(itertools.islice(
+            wire.trajectory(params, WIND, impulses, 1e-3, seeds, 10), n))
+        for e, (point, when) in enumerate([(9, 0.031), (4, 0.037)]):
+            _, alone = diverge_alone(params, WIND, impulses[e], 1e-3, seeds[e], 10)
+            assert (alone.point_number, alone.time) == (point, pytest.approx(when))
+            for k, state in enumerate(batch):
+                err = state.diverged.get(e)
+                if k < 4:
+                    assert err is None and np.isfinite(state.positions[:, e]).all()
+                else:
+                    assert (err.point_number, err.time, str(err)) == (
+                        alone.point_number, alone.time, str(alone))
+                    assert np.isnan(state.positions[:, e]).all()
+                    assert np.isnan(state.velocities[:, e]).all()
+        alone = list(itertools.islice(
+            wire.trajectory(params, WIND, impulses[2], 1e-3, seeds[2], 10), n))
+        for b, a in zip(batch, alone):
+            assert_same_state(wire.WireState(b.time, b.positions[:, 2],
+                                             b.velocities[:, 2]), a)
+
+    def test_states_already_yielded_are_left_unchanged(self):
+        # the env keeps every state it reads; the replay and the NaN columns
+        # of a divergence must not reach back into them
+        stream = wire.trajectory(table_params(), WIND, [[], [huge(6, 0.0305)]], 1e-3,
+                                 [11, 12], 10)
+        kept = [(state, state.copy()) for state in itertools.islice(stream, 7)]
+        assert 1 in kept[-1][0].diverged
+        for state, at_yield in kept:
+            assert state.time == at_yield.time and state.diverged == at_yield.diverged
+            assert np.array_equal(state.positions, at_yield.positions, equal_nan=True)
+            assert np.array_equal(state.velocities, at_yield.velocities, equal_nan=True)
+
+
+def test_only_trajectory_constructs_the_divergence_error():
+    # one divergence path: `step` only integrates, and the env re-raises
+    # the errors `trajectory` stores; a second check would drift from it
+    allowed = {"wire.trajectory", "wire._divergence"}
+    found = set()
+    for source in sorted(Path(wire.__file__).parent.glob("*.py")):
+        for top in ast.parse(source.read_text()).body:
+            for node in ast.walk(top):
+                made = (node.func if isinstance(node, ast.Call) else
+                        node.exc if isinstance(node, ast.Raise) else None)
+                if made is not None and ast.unparse(made).endswith("IntegrationDivergedError"):
+                    found.add(f"{source.stem}.{getattr(top, 'name', '<module>')}")
+    assert "wire._divergence" in found
+    assert sorted(found - allowed) == []
