@@ -183,7 +183,9 @@ def init_adam(params: MlpParams) -> AdamState:
 
 def _adam_update_inplace(params: MlpParams, state: AdamState, grad: np.ndarray,
                          lr: float, beta1: float, beta2: float, eps: float):
-    """One bias-corrected Adam step over the whole flat vector, in place."""
+    """One bias-corrected Adam step over the whole flat vector, in place.
+    A correction that has reached exactly 1.0 (c1 from t ~ 356, c2 from
+    t ~ 37,400 at the default betas) is skipped: x / 1.0 is x bit for bit."""
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
@@ -192,10 +194,10 @@ def _adam_update_inplace(params: MlpParams, state: AdamState, grad: np.ndarray,
     m += np.multiply(1.0 - beta1, grad, out=num)
     v *= beta2
     v += np.multiply(1.0 - beta2, np.multiply(grad, grad, out=num), out=num)
-    np.sqrt(np.divide(v, c2, out=den), out=den)
+    np.sqrt(v if c2 == 1.0 else np.divide(v, c2, out=den), out=den)
     den += eps
-    params.flat -= np.divide(np.multiply(lr, np.divide(m, c1, out=num), out=num),
-                             den, out=num)
+    mc = m if c1 == 1.0 else np.divide(m, c1, out=num)
+    params.flat -= np.divide(np.multiply(lr, mc, out=num), den, out=num)
 
 
 # --------------------------------------------------------------------------

@@ -12,22 +12,23 @@ is what makes the stability bound dt < 2/sqrt(4*k0*N/m) meaningful for
 the stiff spring term.  All randomness is injected by the caller, so a
 fixed seed reproduces a trajectory bit for bit.
 
-`step` advances a whole block of substeps per call: noise of shape
-(n, N-2, 3) means n substeps, and an (N-2, 3) array is the one-substep
-case.  The block runs in place on one copy of the state, so its cost per
-substep is the arithmetic rather than per-call set-up, and it is bit for
-bit the same as n one-substep calls.  Wind and impulses are still
-evaluated at the start of every substep, and any number of impulses may
-act at once; each impulse's window is computed once, in a `Forcing`.
-`step` only integrates, and leaves a value that overflows inf or NaN.
-`trajectory` is the one seeded wire stream, and the one place that
-finds a divergence: the equilibrium, then the state after every stride
-of substeps, of one chain or of a batch of E episodes, positions
+`step` is the per-substep kernel: it advances a state in place by one
+substep per row of scaled Wiener kicks, (n, N-2, 3) for one chain or
+(n, N-2, E, 3) for a batch, and n rows are bit for bit n one-row calls.
+Wind and impulses are evaluated at the start of every substep, and any
+number of impulses may act at once; each impulse's window is computed
+once, in a `Forcing`.  `step` copies nothing and guards no float error:
+a value that overflows is left inf or NaN.  `wiener_kicks` is the one
+place that scales the noise.  `trajectory` is the one seeded wire
+stream, and does the rest once per stride: it draws the noise, computes
+the stride's kicks in one product, copies the state it will yield,
+ignores float errors around the stride's `step` calls, and finds a
+divergence.  It yields the equilibrium, then the state after every
+stride of substeps, of one chain or of a batch of E episodes, positions
 (N, E, 3), each with its own noise generator and impulses; each episode
-of a batch is bit for bit its chain alone.  The tracking environment
-takes one state per tau from it and keeps them all as its sensor
-history, which relies on `step` never modifying its input state;
-`simulate_trajectory` returns a finite slice of the stream.
+of a batch is bit for bit its chain alone.  No yielded state changes
+afterwards: the tracking environment keeps them all as its sensor
+history.  `simulate_trajectory` returns a finite slice of the stream.
 
 Point numbering follows the P1..PN convention: user-facing indices are
 1-based, array storage is 0-based.
@@ -269,52 +270,39 @@ def sag_depth(params: WireParams, eq: WireState | None = None) -> float:
     return float(eq.positions[0, 2] - eq.positions[(params.n_points - 1) // 2, 2])
 
 
-def step(state: WireState, params: WireParams, wind: WindModel,
-         impulses: Forcing | Sequence, dt: float, noise: np.ndarray) -> WireState:
-    """Advance a block of Euler-Maruyama substeps of length dt.
+def wiener_kicks(params: WireParams, dt: float, noise: np.ndarray) -> np.ndarray:
+    """The scaled Wiener increments sqrt(dt) * D @ xi of the standard normal
+    draws `noise`, any block whose last axis is 3.  It is one product over
+    every row, and a row's result does not depend on its place in the
+    block (tests check a stride against each substep and each episode)."""
+    kicks = (noise.reshape(-1, 3) @ params.wind_diffusion.T).reshape(noise.shape)
+    kicks *= math.sqrt(dt)
+    return kicks
+
+
+def step(state: WireState, params: WireParams, wind: WindModel, forcing: Forcing,
+         dt: float, kicks: np.ndarray):
+    """Advance `state` in place by one Euler-Maruyama substep of length dt
+    per row of `kicks`.
 
     The state is one chain, positions (N, 3), or a batch of episodes,
-    positions (N, E, 3).  noise holds standard normal draws supplied by
-    the caller: an array shaped like the interior points, (N-2, 3) or
-    (N-2, E, 3), advances one substep, and n of them stacked advance n.
-    `impulses` is a `Forcing` built for dt, or its events: a sequence for
-    one chain, one sequence per episode for a batch.  Every event active
-    during a substep adds its force there.  Endpoints are never touched,
-    and the input state is not modified.  A value that overflows is left
-    inf or NaN, and stays so in later substeps; `trajectory` reports it.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n_int = params.n_points - 2
-    one = (n_int,) + state.positions.shape[1:]
-    if noise.shape != one and noise.shape[1:] != one:
-        raise ValueError(f"noise must have shape {one} or (n, {str(one)[1:]}, "
-                         f"got {noise.shape}")
-    forcing = impulses if isinstance(impulses, Forcing) else Forcing(
-        params, impulses, dt, state.positions.ndim == 3)
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        # one product over every point and episode: a row's result does not
-        # depend on its place in it (tests check a batch against each chain)
-        kicks = (noise.reshape(-1, 3) @ params.wind_diffusion.T).reshape((-1,) + one)
-        kicks *= math.sqrt(dt)
-        out = state.copy()
-        _substeps(out, params, wind, forcing, dt, kicks)
-    return out
-
-
-def _substeps(state: WireState, params: WireParams, wind: WindModel,
-              forcing: Forcing, dt: float, kicks: np.ndarray):
-    """Advance `state` in place by one substep per row of the scaled noise.
-
-    The interior acceleration is the tensile coupling
+    positions (N, E, 3); kicks are `wiener_kicks` shaped (n, N-2, 3) or
+    (n, N-2, E, 3).  `forcing` is built for dt and the state's shape.  The
+    interior acceleration is the tensile coupling
     (k0*N/m)*(x[i+1] + x[i-1] - 2*x[i]) plus gravity plus every impulse
     active during the substep.  The velocity update is
     v + (acc - c*(v - v_o))*dt + kick, then x + v*dt; each operation keeps
-    the operand order of those expressions, and acts elementwise, so a
-    block is bit for bit the same as one substep per call, and each
-    episode of a batch the same as its chain alone.
+    the operand order of those expressions, and acts elementwise, so n
+    rows are bit for bit n one-row calls, and each episode of a batch its
+    chain alone.  Endpoints are never touched.  A value that overflows is
+    left inf or NaN, and stays so in later substeps; the caller guards
+    float errors, copies what it keeps, and finds a divergence.
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    one = (params.n_points - 2,) + state.positions.shape[1:]
+    if kicks.shape[1:] != one:
+        raise ValueError(f"kicks must have shape (n, {str(one)[1:]}, got {kicks.shape}")
     pos = state.positions
     x, x_lo, x_hi = pos[1:-1], pos[:-2], pos[2:]
     v = state.velocities[1:-1]
@@ -345,15 +333,15 @@ def _finite(state: WireState) -> np.ndarray:
 
 def _divergence(start: WireState, params: WireParams, wind: WindModel,
                 impulses: Sequence[ImpulseEvent], dt: float,
-                noise: np.ndarray) -> IntegrationDivergedError:
-    """The error of a chain that stops being finite within the block of
-    substeps `noise` from `start`, found by replaying it one substep at a
+                kicks: np.ndarray) -> IntegrationDivergedError:
+    """The error of a chain that stops being finite within the substeps of
+    `kicks` from `start`, found by replaying a copy of it one substep at a
     time: a non-finite value stays non-finite, so the first substep that
     leaves a point non-finite names the divergence."""
-    state = start
-    for kick in noise:
+    state, forcing = start.copy(), Forcing(params, impulses, dt, False)
+    for k in range(len(kicks)):
         t = state.time
-        state = step(state, params, wind, impulses, dt, kick)
+        step(state, params, wind, forcing, dt, kicks[k:k + 1])
         bad = ~_finite(state)
         if bad.any():
             break
@@ -370,16 +358,24 @@ def trajectory(params: WireParams, wind: WindModel, impulses, dt: float,
     and `impulses` holds one sequence of events per episode.  Every
     stride, each episode draws one (stride, N-2, 3) standard normal block
     from its own default_rng(seed), in place into its row of one
-    (E, stride, N-2, 3) array, which one copy turns into the contiguous
-    (stride, N-2, E, 3) noise of the stride's `step` calls.  So each
-    episode of a batch is bit for bit the stream of its seed alone; one
-    chain is the batch of one, yielded without its episode axis.  After
-    each stride, one check finds the episodes that stopped being finite
-    in it, and `_divergence` names each one's point and time.  A chain
-    raises that error in place of its next state; in a batch, the
-    episode's columns are NaN from that state on, `diverged` holds its
-    error, and the others go on untouched until every episode diverged.
+    (E, stride, N-2, 3) array, and one `wiener_kicks` product turns it
+    into the stride's (stride, N-2, E, 3) kicks.  So each episode of a
+    batch is bit for bit the stream of its seed alone; one chain is the
+    batch of one, yielded without its episode axis.  Each stride also
+    makes one copy, the state it advances in place and yields, and
+    ignores float errors once, around its `step` calls and any replay.
+    After each stride, one check finds the episodes that stopped being
+    finite in it, and `_divergence` names each one's point and time from
+    the same kicks.  A chain raises that error in place of its next state;
+    in a batch, the episode's columns are NaN from that state on,
+    `diverged` holds its error, and the others go on untouched until
+    every episode diverged.  A stride below 1 or a dt that is not
+    positive is refused at the first `next()`.
     """
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     batched = np.ndim(seed) == 1
     seeds = list(seed) if batched else [seed]
     episodes = list(impulses) if batched else [impulses]
@@ -396,26 +392,25 @@ def trajectory(params: WireParams, wind: WindModel, impulses, dt: float,
             return
         for block, rng in zip(blocks, rngs):
             rng.standard_normal(out=block)
-        # substep k's (N-2, E, 3) draws, made contiguous in one copy per
-        # stride: the kick product would otherwise copy each strided view
-        noise = np.ascontiguousarray(blocks.transpose(1, 2, 0, 3))
-        start = work
-        # one call per substep, not per stride: perfbench's per-layer test
-        # counts ten `step` calls per tracking step
-        for kick in noise:
-            work = step(work, params, wind, forcing, dt, kick)
-        # exact once per stride: no substep turns an inf or NaN finite again
-        bad = ~_finite(work).all(axis=0)
-        bad[list(work.diverged)] = False  # their columns are NaN already
-        for e in np.flatnonzero(bad).tolist():
-            err = _divergence(WireState(start.time, start.positions[:, e],
-                                        start.velocities[:, e]),
-                              params, wind, episodes[e], dt, noise[:, :, e])
-            if not batched:
-                raise err
-            work.diverged[e] = err
-            work.positions[:, e] = np.nan
-            work.velocities[:, e] = np.nan
+        start, work = work, work.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            kicks = wiener_kicks(params, dt, blocks.transpose(1, 2, 0, 3))
+            # one call per substep, not per stride: perfbench's per-layer test
+            # counts ten `step` calls per tracking step
+            for k in range(stride):
+                step(work, params, wind, forcing, dt, kicks[k:k + 1])
+            # exact once per stride: no substep turns an inf or NaN finite again
+            bad = ~_finite(work).all(axis=0)
+            bad[list(work.diverged)] = False  # their columns are NaN already
+            for e in np.flatnonzero(bad).tolist():
+                err = _divergence(WireState(start.time, start.positions[:, e],
+                                            start.velocities[:, e]),
+                                  params, wind, episodes[e], dt, kicks[:, :, e])
+                if not batched:
+                    raise err
+                work.diverged[e] = err
+                work.positions[:, e] = np.nan
+                work.velocities[:, e] = np.nan
 
 
 def simulate_trajectory(params: WireParams, wind: WindModel,

@@ -322,6 +322,25 @@ class TestAdam:
             np.testing.assert_array_equal(state.m, m)
             np.testing.assert_array_equal(state.v, v)
 
+    @pytest.mark.parametrize("b1, b2", [(0.9, 0.999), (0.999, 0.9)])
+    def test_skipped_corrections_match_the_textbook_expression_bit_for_bit(self, b1, b2):
+        # by t = 400 one correction is exactly 1.0 and skipped (c1 at the
+        # default betas, c2 with them swapped) while the other still divides
+        assert 1.0 - 0.9 ** 400 == 1.0 and 1.0 - 0.999 ** 400 < 1.0
+        rng = np.random.default_rng(21)
+        params = tiny_params(rng)
+        p, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+        state = init_adam(params)
+        lr, eps = 1e-3, 1e-8
+        for t in range(1, 401):
+            g = rng.normal(size=p.shape)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            p = p - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            dqn._adam_update_inplace(params, state, g, lr, b1, b2, eps)
+            assert np.array_equal(params.flat, p), t
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v), t
+
     def test_purity_and_repeatability(self):
         # the update leaves its gradient untouched, and equal starting
         # points give identical parameters and moments

@@ -30,13 +30,27 @@ WIND = default_config().wind  # the table's: 5 m/s, periods 4, 6 and 8 s
 STILL = replace(WIND, amplitude=0.0)
 
 
+def advance(state, params, wind, impulses, dt, noise):
+    """A copy of `state` after one `step` call over the substeps of noise
+    (n, N-2, 3), whose kicks come from one product."""
+    out = state.copy()
+    wire.step(out, params, wind, wire.Forcing(params, impulses, dt, False), dt,
+              wire.wiener_kicks(params, dt, noise))
+    return out
+
+
 def interior_acceleration(state, params):
     """The acceleration `step` gives the interior points of a state at rest:
     one substep of dt = 1 with no wind and no noise makes each velocity
     (acc - c*(0 - 0))*1 + 0, the acceleration itself."""
     assert not state.velocities.any()
-    out = wire.step(state, params, STILL, (), 1.0, np.zeros((params.n_points - 2, 3)))
+    out = advance(state, params, STILL, (), 1.0, np.zeros((1, params.n_points - 2, 3)))
     return out.velocities[1:-1]
+
+
+def no_forcing(params):
+    """A single chain's `Forcing` with no events, for any dt."""
+    return wire.Forcing(params, (), 1e-3, False)
 
 
 def closed_form_parabola(params):
@@ -94,7 +108,7 @@ class TestStep:
     def test_equilibrium_is_a_fixed_point(self):
         params = quiet_params()
         eq = wire.solve_equilibrium(params)
-        out = wire.step(eq, params, STILL, (), 1e-3, np.zeros((19, 3)))
+        out = advance(eq, params, STILL, (), 1e-3, np.zeros((1, 19, 3)))
         np.testing.assert_allclose(out.positions, eq.positions, atol=1e-12)
         np.testing.assert_allclose(out.velocities, eq.velocities, atol=1e-12)
 
@@ -105,7 +119,7 @@ class TestStep:
         eq = wire.solve_equilibrium(params)
         st = eq.copy()
         st.positions[1, 2] = delta
-        out = wire.step(st, params, STILL, (), dt, np.zeros((1, 3)))
+        out = advance(st, params, STILL, (), dt, np.zeros((1, 1, 3)))
         coeff = params.spring_accel_coeff
         v_expected = -2.0 * coeff * delta * dt
         z_expected = delta + v_expected * dt
@@ -119,8 +133,9 @@ class TestStep:
         st = wire.solve_equilibrium(params)
         v0 = np.array([0.3, -0.2, 0.1])
         st.velocities[1:-1] = v0
+        forcing = no_forcing(params)
         for _ in range(k):
-            st = wire.step(st, params, STILL, (), dt, np.zeros((3, 3)))
+            wire.step(st, params, STILL, forcing, dt, np.zeros((1, 3, 3)))
         expected = v0 * (1.0 - params.drag_c * dt) ** k
         np.testing.assert_allclose(st.velocities[1:-1], np.tile(expected, (3, 1)),
                                    rtol=1e-9)
@@ -130,9 +145,10 @@ class TestStep:
         rng = np.random.default_rng(3)
         st = wire.solve_equilibrium(params)
         p0, pn = st.positions[0].copy(), st.positions[-1].copy()
+        forcing = no_forcing(params)
         for _ in range(100):
-            st = wire.step(st, params, WIND, (), 1e-3,
-                           rng.standard_normal((19, 3)))
+            wire.step(st, params, WIND, forcing, 1e-3,
+                      wire.wiener_kicks(params, 1e-3, rng.standard_normal((1, 19, 3))))
         assert np.array_equal(st.positions[0], p0)
         assert np.array_equal(st.positions[-1], pn)
         assert np.array_equal(st.velocities[0], np.zeros(3))
@@ -159,12 +175,16 @@ class TestStep:
         params = table_params()
         st = wire.solve_equilibrium(params)
         st.positions[5, 2] = np.inf
-        for block in np.random.default_rng(3).standard_normal((50, 19, 3)):
-            out = wire.step(st, params, WIND, (), 1e-3, block)
-            for before, after in ((st.positions, out.positions),
-                                  (st.velocities, out.velocities)):
-                assert not (~np.isfinite(before) & np.isfinite(after)).any()
-            st = out
+        noise = np.random.default_rng(3).standard_normal((50, 1, 19, 3))
+        forcing = no_forcing(params)
+        with np.errstate(invalid="ignore", over="ignore"):  # as `trajectory` does
+            for block in noise:
+                before = st.copy()
+                wire.step(st, params, WIND, forcing, 1e-3,
+                          wire.wiener_kicks(params, 1e-3, block))
+                for a, b in ((before.positions, st.positions),
+                             (before.velocities, st.velocities)):
+                    assert not (~np.isfinite(a) & np.isfinite(b)).any()
         assert not np.isfinite(st.positions[1:-1, 2]).any()  # it spread along z
 
     def test_drag_dissipates_energy(self):
@@ -177,8 +197,9 @@ class TestStep:
         dt, n_steps = 1e-3, 3000
         point_mass = params.mass_total / params.n_points
         ke = []
+        forcing, still = no_forcing(params), np.zeros((1, 19, 3))
         for _ in range(n_steps):
-            st = wire.step(st, params, STILL, (), dt, np.zeros((19, 3)))
+            wire.step(st, params, STILL, forcing, dt, still)
             ke.append(0.5 * point_mass * float((st.velocities ** 2).sum()))
         window = 500  # > half the fundamental period, smooths the KE/PE exchange
         means = [np.mean(ke[i:i + window]) for i in range(window, n_steps - window, window)]
@@ -187,9 +208,10 @@ class TestStep:
 
 
 def single_substeps(state, params, wind, impulses, dt, noise):
-    """Reference: one wire.step call per substep."""
-    for block in noise:
-        state = wire.step(state, params, wind, impulses, dt, block)
+    """Reference: one wire.step call per substep, each with its own kick
+    product."""
+    for k in range(len(noise)):
+        state = advance(state, params, wind, impulses, dt, noise[k:k + 1])
     return state
 
 
@@ -229,31 +251,48 @@ class TestBlockStep:
 
         blocks = start
         for block in (noise[:10], noise[10:]):
-            blocks = wire.step(blocks, params, wind, impulses, dt, block)
+            blocks = advance(blocks, params, wind, impulses, dt, block)
         assert_same_state(blocks, single_substeps(start, params, wind, impulses, dt, noise))
         assert blocks.time == pytest.approx(0.02)
 
-    @pytest.mark.parametrize("case", ["one_substep", "block"])
-    def test_input_state_is_left_unchanged(self, case):
-        # the env keeps the returned states as its sensor history
-        params, dt = table_params(), 1e-3
-        impulses = [wire.ImpulseEvent(point_number=4, force=[0.0, 0.0, 470.0],
-                                      apply_time=0.002)]
-        noise = np.random.default_rng(8).standard_normal((10, 19, 3))
-        start = wire.solve_equilibrium(params)
-        start.velocities[1:-1] += 0.01
-        if case == "one_substep":
-            noise = noise[0]
-        before = start.copy()
-        wire.step(start, params, WIND, impulses, dt, noise)
-        assert_same_state(start, before)
-
-    @pytest.mark.parametrize("shape", [(19, 2), (18, 3), (4, 18, 3), (2, 2, 19, 3)])
-    def test_bad_noise_shape_rejected(self, shape):
+    @pytest.mark.parametrize("shape", [(19, 3), (1, 19, 2), (4, 18, 3), (2, 2, 19, 3)])
+    def test_bad_kick_shape_rejected(self, shape):
+        # (19, 3) is one substep without its leading axis
         params = table_params()
-        with pytest.raises(ValueError, match="noise must have shape"):
-            wire.step(wire.solve_equilibrium(params), params, STILL, (), 1e-3,
-                      np.zeros(shape))
+        with pytest.raises(ValueError, match=r"kicks must have shape \(n, 19, 3\)"):
+            wire.step(wire.solve_equilibrium(params), params, STILL, no_forcing(params),
+                      1e-3, np.zeros(shape))
+
+
+class TestKicks:
+    """The premise of `trajectory`'s one kick product per stride: a row's
+    result does not depend on its place in the block."""
+
+    @pytest.mark.parametrize("diffusion", ["default", "coupled"])
+    @pytest.mark.parametrize("stride", [1, 10, 200])
+    @pytest.mark.parametrize("n_episodes", [1, 3, 7])
+    def test_a_stride_equals_each_substep_and_each_episode(self, n_episodes, stride,
+                                                           diffusion):
+        params = default_config().wire
+        if diffusion == "coupled":
+            params = replace(params, wind_diffusion=COUPLED_DIFFUSION)
+        dt = 1e-3
+        noise = np.random.default_rng(stride + n_episodes).standard_normal(
+            (n_episodes, stride, params.n_points - 2, 3))
+        block = wire.wiener_kicks(params, dt, noise.transpose(1, 2, 0, 3))
+        assert block.shape == (stride, params.n_points - 2, n_episodes, 3)
+        for k in range(stride):
+            assert np.array_equal(block[k], wire.wiener_kicks(
+                params, dt, noise[:, k].transpose(1, 0, 2)))
+        for e in range(n_episodes):
+            alone = wire.wiener_kicks(params, dt, noise[e][:, :, None])
+            assert np.array_equal(block[:, :, e:e + 1], alone)
+            for k in range(stride):
+                assert np.array_equal(block[k, :, e], wire.wiener_kicks(params, dt,
+                                                                        noise[e, k]))
+        # the Wiener increment sqrt(dt) * D @ xi, up to rounding order
+        expected = math.sqrt(dt) * (params.wind_diffusion @ noise[0, 0, 0])
+        np.testing.assert_allclose(block[0, 0, 0], expected, rtol=1e-14)
 
 
 class TestWindModel:
@@ -293,7 +332,7 @@ class TestImpulse:
         dt = 1e-3
         ev = wire.ImpulseEvent(point_number=4, force=[0, 0, 470.0], apply_time=0.0)
         eq = wire.solve_equilibrium(params)
-        out = wire.step(eq, params, STILL, [ev], dt, np.zeros((19, 3)))
+        out = advance(eq, params, STILL, [ev], dt, np.zeros((1, 19, 3)))
         kick = 470.0 * dt * params.n_points / params.mass_total
         assert out.velocities[3, 2] == pytest.approx(kick, rel=1e-12)
         # other points see only the equilibrium solve's rounding residual
@@ -377,10 +416,34 @@ class TestTrajectory:
         first, second = next(stream), next(stream)
         assert_same_state(first, wire.solve_equilibrium(params))
         noise = np.random.default_rng(8).standard_normal((4, 19, 3))
-        assert_same_state(second, wire.step(first, params, WIND, [], 1e-3,
-                                            noise))
+        assert_same_state(second, advance(first, params, WIND, [], 1e-3, noise))
         # endless: it runs on past any duration a caller has in mind
         assert all(next(stream).time > 0 for _ in range(50))
+
+    @pytest.mark.parametrize("stride, dt, message", [
+        (0, 1e-3, "stride must be at least 1, got 0"),
+        (-3, 1e-3, "stride must be at least 1, got -3"),
+        (10, 0.0, "dt must be positive, got 0.0"),
+        (10, -1e-3, "dt must be positive, got -0.001")],
+        ids=["stride_0", "stride_negative", "dt_0", "dt_negative"])
+    def test_bad_stride_or_dt_refused_before_the_first_state(self, stride, dt, message):
+        # a zero stride yielded the equilibrium forever at time 0, and a
+        # bad dt was refused only after the equilibrium had been yielded
+        stream = wire.trajectory(table_params(), WIND, [], dt, 0, stride)
+        with pytest.raises(ValueError, match=message):
+            next(stream)
+
+    @pytest.mark.parametrize("stride", [1, 10], ids=["one_substep", "block"])
+    def test_yielded_states_of_a_finite_batch_are_left_unchanged(self, stride):
+        # the env keeps every yielded state as its sensor history, while
+        # `step` advances the stream's own copy in place
+        impulses = [[wire.ImpulseEvent(point_number=4, force=[0.0, 0.0, 470.0],
+                                       apply_time=0.002)], []]
+        stream = wire.trajectory(table_params(), WIND, impulses, 1e-3, [8, 9], stride)
+        kept = [(state, state.copy()) for state in itertools.islice(stream, 12)]
+        assert not kept[-1][0].diverged
+        for state, at_yield in kept:
+            assert_same_state(state, at_yield)
 
     def test_stream_rejects_an_endpoint_impulse(self):
         ev = wire.ImpulseEvent(point_number=21, force=[0, 0, 1.0], apply_time=0.0)
@@ -509,13 +572,14 @@ def first_divergence(params, wind, impulses, dt, seed, n):
     `seed`, from one `step` call per substep checked after each."""
     noise = np.random.default_rng(seed).standard_normal((n, params.n_points - 2, 3))
     state = wire.solve_equilibrium(params)
-    for k in range(n):
-        t = state.time
-        state = wire.step(state, params, wind, impulses, dt, noise[k])
-        bad = ~(np.isfinite(state.positions[1:-1])
-                & np.isfinite(state.velocities[1:-1])).all(axis=1)
-        if bad.any():
-            return int(np.argmax(bad)) + 2, t, k
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(n):
+            t = state.time
+            state = advance(state, params, wind, impulses, dt, noise[k:k + 1])
+            bad = ~(np.isfinite(state.positions[1:-1])
+                    & np.isfinite(state.velocities[1:-1])).all(axis=1)
+            if bad.any():
+                return int(np.argmax(bad)) + 2, t, k
     raise AssertionError(f"finite for {n} substeps")
 
 
