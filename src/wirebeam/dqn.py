@@ -320,13 +320,14 @@ def train(build_env: Callable[[int], object], cfg: TrainConfig, seed: int,
     """Run the full DQN protocol and return parameters plus the phase log.
 
     build_env(seed) must build a fresh episode handle, one per training
-    episode or segment, exposing .state_vector and .step(action).  Every
-    update_period_steps environment steps (once the buffer holds a full
-    sample block), outer_iterations blocks of sample_block transitions are
-    drawn and fitted for `epochs` passes of minibatch Adam updates; the
-    target network refreshes every target_sync_steps; after each update
-    phase a fresh greedy episode segment is evaluated and logged, together
-    with any baseline policies run on the same evaluation seed.
+    episode or segment, exposing .state_vector, read after every step, and
+    .step(action), whose outcome has .proxy_reward and .episode_done.  Every
+    update_period_steps environment steps (once the buffer holds a full sample
+    block), outer_iterations blocks of sample_block transitions are drawn and
+    fitted for `epochs` passes of minibatch Adam updates; the target network
+    refreshes every target_sync_steps; after each update phase a fresh greedy
+    episode segment is evaluated and logged, together with any baseline
+    policies run on the same evaluation seed.
     """
     rng = np.random.default_rng(seed)
     env = build_env(int(rng.integers(2 ** 63)))
@@ -344,8 +345,8 @@ def train(build_env: Callable[[int], object], cfg: TrainConfig, seed: int,
     for global_step in range(1, cfg.total_steps + 1):
         action = select_action(forward(params, s), cfg.epsilon_train, rng)
         out = env.step(action)
-        buffer.push(s, action, out.proxy_reward, out.next_state, out.episode_done)
-        s = np.asarray(out.next_state, float)
+        buffer.push(s, action, out.proxy_reward, env.state_vector, out.episode_done)
+        s = np.asarray(env.state_vector, float)
         if out.episode_done:
             env = build_env(int(rng.integers(2 ** 63)))
             s = np.asarray(env.state_vector, float)

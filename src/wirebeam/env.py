@@ -17,7 +17,8 @@ computes the node's look geometry (`channel.look_angles`) once; the env
 keeps it and its `StepOutcome` carries it, so the reward, the oracle,
 the trace and the metrics all read it.  `rollout` steps a policy and
 returns one `StepOutcome` per step; every evaluation path records steps
-that way.
+that way.  `state_vector` builds the observation on its first read
+after each step: the oracle and the fixed beam never pay for it.
 
 The observation vector is, per sensed point, [position (3), velocity (3)],
 blocks in sense-point order, followed by the unit steering vector (3).
@@ -230,11 +231,10 @@ def assemble_state(delayed: wire.WireState, sense_idx: np.ndarray,
 
 @dataclass(slots=True)
 class StepOutcome:
-    """What one step did and where it left the episode: the action taken,
-    then the observation, reward, power, beam, node and the node's look
-    geometry after it.  Slotted: an evaluation holds one per step."""
+    """What one step did: the action taken, then the reward, power, beam,
+    node and the node's look geometry after it; the observation is the
+    env's `state_vector`.  Slotted: an evaluation holds one per step."""
 
-    next_state: np.ndarray
     proxy_reward: float
     raw_power_dbm: float
     episode_done: bool
@@ -268,7 +268,7 @@ class BeamTrackingEnv:
         self.states = [batch.state(self._episode, 0)]
         self.look = look_angles(self.true_node_position, channel_cfg.rx_position)
         self.beam = self._initial_beam()
-        self.state_vector = assemble_state(self.states[0], self._sense_idx, self.beam)
+        self._observation = None
 
     def _initial_beam(self) -> BeamOrientation:
         """Boresight at the equilibrium node, quantized to the action grid."""
@@ -294,6 +294,14 @@ class BeamTrackingEnv:
     def true_node_position(self) -> np.ndarray:
         return self.state.positions[self._tx_idx]
 
+    @property
+    def state_vector(self) -> np.ndarray:
+        """The observation after the last step, built on its first read."""
+        if self._observation is None:
+            delayed = self.states[max(self.step_count - self.cfg.lag_steps, 0)]
+            self._observation = assemble_state(delayed, self._sense_idx, self.beam)
+        return self._observation
+
     def step(self, action: int) -> StepOutcome:
         k = len(self.states)  # the step count after this step
         if k > self.cfg.episode_steps:
@@ -301,15 +309,12 @@ class BeamTrackingEnv:
         self.beam = apply_action(self.beam, action, self.cfg.refine_angle)
         state = self._batch.state(self._episode, k)
         self.states.append(state)
-        # the observation is the state `lookback` ago, the equilibrium before that
-        delayed = self.states[max(k - self.cfg.lag_steps, 0)]
-        self.state_vector = assemble_state(delayed, self._sense_idx, self.beam)
+        self._observation = None
         node = state.positions[self._tx_idx]
         self.look = look_angles(node, self.channel_cfg.rx_position)
         raw = received_power(self.look, self.beam, self.channel_cfg, self.array_cfg)
         reward = proxy_reward(raw, self.cfg.reward_offset_dbm, self.cfg.reward_scale_db)
-        return StepOutcome(next_state=self.state_vector,
-                           proxy_reward=reward,
+        return StepOutcome(proxy_reward=reward,
                            raw_power_dbm=raw,
                            episode_done=k >= self.cfg.episode_steps,
                            action=action,

@@ -12,16 +12,18 @@ is what makes the stability bound dt < 2/sqrt(4*k0*N/m) meaningful for
 the stiff spring term.  All randomness is injected by the caller, so a
 fixed seed reproduces a trajectory bit for bit.
 
-`step` is the per-substep kernel: it advances a state in place by one
-substep per row of scaled Wiener kicks, (n, N-2, 3) for one chain or
-(n, N-2, E, 3) for a batch, and n rows are bit for bit n one-row calls.
-Wind and impulses are evaluated at the start of every substep, and any
-number of impulses may act at once; each impulse's window is computed
-once, in a `Forcing`.  `step` copies nothing and guards no float error:
-a value that overflows is left inf or NaN.  `wiener_kicks` is the one
-place that scales the noise.  `trajectory` is the one seeded wire
-stream, and does the rest once per stride: it draws the noise, computes
-the stride's kicks in one product, copies the state it will yield,
+`step` is the per-substep kernel and does only its arithmetic: it
+advances a state in place by one substep per row of scaled Wiener kicks
+and of mean wind, (n, N-2, 3) for one chain or (n, N-2, E, 3) for a
+batch, and n rows are bit for bit n one-row calls.  A `Forcing`, built
+once per stream, holds its constants: gravity at that shape, the spring
+coefficient, drag rate and dt as 0-d arrays, and each impulse's window.
+`step` copies nothing and guards no float error: a value that overflows
+is left inf or NaN.  `wiener_kicks` is the one place that scales the
+noise, and `WindModel.velocities` the one owner of the mean wind.
+`trajectory` is the one seeded wire stream, and does the rest once per
+stride: it draws the noise, computes the stride's kicks in one product
+and its mean-wind block in one call, copies the state it will yield,
 ignores float errors around the stride's `step` calls, and finds a
 divergence.  It yields the equilibrium, then the state after every
 stride of substeps, of one chain or of a batch of E episodes, positions
@@ -147,11 +149,11 @@ class WindModel:
         if not all(p > 0 for p in self.periods):
             raise ValueError(f"wind periods must be positive, got {self.periods}")
 
-    def velocity(self, t: float) -> np.ndarray:
-        a, p = self.amplitude, self.periods
-        return np.array([a * math.sin(2.0 * math.pi * t / p[0]),
-                         a * math.sin(2.0 * math.pi * t / p[1]),
-                         a * math.sin(2.0 * math.pi * t / p[2])])
+    def velocities(self, t: float, dt: float, n: int) -> np.ndarray:
+        """(n, 3): v_o at n substep starts from t, dt added as `step` adds it."""
+        a = self.amplitude
+        return np.array([[a * math.sin(2.0 * math.pi * s / p) for p in self.periods]
+                         for s in itertools.accumulate([dt] * (n - 1), initial=t)])
 
 
 @dataclass(frozen=True)
@@ -201,29 +203,44 @@ class ImpulseEvent:
 
 
 class Forcing:
-    """Impulse events placed on the points of a state, for substeps of dt.
-
+    """What substeps of dt add on the points of a state, built once per
+    stream.  Gravity is broadcast to the interior shape, and the spring
+    coefficient, drag rate and dt are 0-d float64 arrays: the same bits,
+    without broadcasting a (3,) operand or converting a float per substep.
     `impulses` is one sequence of events for a single chain and one per
-    episode for a batch.  Each event's index (point, and episode in a
-    batch), acceleration (N/m)*F and window are computed once, here; every
-    event active during a substep adds its acceleration there.
-    """
+    episode for a batch; each event's index, acceleration (N/m)*F and
+    window are computed once, here, and it acts in every substep it covers."""
 
-    def __init__(self, params: WireParams, impulses, dt: float, batched: bool):
-        coeff = params.n_points / params.mass_total
+    def __init__(self, params: WireParams, wind: WindModel, impulses, dt: float,
+                 batched: bool):
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        episodes = impulses if batched else [impulses]
+        self.shape = (params.n_points - 2,) + ((len(episodes),) if batched else ()) + (3,)
+        self.wind, self.dt = wind, dt
+        self.gravity = np.broadcast_to(params.gravity, self.shape).copy()
+        self.coeff, self.drag_c, self.dt_op = (
+            np.array(float(c)) for c in (params.spring_accel_coeff, params.drag_c, dt))
+        per_mass = params.n_points / params.mass_total
         self._pushes = []
-        for e, events in enumerate(impulses if batched else [impulses]):
+        for e, events in enumerate(episodes):
             for ev in events:
                 ev.validate_for(params)
                 at = (ev.point_number - 2, e) if batched else ev.point_number - 2
                 with np.errstate(over="ignore"):  # `trajectory` reports what overflows
-                    self._pushes.append((at, coeff * ev.force, ev.acts(dt)))
+                    self._pushes.append((at, per_mass * ev.force, ev.acts(dt)))
 
     def add(self, acc: np.ndarray, t: float):
         """Add the acceleration of every event active at substep start t."""
         for at, accel, acts in self._pushes:
             if acts(t):
                 acc[at] += accel
+
+    def mean_wind(self, t: float, n: int) -> np.ndarray:
+        """The mean wind of n substeps from t, shaped like n rows of kicks."""
+        rows = self.wind.velocities(t, self.dt, n)[:, None]
+        cells = math.prod(self.shape[:-1])  # interior points, times episodes
+        return np.repeat(rows, cells, axis=1).reshape((n,) + self.shape)
 
 
 def solve_equilibrium(params: WireParams) -> WireState:
@@ -280,15 +297,14 @@ def wiener_kicks(params: WireParams, dt: float, noise: np.ndarray) -> np.ndarray
     return kicks
 
 
-def step(state: WireState, params: WireParams, wind: WindModel, forcing: Forcing,
-         dt: float, kicks: np.ndarray):
-    """Advance `state` in place by one Euler-Maruyama substep of length dt
-    per row of `kicks`.
+def step(state: WireState, forcing: Forcing, kicks: np.ndarray, winds: np.ndarray):
+    """Advance `state` in place by one Euler-Maruyama substep of dt per
+    row of `kicks` and of `winds`, the mean wind v_o.
 
     The state is one chain, positions (N, 3), or a batch of episodes,
-    positions (N, E, 3); kicks are `wiener_kicks` shaped (n, N-2, 3) or
-    (n, N-2, E, 3).  `forcing` is built for dt and the state's shape.  The
-    interior acceleration is the tensile coupling
+    positions (N, E, 3); `forcing` is built for its shape, and kicks
+    (`wiener_kicks`) and winds (`forcing.mean_wind`) are (n, N-2, 3) or
+    (n, N-2, E, 3).  The interior acceleration is the tensile coupling
     (k0*N/m)*(x[i+1] + x[i-1] - 2*x[i]) plus gravity plus every impulse
     active during the substep.  The velocity update is
     v + (acc - c*(v - v_o))*dt + kick, then x + v*dt; each operation keeps
@@ -298,30 +314,28 @@ def step(state: WireState, params: WireParams, wind: WindModel, forcing: Forcing
     left inf or NaN, and stays so in later substeps; the caller guards
     float errors, copies what it keeps, and finds a divergence.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    one = (params.n_points - 2,) + state.positions.shape[1:]
-    if kicks.shape[1:] != one:
-        raise ValueError(f"kicks must have shape (n, {str(one)[1:]}, got {kicks.shape}")
+    if kicks.shape[1:] != forcing.shape or winds.shape != kicks.shape:
+        raise ValueError(f"kicks must have shape (n, {str(forcing.shape)[1:]}, and winds "
+                         f"the same, got {kicks.shape} and {winds.shape}")
     pos = state.positions
     x, x_lo, x_hi = pos[1:-1], pos[:-2], pos[2:]
     v = state.velocities[1:-1]
-    coeff, gravity, drag_c = params.spring_accel_coeff, params.gravity, params.drag_c
-    t = state.time
-    for kick in kicks:
+    coeff, gravity, drag_c = forcing.coeff, forcing.gravity, forcing.drag_c
+    dt, t = forcing.dt_op, state.time
+    for kick, wind in zip(kicks, winds):
         acc = x_hi + x_lo
         acc -= x + x  # 2*x, exactly, without a scalar operand to convert
         acc *= coeff
         acc += gravity
         forcing.add(acc, t)
-        drag = v - wind.velocity(t)
+        drag = v - wind
         drag *= drag_c
         acc -= drag
         acc *= dt
         v += acc
         v += kick
         x += v * dt
-        t += dt
+        t += forcing.dt
     state.time = t
 
 
@@ -331,17 +345,16 @@ def _finite(state: WireState) -> np.ndarray:
             & np.isfinite(state.velocities[1:-1]).all(axis=-1))
 
 
-def _divergence(start: WireState, params: WireParams, wind: WindModel,
-                impulses: Sequence[ImpulseEvent], dt: float,
-                kicks: np.ndarray) -> IntegrationDivergedError:
+def _divergence(start: WireState, forcing: Forcing, kicks: np.ndarray,
+                winds: np.ndarray) -> IntegrationDivergedError:
     """The error of a chain that stops being finite within the substeps of
-    `kicks` from `start`, found by replaying a copy of it one substep at a
-    time: a non-finite value stays non-finite, so the first substep that
-    leaves a point non-finite names the divergence."""
-    state, forcing = start.copy(), Forcing(params, impulses, dt, False)
+    `kicks` and `winds` from `start`, found by replaying a copy of it one
+    substep at a time: a non-finite value stays non-finite, so the first
+    substep that leaves a point non-finite names the divergence."""
+    state = start.copy()
     for k in range(len(kicks)):
         t = state.time
-        step(state, params, wind, forcing, dt, kicks[k:k + 1])
+        step(state, forcing, kicks[k:k + 1], winds[k:k + 1])
         bad = ~_finite(state)
         if bad.any():
             break
@@ -353,34 +366,32 @@ def trajectory(params: WireParams, wind: WindModel, impulses, dt: float,
     """Endless seeded stream: the equilibrium, then the state after every
     `stride` substeps of length dt, making one `step` call per substep.
 
-    One seed is one chain, and `impulses` its events.  A sequence of E
-    seeds is a batch of E episodes advanced together, positions (N, E, 3),
-    and `impulses` holds one sequence of events per episode.  Every
-    stride, each episode draws one (stride, N-2, 3) standard normal block
-    from its own default_rng(seed), in place into its row of one
-    (E, stride, N-2, 3) array, and one `wiener_kicks` product turns it
-    into the stride's (stride, N-2, E, 3) kicks.  So each episode of a
-    batch is bit for bit the stream of its seed alone; one chain is the
-    batch of one, yielded without its episode axis.  Each stride also
-    makes one copy, the state it advances in place and yields, and
-    ignores float errors once, around its `step` calls and any replay.
-    After each stride, one check finds the episodes that stopped being
-    finite in it, and `_divergence` names each one's point and time from
-    the same kicks.  A chain raises that error in place of its next state;
-    in a batch, the episode's columns are NaN from that state on,
-    `diverged` holds its error, and the others go on untouched until
-    every episode diverged.  A stride below 1 or a dt that is not
-    positive is refused at the first `next()`.
+    One seed is one chain, and `impulses` its events.  A sequence of E seeds
+    is a batch of E episodes advanced together, positions (N, E, 3), and
+    `impulses` holds one sequence of events per episode.  Every stride, each
+    episode draws one (stride, N-2, 3) standard normal block from its own
+    default_rng(seed), in place into its row of one (E, stride, N-2, 3)
+    array, and one `wiener_kicks` product turns it into the stride's
+    (stride, N-2, E, 3) kicks.  So each episode of a batch is bit for bit the
+    stream of its seed alone; one chain is the batch of one, yielded without
+    its episode axis.  Each stride also computes its mean-wind block, makes
+    one copy, the state it advances in place and yields, and ignores float
+    errors once, around its `step` calls and any replay.  A stride that
+    leaves a value non-finite finds the episodes that stopped being finite
+    in it, and `_divergence` names each one's point and time from the same
+    kicks and winds.  A chain raises that error in place of its next state;
+    in a batch, the episode's columns are NaN from that state on, `diverged`
+    holds its error, and the others go on untouched until every episode
+    diverged.  A stride below 1 or a dt that is not positive is refused at
+    the first `next()`.
     """
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     batched = np.ndim(seed) == 1
     seeds = list(seed) if batched else [seed]
     episodes = list(impulses) if batched else [impulses]
     rngs = [np.random.default_rng(s) for s in seeds]
-    forcing = Forcing(params, episodes, dt, True)
+    forcing = Forcing(params, wind, episodes, dt, True)
     eq = solve_equilibrium(params)
     work = WireState(0.0, np.repeat(eq.positions[:, None], len(seeds), axis=1),
                      np.zeros((params.n_points, len(seeds), 3)))
@@ -395,17 +406,21 @@ def trajectory(params: WireParams, wind: WindModel, impulses, dt: float,
         start, work = work, work.copy()
         with np.errstate(invalid="ignore", over="ignore"):
             kicks = wiener_kicks(params, dt, blocks.transpose(1, 2, 0, 3))
+            winds = forcing.mean_wind(work.time, stride)
             # one call per substep, not per stride: perfbench's per-layer test
             # counts ten `step` calls per tracking step
             for k in range(stride):
-                step(work, params, wind, forcing, dt, kicks[k:k + 1])
+                step(work, forcing, kicks[k:k + 1], winds[k:k + 1])
+            if np.isfinite(work.positions).all() and np.isfinite(work.velocities).all():
+                continue
             # exact once per stride: no substep turns an inf or NaN finite again
             bad = ~_finite(work).all(axis=0)
             bad[list(work.diverged)] = False  # their columns are NaN already
             for e in np.flatnonzero(bad).tolist():
                 err = _divergence(WireState(start.time, start.positions[:, e],
                                             start.velocities[:, e]),
-                                  params, wind, episodes[e], dt, kicks[:, :, e])
+                                  Forcing(params, wind, episodes[e], dt, False),
+                                  kicks[:, :, e], winds[:, :, e])
                 if not batched:
                     raise err
                 work.diverged[e] = err

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from wirebeam import bench, channel, dqn, files, wire
+from wirebeam import env as envmod
 from wirebeam.bench import (derive_seed, make_envs, policy_callable,
                             post_impulse_window, rollout_episode, run_eval,
                             run_sweep, run_train)
@@ -128,6 +129,23 @@ class TestRunEval:
         assert (tmp_path / f"trace_{kind.value}_ep001.csv").exists()
         assert (tmp_path / f"metrics_{kind.value}.json").exists()
         assert len(calls) == 2 * cfg.env.episode_steps + 2
+
+    @pytest.mark.parametrize("kind, per_step", [(PolicyKind.ORACLE, 0),
+                                                (PolicyKind.FIXED_BEAM, 0),
+                                                (PolicyKind.DQN_GREEDY, 1)])
+    def test_the_observation_is_built_only_for_a_policy_that_reads_it(
+            self, tmp_path, monkeypatch, kind, per_step):
+        # the oracle reads the true look geometry and the fixed beam reads
+        # nothing; the greedy net reads the observation before every step
+        cfg = tiny_cfg()
+        ckpt = None
+        if kind is PolicyKind.DQN_GREEDY:
+            ckpt, _ = run_train(cfg, tmp_path / "train")
+        calls, real = [], envmod.assemble_state
+        monkeypatch.setattr(envmod, "assemble_state",
+                            lambda *args: calls.append(args) or real(*args))
+        run_eval(cfg, ckpt, kind, 2, tmp_path / "eval")
+        assert len(calls) == per_step * 2 * cfg.env.episode_steps
 
     def test_metrics_file_appears_only_when_whole(self, tmp_path, monkeypatch):
         real_replace = os.replace

@@ -51,7 +51,7 @@ class TestDefaultsMatchTableParameters:
 
     def test_wind_model_rows(self):
         cfg = default_config()
-        np.testing.assert_allclose(cfg.wind.velocity(1.0),
+        np.testing.assert_allclose(cfg.wind.velocities(1.0, 1e-3, 1)[0],
                                    [5.0, 5 * math.sin(math.pi / 3),
                                     5 * math.sin(math.pi / 4)], rtol=1e-12)
 

@@ -65,7 +65,7 @@ class ConstantRewardEnv:
         self.state_vector = np.linspace(0.1, 0.5, dim)
 
     def step(self, action):
-        return StepOutcome(next_state=self.state_vector.copy(), proxy_reward=1.0,
+        return StepOutcome(proxy_reward=1.0,
                            raw_power_dbm=-40.0, episode_done=False, action=action,
                            time_s=0.0, beam=BeamOrientation(0.0, 0.0), node=np.zeros(3),
                            look=(1.0, 0.0, 0.0))

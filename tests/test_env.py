@@ -113,6 +113,14 @@ class TestProxyReward:
             assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
+def observed_rollout(env, policy_fn, steps):
+    """`rollout`'s outcomes, and the observation after each step."""
+    seen = []
+    outcomes = rollout(env, lambda env: seen.append(env.state_vector) or policy_fn(env),
+                       steps)
+    return outcomes, seen[1:] + [env.state_vector]
+
+
 def still_wire(positions=None, velocities=None) -> wire.WireState:
     return wire.WireState(0.0, np.zeros((21, 3)) if positions is None else positions,
                           np.zeros((21, 3)) if velocities is None else velocities)
@@ -221,19 +229,19 @@ class TestStepping:
         history = [e.state.positions[9].copy()]
         state = e.state_vector
         for k in range(1, 8):
-            out = e.step(envmod.CENTER_ACTION)
+            e.step(envmod.CENTER_ACTION)
             history.append(e.state.positions[9].copy())
             # brute-force scan: the block must equal the snapshot from 2 steps back
-            np.testing.assert_array_equal(out.next_state[0:3], history[max(0, k - 2)])
+            np.testing.assert_array_equal(e.state_vector[0:3], history[max(0, k - 2)])
 
     def test_delay_correctness_full_trajectory(self):
         e = make_env(seed=9, lookback=0.04)
         lag = e.cfg.lag_steps
         history = [e.state.positions[9].copy()]
         for k in range(1, 60):
-            out = e.step(envmod.CENTER_ACTION)
+            e.step(envmod.CENTER_ACTION)
             history.append(e.state.positions[9].copy())
-            np.testing.assert_array_equal(out.next_state[0:3], history[max(0, k - lag)])
+            np.testing.assert_array_equal(e.state_vector[0:3], history[max(0, k - lag)])
 
     def test_static_environment_matches_link_budget(self):
         e = make_env(seed=0, quiet=True)
@@ -258,12 +266,11 @@ class TestStepping:
         runs = []
         for _ in range(2):
             e = make_env(seed=21)
-            outs = [e.step(int(a)) for a in actions]
-            runs.append(outs)
-        for o1, o2 in zip(*runs):
+            runs.append([(e.step(int(a)), e.state_vector) for a in actions])
+        for (o1, s1), (o2, s2) in zip(*runs):
             assert o1.raw_power_dbm == o2.raw_power_dbm
             assert o1.proxy_reward == o2.proxy_reward
-            assert np.array_equal(o1.next_state, o2.next_state)
+            assert np.array_equal(s1, s2)
 
     def test_impulse_fires_within_scheduled_interval(self):
         e = make_env(seed=2, quiet=True, impulse_enabled=True,
@@ -311,6 +318,45 @@ class TestStepping:
         look = look_angles(outs[-1].node, e.channel_cfg.rx_position)
         optimal = boresight_power(e.channel_cfg, e.array_cfg)(look)
         assert last[6] == f"{optimal:.6f}"
+
+
+class TestObservationOnRead:
+    """`state_vector` is built on its first read after a step, from the
+    state `lookback` ago, and kept until the next step."""
+
+    def test_two_reads_within_a_step_return_the_same_array(self):
+        e = make_env(seed=3, lookback=0.02)
+        for _ in range(4):
+            assert e.state_vector is e.state_vector
+            first = e.state_vector
+            e.step(envmod.CENTER_ACTION)
+            assert e.state_vector is not first
+
+    # lag 0, lag 2, and a lag longer than the ten-step episode
+    @pytest.mark.parametrize("lookback", [0.0, 0.02, 0.2])
+    def test_the_value_read_is_the_delayed_state_at_every_step(self, lookback):
+        e = make_env(seed=8, lookback=lookback, episode_duration=0.1,
+                     sense_points=(2, 4, 10, 18))
+        lag, idx = e.cfg.lag_steps, np.array([1, 3, 9, 17])
+        assert lag == round(lookback / 0.01)
+        actions = np.random.default_rng(8).integers(0, 9, size=e.cfg.episode_steps)
+        for k in range(e.cfg.episode_steps + 1):
+            want = assemble_state(e.states[max(k - lag, 0)], idx, e.beam)
+            assert np.array_equal(e.state_vector, want)
+            if k < e.cfg.episode_steps:
+                e.step(int(actions[k]))
+
+    def test_a_step_left_unread_is_never_built(self, monkeypatch):
+        calls, real = [], envmod.assemble_state
+        monkeypatch.setattr(envmod, "assemble_state",
+                            lambda *args: calls.append(args) or real(*args))
+        e = make_env(seed=2, lookback=0.02)
+        for _ in range(5):
+            e.step(envmod.CENTER_ACTION)
+        assert calls == []
+        observed = e.state_vector
+        assert len(calls) == 1 and calls[0][0] is e.states[3]
+        assert np.array_equal(observed, real(e.states[3], np.array([9]), e.beam))
 
 
 class TestSharedWireStream:
@@ -368,11 +414,13 @@ class TestEpisodeBatch:
         if scenario == "wind_plus_impulse":
             assert len({e.schedule.impulse_time for e in envs}) > 1
         # roll the batch out one episode after another, as run_eval does
-        batched = [rollout(e, lambda env: int(env.step_count % 9), 30) for e in envs]
-        for env, seed, outs in zip(envs, seeds, batched):
+        batched = [observed_rollout(e, lambda env: int(env.step_count % 9), 30)
+                   for e in envs]
+        for env, seed, (outs, seen) in zip(envs, seeds, batched):
             alone = make_experiment_envs(cfg, [seed])[0]
             assert alone.schedule == env.schedule
-            alone_outs = rollout(alone, lambda env: int(env.step_count % 9), 30)
+            alone_outs, alone_seen = observed_rollout(
+                alone, lambda env: int(env.step_count % 9), 30)
             assert len(env.states) == len(alone.states) == 31
             for got, want in zip(env.states, alone.states):
                 assert got.time == want.time
@@ -380,7 +428,9 @@ class TestEpisodeBatch:
                 assert np.array_equal(got.velocities, want.velocities)
             for a, b in zip(outs, alone_outs):
                 assert a.raw_power_dbm == b.raw_power_dbm
-                assert np.array_equal(a.next_state, b.next_state)
+            assert len(seen) == len(alone_seen) == 30
+            for a, b in zip(seen, alone_seen):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("scenario", ["wind_only", "wind_plus_impulse"])
     def test_a_repeated_seed_shares_one_column(self, scenario):
@@ -396,11 +446,12 @@ class TestEpisodeBatch:
         envs = make_experiment_envs(cfg, [5, 5, 5])
         assert all(e._batch is envs[0]._batch for e in envs)
         assert envs[0]._batch.seeds == [5]
-        shared = [rollout(e, fn, cfg.env.episode_steps) for e, fn in zip(envs, policies)]
+        shared = [observed_rollout(e, fn, cfg.env.episode_steps)
+                  for e, fn in zip(envs, policies)]
         assert envs[0]._batch._states[-1].positions.shape == (cfg.wire.n_points, 1, 3)
-        for env, fn, outs in zip(envs, policies, shared):
+        for env, fn, (outs, seen) in zip(envs, policies, shared):
             alone = make_experiment_envs(cfg, [5])[0]
-            alone_outs = rollout(alone, fn, cfg.env.episode_steps)
+            alone_outs, alone_seen = observed_rollout(alone, fn, cfg.env.episode_steps)
             assert env.done and len(env.states) == len(alone.states) == 31
             for got, want in zip(env.states, alone.states):
                 assert got.time == want.time
@@ -409,10 +460,12 @@ class TestEpisodeBatch:
             assert [o.action for o in outs] == [o.action for o in alone_outs]
             for a, b in zip(outs, alone_outs):
                 assert a.raw_power_dbm == b.raw_power_dbm
-                assert np.array_equal(a.next_state, b.next_state)
+            assert len(seen) == len(alone_seen) == 30
+            for a, b in zip(seen, alone_seen):
+                assert np.array_equal(a, b)
         if scenario == "wind_plus_impulse":
             assert envs[0].schedule.impulse_time == 0.0555
-        assert len({tuple(o.action for o in outs) for outs in shared}) > 1
+        assert len({tuple(o.action for o in outs) for outs, _ in shared}) > 1
 
     # the force's (N/m)*F overflows: an episode whose impulse comes at
     # 55.5 ms diverges in its sixth step; at 5 s it never comes

@@ -30,12 +30,18 @@ WIND = default_config().wind  # the table's: 5 m/s, periods 4, 6 and 8 s
 STILL = replace(WIND, amplitude=0.0)
 
 
+def substeps(state, forcing, kicks):
+    """Advance `state` in place by one `step` call over the rows of kicks,
+    with the forcing's mean wind from the state's time."""
+    wire.step(state, forcing, kicks, forcing.mean_wind(state.time, len(kicks)))
+
+
 def advance(state, params, wind, impulses, dt, noise):
     """A copy of `state` after one `step` call over the substeps of noise
     (n, N-2, 3), whose kicks come from one product."""
     out = state.copy()
-    wire.step(out, params, wind, wire.Forcing(params, impulses, dt, False), dt,
-              wire.wiener_kicks(params, dt, noise))
+    substeps(out, wire.Forcing(params, wind, impulses, dt, False),
+             wire.wiener_kicks(params, dt, noise))
     return out
 
 
@@ -48,9 +54,9 @@ def interior_acceleration(state, params):
     return out.velocities[1:-1]
 
 
-def no_forcing(params):
-    """A single chain's `Forcing` with no events, for any dt."""
-    return wire.Forcing(params, (), 1e-3, False)
+def no_forcing(params, wind=STILL, dt=1e-3):
+    """A single chain's `Forcing` with no events."""
+    return wire.Forcing(params, wind, (), dt, False)
 
 
 def closed_form_parabola(params):
@@ -133,9 +139,9 @@ class TestStep:
         st = wire.solve_equilibrium(params)
         v0 = np.array([0.3, -0.2, 0.1])
         st.velocities[1:-1] = v0
-        forcing = no_forcing(params)
+        forcing = no_forcing(params, dt=dt)
         for _ in range(k):
-            wire.step(st, params, STILL, forcing, dt, np.zeros((1, 3, 3)))
+            substeps(st, forcing, np.zeros((1, 3, 3)))
         expected = v0 * (1.0 - params.drag_c * dt) ** k
         np.testing.assert_allclose(st.velocities[1:-1], np.tile(expected, (3, 1)),
                                    rtol=1e-9)
@@ -145,10 +151,10 @@ class TestStep:
         rng = np.random.default_rng(3)
         st = wire.solve_equilibrium(params)
         p0, pn = st.positions[0].copy(), st.positions[-1].copy()
-        forcing = no_forcing(params)
+        forcing = no_forcing(params, WIND)
         for _ in range(100):
-            wire.step(st, params, WIND, forcing, 1e-3,
-                      wire.wiener_kicks(params, 1e-3, rng.standard_normal((1, 19, 3))))
+            substeps(st, forcing,
+                     wire.wiener_kicks(params, 1e-3, rng.standard_normal((1, 19, 3))))
         assert np.array_equal(st.positions[0], p0)
         assert np.array_equal(st.positions[-1], pn)
         assert np.array_equal(st.velocities[0], np.zeros(3))
@@ -176,12 +182,11 @@ class TestStep:
         st = wire.solve_equilibrium(params)
         st.positions[5, 2] = np.inf
         noise = np.random.default_rng(3).standard_normal((50, 1, 19, 3))
-        forcing = no_forcing(params)
+        forcing = no_forcing(params, WIND)
         with np.errstate(invalid="ignore", over="ignore"):  # as `trajectory` does
             for block in noise:
                 before = st.copy()
-                wire.step(st, params, WIND, forcing, 1e-3,
-                          wire.wiener_kicks(params, 1e-3, block))
+                substeps(st, forcing, wire.wiener_kicks(params, 1e-3, block))
                 for a, b in ((before.positions, st.positions),
                              (before.velocities, st.velocities)):
                     assert not (~np.isfinite(a) & np.isfinite(b)).any()
@@ -197,9 +202,9 @@ class TestStep:
         dt, n_steps = 1e-3, 3000
         point_mass = params.mass_total / params.n_points
         ke = []
-        forcing, still = no_forcing(params), np.zeros((1, 19, 3))
+        forcing, still = no_forcing(params, dt=dt), np.zeros((1, 19, 3))
         for _ in range(n_steps):
-            wire.step(st, params, STILL, forcing, dt, still)
+            substeps(st, forcing, still)
             ke.append(0.5 * point_mass * float((st.velocities ** 2).sum()))
         window = 500  # > half the fundamental period, smooths the KE/PE exchange
         means = [np.mean(ke[i:i + window]) for i in range(window, n_steps - window, window)]
@@ -260,8 +265,15 @@ class TestBlockStep:
         # (19, 3) is one substep without its leading axis
         params = table_params()
         with pytest.raises(ValueError, match=r"kicks must have shape \(n, 19, 3\)"):
-            wire.step(wire.solve_equilibrium(params), params, STILL, no_forcing(params),
-                      1e-3, np.zeros(shape))
+            wire.step(wire.solve_equilibrium(params), no_forcing(params), np.zeros(shape),
+                      np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 19, 3), (1, 3), (19, 3)])
+    def test_a_wind_block_unlike_the_kicks_is_refused(self, shape):
+        params = table_params()
+        with pytest.raises(ValueError, match=r"and winds the same, got \(1, 19, 3\) and"):
+            wire.step(wire.solve_equilibrium(params), no_forcing(params),
+                      np.zeros((1, 19, 3)), np.zeros(shape))
 
 
 class TestKicks:
@@ -295,18 +307,109 @@ class TestKicks:
         np.testing.assert_allclose(block[0, 0, 0], expected, rtol=1e-14)
 
 
+def textbook_stream(params, wind, impulses, dt, seed, stride, n):
+    """Reference for the first n states of one chain's `trajectory`, with
+    no `step`: one substep at a time, as the Euler-Maruyama update is
+    written, with Python-float constants, the mean wind's sine expression,
+    and gravity and wind as (3,) vectors broadcast in every operation."""
+    coeff = params.spring_k * params.n_points / params.mass_total
+    drag_c, gravity, amplitude = params.drag_c, params.gravity, wind.amplitude
+    pushes = [(ev.point_number - 2, params.n_points / params.mass_total * ev.force,
+               ev.acts(dt)) for ev in impulses]
+    rng = np.random.default_rng(seed)
+    eq = wire.solve_equilibrium(params)
+    x, v, t = eq.positions.copy(), eq.velocities.copy(), 0.0
+    states = [wire.WireState(t, x.copy(), v.copy())]
+    while len(states) < n:
+        for xi in rng.standard_normal((stride, params.n_points - 2, 3)):
+            kick = (xi @ params.wind_diffusion.T) * math.sqrt(dt)
+            mean_wind = np.array([amplitude * math.sin(2.0 * math.pi * t / p)
+                                  for p in wind.periods])
+            acc = coeff * (x[2:] + x[:-2] - 2.0 * x[1:-1]) + gravity
+            for i, accel, acts in pushes:
+                if acts(t):
+                    acc[i] += accel
+            v[1:-1] = v[1:-1] + (acc - drag_c * (v[1:-1] - mean_wind)) * dt + kick
+            x[1:-1] = x[1:-1] + v[1:-1] * dt
+            t += dt
+        states.append(wire.WireState(t, x.copy(), v.copy()))
+    return states
+
+
+class TestTextbookSubstep:
+    """The stream equals a textbook substep written without `step`, bit for
+    bit: the kernel's per-stream constants and per-stride wind block are
+    the same arithmetic as the update they replace."""
+
+    # one force for one substep, one held for ten across the 40 ms stride
+    # boundary, and two on one point at once
+    CASES = [[wire.ImpulseEvent(point_number=4, force=[30.0, -10.0, 470.0],
+                                apply_time=0.0155)],
+             [wire.ImpulseEvent(point_number=8, force=[0.0, 20.0, -300.0],
+                                apply_time=0.0355, duration_s=0.01)],
+             [wire.ImpulseEvent(point_number=12, force=[0.0, 0.0, 250.0],
+                                apply_time=0.0505),
+              wire.ImpulseEvent(point_number=12, force=[15.0, 0.0, -90.0],
+                                apply_time=0.0505, duration_s=0.003)]]
+    SEEDS = [11, 12, 13]
+
+    @pytest.mark.parametrize("diffusion", ["default", "coupled"])
+    @pytest.mark.parametrize("stride", [1, 10, 200])
+    @pytest.mark.parametrize("n_episodes", [1, 3])
+    def test_stream_equals_the_textbook_substep(self, n_episodes, stride, diffusion,
+                                                monkeypatch):
+        params, dt, n = default_config().wire, 1e-3, 400 // stride + 1
+        if diffusion == "coupled":
+            params = replace(params, wind_diffusion=COUPLED_DIFFUSION)
+        rows, real_step = [], wire.step
+
+        def spy(state, forcing, kicks, winds):
+            rows.append((state.time, winds[0].copy()))
+            real_step(state, forcing, kicks, winds)
+        monkeypatch.setattr(wire, "step", spy)
+        if n_episodes == 1:  # one chain, carrying every case's events
+            impulses = [sum(self.CASES, [])]
+            got = [list(itertools.islice(
+                wire.trajectory(params, WIND, impulses[0], dt, self.SEEDS[0], stride), n))]
+        else:
+            impulses = self.CASES
+            batch = list(itertools.islice(
+                wire.trajectory(params, WIND, impulses, dt, self.SEEDS, stride), n))
+            got = [episode_states(batch, e, n) for e in range(3)]
+        monkeypatch.undo()
+        for events, seed, states in zip(impulses, self.SEEDS, got):
+            want = textbook_stream(params, WIND, events, dt, seed, stride, n)
+            assert len(states) == len(want) == n
+            for a, b in zip(states, want):
+                assert_same_state(a, b)
+        # each substep's mean-wind row is the sine expression at its start
+        assert len(rows) == 400
+        for t, row in rows:
+            sine = [WIND.amplitude * math.sin(2.0 * math.pi * t / p) for p in WIND.periods]
+            assert np.array_equal(row, np.broadcast_to(sine, row.shape))
+
+    def test_the_impulses_move_the_chain(self):
+        # the cases above are not vacuous: each one's events change its chain
+        params, dt = default_config().wire, 1e-3
+        quiet = textbook_stream(params, WIND, [], dt, 11, 10, 8)
+        for events in self.CASES:
+            kicked = textbook_stream(params, WIND, events, dt, 11, 10, 8)
+            assert np.array_equal(kicked[1].positions, quiet[1].positions) == (
+                events[0].apply_time > 0.01)
+            assert not np.array_equal(kicked[-1].velocities, quiet[-1].velocities)
+
+
 class TestWindModel:
     def test_zero_at_t0(self):
-        np.testing.assert_allclose(WIND.velocity(0.0), 0.0,
+        np.testing.assert_allclose(WIND.velocities(0.0, 1e-3, 1), 0.0,
                                    atol=1e-15)
 
     def test_values_at_t1_and_t2(self):
-        v1 = WIND.velocity(1.0)
+        v1, v2 = WIND.velocities(1.0, 1.0, 2)  # the rows of t = 1 s and t = 2 s
         np.testing.assert_allclose(v1, [5.0, 4.3301, 3.5355], atol=1e-4)
         np.testing.assert_allclose(
             v1, [5 * math.sin(math.pi / 2), 5 * math.sin(math.pi / 3),
                  5 * math.sin(math.pi / 4)], rtol=1e-12)
-        v2 = WIND.velocity(2.0)
         assert abs(v2[0]) < 1e-12
         np.testing.assert_allclose(v2[1:], [4.3301, 5.0], atol=1e-4)
 
