@@ -2,7 +2,7 @@
 
 An environment is a view of one episode of an `EpisodeBatch`.  The batch
 owns the task's `EnvConfig`, checked against the wire once, and one
-batched `wire.trajectory` stream, one state per beam-refinement interval
+`wire.trajectory` stream, one state per beam-refinement interval
 tau: the wire never reads the beam.  It holds one column per distinct
 seed, whose draws (the impulse time and the wire's noise seed, see
 `EpisodeSchedule`) the seed fixes, advances all of them together and
@@ -183,12 +183,12 @@ class EpisodeSchedule:
 
 
 class EpisodeBatch:
-    """The wire states of several episodes, from one batched `wire.trajectory`.
+    """The wire states of several episodes, from one `wire.trajectory`.
 
     The batch holds one episode (column) per distinct seed, in first-seen
     order: a repeated seed names the same episode.  The schedules are
     drawn from the seeds, and the stream advances every episode together.
-    A batched state is computed on its first read and kept, so envs can be
+    A batch's state is computed on its first read and kept, so envs can be
     rolled out one after another: the first to reach a step advances the
     stream, and the others read what it computed.  `env_cfg`, checked
     against the wire once, here, is the task of every env over the batch.
@@ -208,16 +208,11 @@ class EpisodeBatch:
         self._states: list[wire.WireState] = []
 
     def state(self, episode: int, k: int) -> wire.WireState:
-        """Episode `episode`'s wire state after k steps, a view into the
-        batch.  For the step in which the episode diverged and every later
-        one, raises its IntegrationDivergedError instead, with a traceback
-        of this read alone."""
+        """Episode `episode`'s wire state after k steps (`WireState.episode`:
+        from the step in which it diverged on, its error is raised)."""
         while len(self._states) <= k:
             self._states.append(next(self._stream))
-        s = self._states[k]
-        if episode in s.diverged:
-            raise s.diverged[episode].with_traceback(None)
-        return wire.WireState(s.time, s.positions[:, episode], s.velocities[:, episode])
+        return self._states[k].episode(episode)
 
 
 def assemble_state(delayed: wire.WireState, sense_idx: np.ndarray,

@@ -12,11 +12,12 @@ is what makes the stability bound dt < 2/sqrt(4*k0*N/m) meaningful for
 the stiff spring term.  All randomness is injected by the caller, so a
 fixed seed reproduces a trajectory bit for bit.
 
-`step` is the per-substep kernel and does only its arithmetic: it
-advances a state in place by one substep per row of scaled Wiener kicks
-and of mean wind, (n, N-2, 3) for one chain or (n, N-2, E, 3) for a
-batch, and n rows are bit for bit n one-row calls.  A `Forcing`, built
-once per stream, holds its constants: gravity at that shape, the spring
+Every state is a batch of E episodes' chains, positions (N, E, 3); the
+paper's one chain is the batch of one.  `step` is the per-substep kernel
+and does only its arithmetic: it advances a state in place by one substep
+per row of scaled Wiener kicks and of mean wind, (n, N-2, E, 3), and n
+rows are bit for bit n one-row calls.  A `Forcing`, built once per
+stream, holds its constants: gravity at that shape, the spring
 coefficient, drag rate and dt as 0-d arrays, and each impulse's window.
 `step` copies nothing and guards no float error: a value that overflows
 is left inf or NaN.  `wiener_kicks` is the one place that scales the
@@ -26,11 +27,10 @@ stride: it draws the noise, computes the stride's kicks in one product
 and its mean-wind block in one call, copies the state it will yield,
 ignores float errors around the stride's `step` calls, and finds a
 divergence.  It yields the equilibrium, then the state after every
-stride of substeps, of one chain or of a batch of E episodes, positions
-(N, E, 3), each with its own noise generator and impulses; each episode
-of a batch is bit for bit its chain alone.  No yielded state changes
-afterwards: the tracking environment keeps them all as its sensor
-history.  `simulate_trajectory` returns a finite slice of the stream.
+stride, each episode bit for bit its batch of one.  No yielded state
+changes afterwards: the tracking environment keeps them all as its
+sensor history.  `WireState.episode` reads one episode, or raises its
+divergence.  `simulate_trajectory` returns a finite slice of one chain.
 
 Point numbering follows the P1..PN convention: user-facing indices are
 1-based, array storage is 0-based.
@@ -117,25 +117,33 @@ class WireParams:
 
 @dataclass
 class WireState:
-    """Snapshot of the chain, or of a batch of E episodes' chains, at one
-    time instant.
+    """Snapshot of a batch of E episodes' chains at one time instant.
 
-    A batch's arrays are (N, E, 3): the episode axis follows the point
-    axis, so the interior points of every episode are one contiguous
-    block and each update is one numpy loop over it (a leading episode
-    axis took twice as long per substep at E = 3).  Episode e is
-    `positions[:, e]`.  `diverged` maps each episode whose state stopped
-    being finite to its error; its columns hold NaN.
+    The arrays are (N, E, 3): the episode axis follows the point axis, so
+    the interior points of every episode are one contiguous block and each
+    update is one numpy loop over it (a leading episode axis took twice as
+    long per substep at E = 3).  `diverged` maps each episode whose state
+    stopped being finite to its error; its columns hold NaN.  One
+    episode's (N, 3) state, from `episode` or `solve_equilibrium`, has the
+    same fields without the episode axis.
     """
 
     time: float
-    positions: np.ndarray   # (N, 3) or (N, E, 3) [m]
+    positions: np.ndarray   # (N, E, 3) [m]
     velocities: np.ndarray  # as positions [m/s]
     diverged: dict[int, IntegrationDivergedError] = field(default_factory=dict)
 
     def copy(self) -> "WireState":
         return WireState(self.time, self.positions.copy(), self.velocities.copy(),
                          dict(self.diverged))
+
+    def episode(self, e: int) -> "WireState":
+        """Episode e's (N, 3) state, a view into the batch.  Once the episode
+        diverged, raises its stored IntegrationDivergedError instead, with a
+        traceback of this call alone."""
+        if e in self.diverged:
+            raise self.diverged[e].with_traceback(None)
+        return WireState(self.time, self.positions[:, e], self.velocities[:, e])
 
 
 @dataclass(frozen=True)
@@ -207,28 +215,27 @@ class Forcing:
     stream.  Gravity is broadcast to the interior shape, and the spring
     coefficient, drag rate and dt are 0-d float64 arrays: the same bits,
     without broadcasting a (3,) operand or converting a float per substep.
-    `impulses` is one sequence of events for a single chain and one per
-    episode for a batch; each event's index, acceleration (N/m)*F and
-    window are computed once, here, and it acts in every substep it covers."""
+    `impulses` holds one sequence of events per episode; each event's
+    index, acceleration (N/m)*F and window are computed once, here, and it
+    acts in every substep it covers."""
 
-    def __init__(self, params: WireParams, wind: WindModel, impulses, dt: float,
-                 batched: bool):
+    def __init__(self, params: WireParams, wind: WindModel,
+                 impulses: Sequence[Sequence[ImpulseEvent]], dt: float):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        episodes = impulses if batched else [impulses]
-        self.shape = (params.n_points - 2,) + ((len(episodes),) if batched else ()) + (3,)
+        self.shape = (params.n_points - 2, len(impulses), 3)
         self.wind, self.dt = wind, dt
         self.gravity = np.broadcast_to(params.gravity, self.shape).copy()
         self.coeff, self.drag_c, self.dt_op = (
             np.array(float(c)) for c in (params.spring_accel_coeff, params.drag_c, dt))
         per_mass = params.n_points / params.mass_total
         self._pushes = []
-        for e, events in enumerate(episodes):
+        for e, events in enumerate(impulses):
             for ev in events:
                 ev.validate_for(params)
-                at = (ev.point_number - 2, e) if batched else ev.point_number - 2
                 with np.errstate(over="ignore"):  # `trajectory` reports what overflows
-                    self._pushes.append((at, per_mass * ev.force, ev.acts(dt)))
+                    self._pushes.append(((ev.point_number - 2, e), per_mass * ev.force,
+                                         ev.acts(dt)))
 
     def add(self, acc: np.ndarray, t: float):
         """Add the acceleration of every event active at substep start t."""
@@ -244,7 +251,7 @@ class Forcing:
 
 
 def solve_equilibrium(params: WireParams) -> WireState:
-    """Static shape of the chain with no wind and no impulse.
+    """Static shape of one chain, (N, 3), with no wind and no impulse.
 
     Solves the discrete Poisson problem (k0*N/m) * d2x_i = -g per axis with
     the pinned ends as boundary data, then shifts the frame so the midpoint
@@ -301,16 +308,15 @@ def step(state: WireState, forcing: Forcing, kicks: np.ndarray, winds: np.ndarra
     """Advance `state` in place by one Euler-Maruyama substep of dt per
     row of `kicks` and of `winds`, the mean wind v_o.
 
-    The state is one chain, positions (N, 3), or a batch of episodes,
-    positions (N, E, 3); `forcing` is built for its shape, and kicks
-    (`wiener_kicks`) and winds (`forcing.mean_wind`) are (n, N-2, 3) or
-    (n, N-2, E, 3).  The interior acceleration is the tensile coupling
-    (k0*N/m)*(x[i+1] + x[i-1] - 2*x[i]) plus gravity plus every impulse
-    active during the substep.  The velocity update is
+    The state is a batch of E episodes, positions (N, E, 3); `forcing` is
+    built for its E episodes, and kicks (`wiener_kicks`) and winds
+    (`forcing.mean_wind`) are (n, N-2, E, 3).  The interior acceleration
+    is the tensile coupling (k0*N/m)*(x[i+1] + x[i-1] - 2*x[i]) plus
+    gravity plus every impulse active during the substep.  The velocity update is
     v + (acc - c*(v - v_o))*dt + kick, then x + v*dt; each operation keeps
     the operand order of those expressions, and acts elementwise, so n
     rows are bit for bit n one-row calls, and each episode of a batch its
-    chain alone.  Endpoints are never touched.  A value that overflows is
+    batch of one.  Endpoints are never touched.  A value that overflows is
     left inf or NaN, and stays so in later substeps; the caller guards
     float errors, copies what it keeps, and finds a divergence.
     """
@@ -340,17 +346,17 @@ def step(state: WireState, forcing: Forcing, kicks: np.ndarray, winds: np.ndarra
 
 
 def _finite(state: WireState) -> np.ndarray:
-    """Whether each interior point (of each episode) is finite."""
+    """Whether each interior point of each episode is finite, (N-2, E)."""
     return (np.isfinite(state.positions[1:-1]).all(axis=-1)
             & np.isfinite(state.velocities[1:-1]).all(axis=-1))
 
 
 def _divergence(start: WireState, forcing: Forcing, kicks: np.ndarray,
                 winds: np.ndarray) -> IntegrationDivergedError:
-    """The error of a chain that stops being finite within the substeps of
-    `kicks` and `winds` from `start`, found by replaying a copy of it one
-    substep at a time: a non-finite value stays non-finite, so the first
-    substep that leaves a point non-finite names the divergence."""
+    """The error of a batch of one that stops being finite within the
+    substeps of `kicks` and `winds` from `start`, found by replaying a copy
+    of it one substep at a time: a non-finite value stays non-finite, so
+    the first substep that leaves a point non-finite names the divergence."""
     state = start.copy()
     for k in range(len(kicks)):
         t = state.time
@@ -361,45 +367,43 @@ def _divergence(start: WireState, forcing: Forcing, kicks: np.ndarray,
     return IntegrationDivergedError(int(np.argmax(bad)) + 2, t)
 
 
-def trajectory(params: WireParams, wind: WindModel, impulses, dt: float,
-               seed: int | Sequence[int], stride: int) -> Iterator[WireState]:
-    """Endless seeded stream: the equilibrium, then the state after every
-    `stride` substeps of length dt, making one `step` call per substep.
+def trajectory(params: WireParams, wind: WindModel,
+               impulses: Sequence[Sequence[ImpulseEvent]], dt: float,
+               seeds: Sequence[int], stride: int) -> Iterator[WireState]:
+    """Endless seeded stream of a batch of E episodes, one per seed and per
+    sequence of events in `impulses`: the equilibrium, then the state after
+    every `stride` substeps of length dt, making one `step` call per substep.
 
-    One seed is one chain, and `impulses` its events.  A sequence of E seeds
-    is a batch of E episodes advanced together, positions (N, E, 3), and
-    `impulses` holds one sequence of events per episode.  Every stride, each
-    episode draws one (stride, N-2, 3) standard normal block from its own
-    default_rng(seed), in place into its row of one (E, stride, N-2, 3)
-    array, and one `wiener_kicks` product turns it into the stride's
-    (stride, N-2, E, 3) kicks.  So each episode of a batch is bit for bit the
-    stream of its seed alone; one chain is the batch of one, yielded without
-    its episode axis.  Each stride also computes its mean-wind block, makes
+    Every stride, each episode draws one (stride, N-2, 3) standard normal
+    block from its own default_rng(seed), in place into its row of one
+    (E, stride, N-2, 3) array, and one `wiener_kicks` product turns it into
+    the stride's (stride, N-2, E, 3) kicks.  So each episode is bit for bit
+    its batch of one.  Each stride also computes its mean-wind block, makes
     one copy, the state it advances in place and yields, and ignores float
     errors once, around its `step` calls and any replay.  A stride that
     leaves a value non-finite finds the episodes that stopped being finite
-    in it, and `_divergence` names each one's point and time from the same
-    kicks and winds.  A chain raises that error in place of its next state;
-    in a batch, the episode's columns are NaN from that state on, `diverged`
-    holds its error, and the others go on untouched until every episode
-    diverged.  A stride below 1 or a dt that is not positive is refused at
-    the first `next()`.
+    in it, and `_divergence` names each one's point and time by replaying
+    its column from the same kicks and winds.  The episode's
+    columns are NaN from that state on, `diverged` holds its error (which
+    `WireState.episode` raises), and the others go on untouched until every
+    episode diverged.  A stride below 1, an `impulses` whose length is not
+    the number of seeds, or a dt that is not positive is refused at the
+    first `next()`.
     """
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    batched = np.ndim(seed) == 1
-    seeds = list(seed) if batched else [seed]
-    episodes = list(impulses) if batched else [impulses]
+    if len(impulses) != len(seeds):
+        raise ValueError(f"impulses must hold one sequence of events per seed, "
+                         f"got {len(impulses)} for {len(seeds)} seeds")
     rngs = [np.random.default_rng(s) for s in seeds]
-    forcing = Forcing(params, wind, episodes, dt, True)
+    forcing = Forcing(params, wind, impulses, dt)
     eq = solve_equilibrium(params)
-    work = WireState(0.0, np.repeat(eq.positions[:, None], len(seeds), axis=1),
-                     np.zeros((params.n_points, len(seeds), 3)))
-    blocks = np.empty((len(seeds), stride, params.n_points - 2, 3))
+    work = WireState(0.0, np.repeat(eq.positions[:, None], len(rngs), axis=1),
+                     np.zeros((params.n_points, len(rngs), 3)))
+    blocks = np.empty((len(rngs), stride, params.n_points - 2, 3))
     while True:
-        yield work if batched else WireState(work.time, work.positions[:, 0],
-                                             work.velocities[:, 0])
-        if len(work.diverged) == len(seeds):
+        yield work
+        if len(work.diverged) == len(rngs):
             return
         for block, rng in zip(blocks, rngs):
             rng.standard_normal(out=block)
@@ -417,13 +421,10 @@ def trajectory(params: WireParams, wind: WindModel, impulses, dt: float,
             bad = ~_finite(work).all(axis=0)
             bad[list(work.diverged)] = False  # their columns are NaN already
             for e in np.flatnonzero(bad).tolist():
-                err = _divergence(WireState(start.time, start.positions[:, e],
-                                            start.velocities[:, e]),
-                                  Forcing(params, wind, episodes[e], dt, False),
-                                  kicks[:, :, e], winds[:, :, e])
-                if not batched:
-                    raise err
-                work.diverged[e] = err
+                one = np.s_[..., e:e + 1, :]  # episode e as a batch of one
+                work.diverged[e] = _divergence(
+                    WireState(start.time, start.positions[one], start.velocities[one]),
+                    Forcing(params, wind, impulses[e:e + 1], dt), kicks[one], winds[one])
                 work.positions[:, e] = np.nan
                 work.velocities[:, e] = np.nan
 
@@ -432,7 +433,9 @@ def simulate_trajectory(params: WireParams, wind: WindModel,
                         impulses: Sequence[ImpulseEvent], duration: float,
                         dt: float, seed: int,
                         sample_every: float | None = None) -> list[WireState]:
-    """Integrate from equilibrium and return sampled states.
+    """Integrate one chain from equilibrium and return its sampled (N, 3)
+    states: `trajectory`'s batch of one, read through `WireState.episode`,
+    so a chain that diverges within `duration` raises its error.
 
     Samples every `sample_every` seconds (default: every substep); the
     sampling interval must be an integer multiple of dt.  The returned list
@@ -447,8 +450,8 @@ def simulate_trajectory(params: WireParams, wind: WindModel,
         if stride < 1 or abs(stride * dt - sample_every) > 1e-9 * dt:
             raise ValueError("sample_every must be a positive multiple of dt")
     n_samples = int(round(duration / dt)) // stride + 1
-    return list(itertools.islice(trajectory(params, wind, impulses, dt, seed, stride),
-                                 n_samples))
+    stream = trajectory(params, wind, [impulses], dt, [seed], stride)
+    return [state.episode(0) for state in itertools.islice(stream, n_samples)]
 
 
 def write_trajectory_csv(path, samples: Sequence[WireState]):

@@ -759,6 +759,15 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_diverging_trajectory_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # (N/m)*F overflows in the first substep, at the impulse point P4
+        out = tmp_path / "out"
+        cfg = self.write_cfg(tmp_path, "wire.impulse_force_n = 0, 0, 1e308\n")
+        assert main(["trajectory", "--config", cfg, "--out", str(out)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("runtime error: integration diverged at P4 (t = 0.000000 s)")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--step-deg", "0"], ["--step-deg", "-1"],
                                        ["--span-deg", "-2"]])
     def test_bad_pattern_grid_exits_1_and_writes_nothing(self, tmp_path, capsys, flags):

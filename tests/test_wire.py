@@ -30,6 +30,12 @@ WIND = default_config().wind  # the table's: 5 m/s, periods 4, 6 and 8 s
 STILL = replace(WIND, amplitude=0.0)
 
 
+def equilibrium(params):
+    """The equilibrium as a batch of one, positions (N, 1, 3)."""
+    eq = wire.solve_equilibrium(params)
+    return wire.WireState(eq.time, eq.positions[:, None].copy(), eq.velocities[:, None].copy())
+
+
 def substeps(state, forcing, kicks):
     """Advance `state` in place by one `step` call over the rows of kicks,
     with the forcing's mean wind from the state's time."""
@@ -37,11 +43,12 @@ def substeps(state, forcing, kicks):
 
 
 def advance(state, params, wind, impulses, dt, noise):
-    """A copy of `state` after one `step` call over the substeps of noise
-    (n, N-2, 3), whose kicks come from one product."""
+    """A copy of the batch of one `state`, with the events `impulses`,
+    after one `step` call over the substeps of noise (n, N-2, 3), whose
+    kicks come from one product."""
     out = state.copy()
-    substeps(out, wire.Forcing(params, wind, impulses, dt, False),
-             wire.wiener_kicks(params, dt, noise))
+    substeps(out, wire.Forcing(params, wind, [impulses], dt),
+             wire.wiener_kicks(params, dt, noise[:, :, None]))
     return out
 
 
@@ -55,8 +62,8 @@ def interior_acceleration(state, params):
 
 
 def no_forcing(params, wind=STILL, dt=1e-3):
-    """A single chain's `Forcing` with no events."""
-    return wire.Forcing(params, wind, (), dt, False)
+    """The `Forcing` of a batch of one with no events."""
+    return wire.Forcing(params, wind, [()], dt)
 
 
 def closed_form_parabola(params):
@@ -99,8 +106,7 @@ class TestEquilibrium:
 
     def test_acceleration_residual_below_1e9(self):
         params = table_params()
-        eq = wire.solve_equilibrium(params)
-        acc = interior_acceleration(eq, params)
+        acc = interior_acceleration(equilibrium(params), params)
         assert np.abs(acc).max() < 1e-9
 
     def test_midpoint_at_origin_endpoints_elevated(self):
@@ -113,7 +119,7 @@ class TestEquilibrium:
 class TestStep:
     def test_equilibrium_is_a_fixed_point(self):
         params = quiet_params()
-        eq = wire.solve_equilibrium(params)
+        eq = equilibrium(params)
         out = advance(eq, params, STILL, (), 1e-3, np.zeros((1, 19, 3)))
         np.testing.assert_allclose(out.positions, eq.positions, atol=1e-12)
         np.testing.assert_allclose(out.velocities, eq.velocities, atol=1e-12)
@@ -122,10 +128,9 @@ class TestStep:
         # N=3: one free point displaced by delta in z, no gravity/wind/noise
         params = quiet_params(n_points=3, gravity=np.zeros(3))
         delta, dt = 0.01, 1e-3
-        eq = wire.solve_equilibrium(params)
-        st = eq.copy()
-        st.positions[1, 2] = delta
-        out = advance(st, params, STILL, (), dt, np.zeros((1, 1, 3)))
+        st = equilibrium(params)
+        st.positions[1, 0, 2] = delta
+        out = advance(st, params, STILL, (), dt, np.zeros((1, 1, 3))).episode(0)
         coeff = params.spring_accel_coeff
         v_expected = -2.0 * coeff * delta * dt
         z_expected = delta + v_expected * dt
@@ -136,34 +141,34 @@ class TestStep:
         # negligible spring: velocity follows v_k = v_0 (1 - c0 dt)^k
         params = quiet_params(n_points=5, spring_k=1e-12, gravity=np.zeros(3))
         dt, k = 1e-3, 200
-        st = wire.solve_equilibrium(params)
+        st = equilibrium(params)
         v0 = np.array([0.3, -0.2, 0.1])
         st.velocities[1:-1] = v0
         forcing = no_forcing(params, dt=dt)
         for _ in range(k):
-            substeps(st, forcing, np.zeros((1, 3, 3)))
+            substeps(st, forcing, np.zeros((1, 3, 1, 3)))
         expected = v0 * (1.0 - params.drag_c * dt) ** k
-        np.testing.assert_allclose(st.velocities[1:-1], np.tile(expected, (3, 1)),
+        np.testing.assert_allclose(st.episode(0).velocities[1:-1], np.tile(expected, (3, 1)),
                                    rtol=1e-9)
 
     def test_endpoints_never_move(self):
         params = table_params()
         rng = np.random.default_rng(3)
-        st = wire.solve_equilibrium(params)
+        st = equilibrium(params)
         p0, pn = st.positions[0].copy(), st.positions[-1].copy()
         forcing = no_forcing(params, WIND)
         for _ in range(100):
             substeps(st, forcing,
-                     wire.wiener_kicks(params, 1e-3, rng.standard_normal((1, 19, 3))))
+                     wire.wiener_kicks(params, 1e-3, rng.standard_normal((1, 19, 1, 3))))
         assert np.array_equal(st.positions[0], p0)
         assert np.array_equal(st.positions[-1], pn)
-        assert np.array_equal(st.velocities[0], np.zeros(3))
+        assert np.array_equal(st.velocities[0], np.zeros((1, 3)))
 
     def test_spring_term_linearity(self):
         params = quiet_params()
-        eq = wire.solve_equilibrium(params)
+        eq = equilibrium(params)
         rng = np.random.default_rng(8)
-        u = rng.normal(scale=0.05, size=(19, 3))
+        u = rng.normal(scale=0.05, size=(19, 1, 3))
 
         def tensile(scale):
             st = eq.copy()
@@ -179,9 +184,9 @@ class TestStep:
         # what lets `trajectory` check once per stride: `step` raises
         # nothing, and no substep turns an inf or nan finite again
         params = table_params()
-        st = wire.solve_equilibrium(params)
-        st.positions[5, 2] = np.inf
-        noise = np.random.default_rng(3).standard_normal((50, 1, 19, 3))
+        st = equilibrium(params)
+        st.positions[5, 0, 2] = np.inf
+        noise = np.random.default_rng(3).standard_normal((50, 1, 19, 1, 3))
         forcing = no_forcing(params, WIND)
         with np.errstate(invalid="ignore", over="ignore"):  # as `trajectory` does
             for block in noise:
@@ -190,19 +195,19 @@ class TestStep:
                 for a, b in ((before.positions, st.positions),
                              (before.velocities, st.velocities)):
                     assert not (~np.isfinite(a) & np.isfinite(b)).any()
-        assert not np.isfinite(st.positions[1:-1, 2]).any()  # it spread along z
+        assert not np.isfinite(st.positions[1:-1, 0, 2]).any()  # it spread along z
 
     def test_drag_dissipates_energy(self):
         # zero diffusion, zero mean wind, perturbed equilibrium: windowed mean
         # kinetic energy is non-increasing once transients pass
         params = quiet_params()
         rng = np.random.default_rng(11)
-        st = wire.solve_equilibrium(params)
-        st.positions[1:-1, 2] += rng.normal(scale=0.02, size=19)
+        st = equilibrium(params)
+        st.positions[1:-1, 0, 2] += rng.normal(scale=0.02, size=19)
         dt, n_steps = 1e-3, 3000
         point_mass = params.mass_total / params.n_points
         ke = []
-        forcing, still = no_forcing(params, dt=dt), np.zeros((1, 19, 3))
+        forcing, still = no_forcing(params, dt=dt), np.zeros((1, 19, 1, 3))
         for _ in range(n_steps):
             substeps(st, forcing, still)
             ke.append(0.5 * point_mass * float((st.velocities ** 2).sum()))
@@ -252,7 +257,7 @@ class TestBlockStep:
             wind = wire.WindModel(amplitude=3.0, periods=(0.013, 0.021, 0.034))
         dt = 1e-3
         noise = np.random.default_rng(5).standard_normal((20, 19, 3))
-        start = wire.solve_equilibrium(params)
+        start = equilibrium(params)
 
         blocks = start
         for block in (noise[:10], noise[10:]):
@@ -260,20 +265,22 @@ class TestBlockStep:
         assert_same_state(blocks, single_substeps(start, params, wind, impulses, dt, noise))
         assert blocks.time == pytest.approx(0.02)
 
-    @pytest.mark.parametrize("shape", [(19, 3), (1, 19, 2), (4, 18, 3), (2, 2, 19, 3)])
+    @pytest.mark.parametrize("shape", [(19, 1, 3), (1, 19, 3), (4, 18, 1, 3),
+                                       (1, 19, 2, 3)])
     def test_bad_kick_shape_rejected(self, shape):
-        # (19, 3) is one substep without its leading axis
+        # (19, 1, 3) is one substep without its leading axis, (1, 19, 3) one
+        # substep of a chain without its episode axis
         params = table_params()
-        with pytest.raises(ValueError, match=r"kicks must have shape \(n, 19, 3\)"):
-            wire.step(wire.solve_equilibrium(params), no_forcing(params), np.zeros(shape),
+        with pytest.raises(ValueError, match=r"kicks must have shape \(n, 19, 1, 3\)"):
+            wire.step(equilibrium(params), no_forcing(params), np.zeros(shape),
                       np.zeros(shape))
 
-    @pytest.mark.parametrize("shape", [(2, 19, 3), (1, 3), (19, 3)])
+    @pytest.mark.parametrize("shape", [(2, 19, 1, 3), (1, 3), (19, 1, 3)])
     def test_a_wind_block_unlike_the_kicks_is_refused(self, shape):
         params = table_params()
-        with pytest.raises(ValueError, match=r"and winds the same, got \(1, 19, 3\) and"):
-            wire.step(wire.solve_equilibrium(params), no_forcing(params),
-                      np.zeros((1, 19, 3)), np.zeros(shape))
+        with pytest.raises(ValueError, match=r"and winds the same, got \(1, 19, 1, 3\) and"):
+            wire.step(equilibrium(params), no_forcing(params),
+                      np.zeros((1, 19, 1, 3)), np.zeros(shape))
 
 
 class TestKicks:
@@ -367,15 +374,11 @@ class TestTextbookSubstep:
             rows.append((state.time, winds[0].copy()))
             real_step(state, forcing, kicks, winds)
         monkeypatch.setattr(wire, "step", spy)
-        if n_episodes == 1:  # one chain, carrying every case's events
-            impulses = [sum(self.CASES, [])]
-            got = [list(itertools.islice(
-                wire.trajectory(params, WIND, impulses[0], dt, self.SEEDS[0], stride), n))]
-        else:
-            impulses = self.CASES
-            batch = list(itertools.islice(
-                wire.trajectory(params, WIND, impulses, dt, self.SEEDS, stride), n))
-            got = [episode_states(batch, e, n) for e in range(3)]
+        # a batch of one carries every case's events
+        impulses = [sum(self.CASES, [])] if n_episodes == 1 else self.CASES
+        batch = list(itertools.islice(
+            wire.trajectory(params, WIND, impulses, dt, self.SEEDS[:n_episodes], stride), n))
+        got = [episode_states(batch, e, n) for e in range(n_episodes)]
         monkeypatch.undo()
         for events, seed, states in zip(impulses, self.SEEDS, got):
             want = textbook_stream(params, WIND, events, dt, seed, stride, n)
@@ -434,8 +437,8 @@ class TestImpulse:
         params = quiet_params(gravity=np.zeros(3))
         dt = 1e-3
         ev = wire.ImpulseEvent(point_number=4, force=[0, 0, 470.0], apply_time=0.0)
-        eq = wire.solve_equilibrium(params)
-        out = advance(eq, params, STILL, [ev], dt, np.zeros((1, 19, 3)))
+        out = advance(equilibrium(params), params, STILL, [ev], dt,
+                      np.zeros((1, 19, 3))).episode(0)
         kick = 470.0 * dt * params.n_points / params.mass_total
         assert out.velocities[3, 2] == pytest.approx(kick, rel=1e-12)
         # other points see only the equilibrium solve's rounding residual
@@ -515,24 +518,28 @@ class TestTrajectory:
 
     def test_stream_starts_at_equilibrium_and_draws_one_block_per_stride(self):
         params = table_params()
-        stream = wire.trajectory(params, WIND, [], 1e-3, 8, 4)
+        stream = wire.trajectory(params, WIND, [[]], 1e-3, [8], 4)
         first, second = next(stream), next(stream)
-        assert_same_state(first, wire.solve_equilibrium(params))
+        assert_same_state(first.episode(0), wire.solve_equilibrium(params))
         noise = np.random.default_rng(8).standard_normal((4, 19, 3))
         assert_same_state(second, advance(first, params, WIND, [], 1e-3, noise))
         # endless: it runs on past any duration a caller has in mind
         assert all(next(stream).time > 0 for _ in range(50))
 
-    @pytest.mark.parametrize("stride, dt, message", [
-        (0, 1e-3, "stride must be at least 1, got 0"),
-        (-3, 1e-3, "stride must be at least 1, got -3"),
-        (10, 0.0, "dt must be positive, got 0.0"),
-        (10, -1e-3, "dt must be positive, got -0.001")],
-        ids=["stride_0", "stride_negative", "dt_0", "dt_negative"])
-    def test_bad_stride_or_dt_refused_before_the_first_state(self, stride, dt, message):
-        # a zero stride yielded the equilibrium forever at time 0, and a
-        # bad dt was refused only after the equilibrium had been yielded
-        stream = wire.trajectory(table_params(), WIND, [], dt, 0, stride)
+    @pytest.mark.parametrize("stride, dt, n_impulses, message", [
+        (0, 1e-3, 3, "stride must be at least 1, got 0"),
+        (-3, 1e-3, 3, "stride must be at least 1, got -3"),
+        (10, 0.0, 3, "dt must be positive, got 0.0"),
+        (10, -1e-3, 3, "dt must be positive, got -0.001"),
+        (10, 1e-3, 2, "one sequence of events per seed, got 2 for 3 seeds")],
+        ids=["stride_0", "stride_negative", "dt_0", "dt_negative", "impulses_2_for_3_seeds"])
+    def test_bad_stride_or_dt_refused_before_the_first_state(self, stride, dt, n_impulses,
+                                                             message):
+        # a zero stride yielded the equilibrium forever at time 0, a bad dt
+        # was refused only after the equilibrium had been yielded, and too
+        # few impulse sequences failed at the second state on a kick shape
+        stream = wire.trajectory(table_params(), WIND, [[]] * n_impulses, dt, [0, 1, 2],
+                                 stride)
         with pytest.raises(ValueError, match=message):
             next(stream)
 
@@ -551,7 +558,7 @@ class TestTrajectory:
     def test_stream_rejects_an_endpoint_impulse(self):
         ev = wire.ImpulseEvent(point_number=21, force=[0, 0, 1.0], apply_time=0.0)
         with pytest.raises(ValueError, match="interior"):
-            next(wire.trajectory(table_params(), STILL, [ev], 1e-3, 0, 10))
+            next(wire.trajectory(table_params(), STILL, [[ev]], 1e-3, [0], 10))
 
     def test_impulse_window_is_computed_once_per_stream(self, monkeypatch):
         calls = []
@@ -585,9 +592,14 @@ class TestTrajectory:
 
 
 def episode_states(stream, e, n):
-    """Episode e's first n states of a batched stream, as single-chain states."""
-    return [wire.WireState(s.time, s.positions[:, e], s.velocities[:, e])
-            for s in itertools.islice(stream, n)]
+    """Episode e's first n states of a stream, read through `episode`."""
+    return [s.episode(e) for s in itertools.islice(stream, n)]
+
+
+def one_chain(params, wind, events, seed, n):
+    """The first n states of the batch of one of `seed` and `events`, at a
+    stride of ten 1 ms substeps."""
+    return episode_states(wire.trajectory(params, wind, [events], 1e-3, [seed], 10), 0, n)
 
 
 class TestBatchedStream:
@@ -614,17 +626,11 @@ class TestBatchedStream:
             wire.trajectory(params, WIND, impulses, 1e-3, self.SEEDS, 10), n))
         assert batch[0].positions.shape == (21, 3, 3)
         for e, seed in enumerate(self.SEEDS):
-            alone = list(itertools.islice(
-                wire.trajectory(params, WIND, impulses[e], 1e-3, seed, 10), n))
-            of_one = episode_states(
-                wire.trajectory(params, WIND, [impulses[e]], 1e-3, [seed], 10), 0, n)
-            for k, (b, a, o) in enumerate(zip(batch, alone, of_one)):
-                got = wire.WireState(b.time, b.positions[:, e], b.velocities[:, e])
+            alone = one_chain(params, WIND, impulses[e], seed, n)
+            for got, a in zip(episode_states(batch, e, n), alone):
                 assert_same_state(got, a)
-                assert_same_state(o, a)
             if impulses[e]:  # the impulse moved this episode off its quiet twin
-                quiet = list(itertools.islice(
-                    wire.trajectory(params, WIND, [], 1e-3, seed, 10), n))
+                quiet = one_chain(params, WIND, [], seed, n)
                 assert not np.array_equal(alone[-1].velocities, quiet[-1].velocities)
 
     def test_a_diverging_episode_leaves_the_others_untouched(self):
@@ -634,7 +640,7 @@ class TestBatchedStream:
         impulses = [self.IMPULSES[0], [huge], []]
         params, wind, n = table_params(), WIND, 8
         with pytest.raises(wire.IntegrationDivergedError) as single:
-            list(itertools.islice(wire.trajectory(params, wind, [huge], 1e-3, 12, 10), n))
+            one_chain(params, wind, [huge], 12, n)
         assert single.value.point_number == 6 and single.value.time == pytest.approx(0.030)
 
         batch = list(itertools.islice(
@@ -650,11 +656,9 @@ class TestBatchedStream:
                 assert np.isnan(state.positions[:, 1]).all()
                 assert np.isnan(state.velocities[:, 1]).all()
         for e in (0, 2):
-            alone = list(itertools.islice(
-                wire.trajectory(params, wind, impulses[e], 1e-3, self.SEEDS[e], 10), n))
-            for b, a in zip(batch, alone):
-                assert_same_state(wire.WireState(b.time, b.positions[:, e],
-                                                 b.velocities[:, e]), a)
+            alone = one_chain(params, wind, impulses[e], self.SEEDS[e], n)
+            for got, a in zip(episode_states(batch, e, n), alone):
+                assert_same_state(got, a)
 
     def test_a_batch_whose_every_episode_diverged_ends(self):
         huge = wire.ImpulseEvent(point_number=6, force=[0.0, 0.0, 1e308], apply_time=0.0)
@@ -674,24 +678,25 @@ def first_divergence(params, wind, impulses, dt, seed, n):
     non-finite interior point of the chain that `trajectory` streams for
     `seed`, from one `step` call per substep checked after each."""
     noise = np.random.default_rng(seed).standard_normal((n, params.n_points - 2, 3))
-    state = wire.solve_equilibrium(params)
+    state = equilibrium(params)
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n):
             t = state.time
             state = advance(state, params, wind, impulses, dt, noise[k:k + 1])
-            bad = ~(np.isfinite(state.positions[1:-1])
-                    & np.isfinite(state.velocities[1:-1])).all(axis=1)
+            bad = ~(np.isfinite(state.positions[1:-1, 0])
+                    & np.isfinite(state.velocities[1:-1, 0])).all(axis=1)
             if bad.any():
                 return int(np.argmax(bad)) + 2, t, k
     raise AssertionError(f"finite for {n} substeps")
 
 
 def diverge_alone(params, wind, impulses, dt, seed, stride):
-    """(states yielded, error) of a single chain's stream."""
+    """(states read, error) of a batch of one's stream, read through
+    `episode` until it raises."""
     states = []
     with pytest.raises(wire.IntegrationDivergedError) as err:
-        for state in wire.trajectory(params, wind, impulses, dt, seed, stride):
-            states.append(state)
+        for state in wire.trajectory(params, wind, [impulses], dt, [seed], stride):
+            states.append(state.episode(0))
     return states, err.value
 
 
@@ -714,6 +719,12 @@ class TestDivergence:
         assert (err.point_number, err.time) == (point, t)
         assert str(err) == ("integration diverged at P3 (t = 0.087000 s); reduce the "
                             "substep or check the stiffness/mass ratio")
+        # the export path raises the same error where its samples stop
+        with pytest.raises(wire.IntegrationDivergedError) as sampled:
+            wire.simulate_trajectory(params, STILL, impulses, 0.2, 1e-3, 0,
+                                     sample_every=stride * 1e-3)
+        assert (sampled.value.point_number, sampled.value.time, str(sampled.value)) == (
+            point, t, str(err))
 
     @pytest.mark.parametrize("apply_time, k", [(0.0305, 30), (0.0395, 39)],
                              ids=["first_substep", "last_substep"])
@@ -749,11 +760,9 @@ class TestDivergence:
                         alone.point_number, alone.time, str(alone))
                     assert np.isnan(state.positions[:, e]).all()
                     assert np.isnan(state.velocities[:, e]).all()
-        alone = list(itertools.islice(
-            wire.trajectory(params, WIND, impulses[2], 1e-3, seeds[2], 10), n))
-        for b, a in zip(batch, alone):
-            assert_same_state(wire.WireState(b.time, b.positions[:, 2],
-                                             b.velocities[:, 2]), a)
+        alone = one_chain(params, WIND, impulses[2], seeds[2], n)
+        for got, a in zip(episode_states(batch, 2, n), alone):
+            assert_same_state(got, a)
 
     def test_states_already_yielded_are_left_unchanged(self):
         # the env keeps every state it reads; the replay and the NaN columns
