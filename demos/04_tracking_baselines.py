@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wirebeam.bench import make_envs, policy_callable, rollout_episode
+from wirebeam.bench import load_policy, make_envs, rollout_episode
 from wirebeam.config import default_config
 from wirebeam.env import angle_error_deg, write_trace_csv
 from wirebeam.policies import PolicyKind
@@ -23,7 +23,7 @@ SEED = 11
 results, errors = {}, {}
 for kind in (PolicyKind.ORACLE, PolicyKind.FIXED_BEAM):
     env = make_envs(cfg, [SEED])[0]
-    results[kind] = rollout_episode(env, policy_callable(cfg, kind))
+    results[kind] = rollout_episode(env, load_policy(cfg, kind))
     errors[kind] = [angle_error_deg(r.look, r.beam) for r in results[kind]]
     write_trace_csv(OUT / f"episode_{kind.value}.csv", results[kind],
                     cfg.channel, cfg.array)

@@ -12,12 +12,15 @@ write leaves no directory behind.  An evaluation
 (`evaluate_policies`) builds the envs of all its policies and episodes
 together (`make_envs`) over one batch with one column per seed: the wire
 never reads the beam, so each episode's wire advances once and every
-policy reads it, while the envs are rolled out one after another.  A
-sweep cell evaluates all its pending policies that way; `run_eval` is the
-one-policy case.  A sweep's cells are independent (each has its own seed
-and directory), so they run in forked worker processes, one per usable
-CPU, and write the same bytes as they would one after another in this
-process.
+policy reads it, while the envs are rolled out one after another.  It is
+the one writer of `metrics_<policy>.json`, and of the traces when asked:
+each policy's files land as soon as it is aggregated, so a run killed
+midway keeps those of the policies it finished.  A sweep cell evaluates
+all its pending policies that way, without traces; `run_eval` is the
+one-policy case, with them.  A sweep's cells are independent (each has
+its own seed and directory), so they run in forked worker processes, one
+per usable CPU, and write the same bytes as they would one after another
+in this process.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .policies import PolicyKind, fixed_action, oracle_action
 from .wire import simulate_trajectory, write_trajectory_csv
 
 POST_IMPULSE_WINDOW_S = 0.3  # averaging window after the impulsive force
+BASELINES = (PolicyKind.ORACLE, PolicyKind.FIXED_BEAM)  # logged beside training
 
 
 class EvalError(ValueError):
@@ -59,15 +63,20 @@ def make_envs(cfg: ExperimentConfig, seeds) -> list[BeamTrackingEnv]:
     return [BeamTrackingEnv(batch, seed, cfg.channel, cfg.array) for seed in seeds]
 
 
-def policy_callable(cfg: ExperimentConfig, kind: PolicyKind,
-                    params: dqn.MlpParams | None = None):
-    """Map a policy kind onto a callable(env) -> action index."""
+def load_policy(cfg: ExperimentConfig, kind: PolicyKind, checkpoint=None):
+    """The callable(env) -> action index of `kind`; dqn loads its
+    checkpoint, whose architecture must match the config's."""
     if kind is PolicyKind.ORACLE:
         return lambda env: oracle_action(env.look, env.beam, cfg.env.refine_angle)
     if kind is PolicyKind.FIXED_BEAM:
         return lambda env: fixed_action()
-    if params is None:
-        raise EvalError("dqn policy requires trained parameters")
+    if checkpoint is None:
+        raise EvalError("dqn policy requires --checkpoint")
+    params = dqn.load_checkpoint(checkpoint)[0]
+    expected = (cfg.env.state_dim, *cfg.train.hidden_sizes, dqn.N_ACTIONS)
+    if params.dims != expected:
+        raise EvalError(f"checkpoint architecture {params.dims} does not match "
+                        f"the config architecture {expected}")
     return dqn.greedy_policy(params)
 
 
@@ -129,10 +138,7 @@ def aggregate_metrics(cfg: ExperimentConfig, policy: str, envs: list[BeamTrackin
 def run_train(cfg: ExperimentConfig, out_dir) -> tuple[Path, Path]:
     """Train per the config; returns (checkpoint path, training-log path)."""
     out = Path(out_dir)
-    baselines = {
-        "oracle": policy_callable(cfg, PolicyKind.ORACLE),
-        "fixed": policy_callable(cfg, PolicyKind.FIXED_BEAM),
-    }
+    baselines = {k.value: load_policy(cfg, k) for k in BASELINES}
     result = dqn.train(lambda seed: make_envs(cfg, [seed])[0], cfg.train, cfg.seed,
                        baselines)
 
@@ -153,61 +159,50 @@ def run_train(cfg: ExperimentConfig, out_dir) -> tuple[Path, Path]:
 
 
 def _write_training_log(path, cfg: ExperimentConfig, log_rows: list[dict]):
-    cols = ["global_step", "phase", "mean_eval_power_dbm", "mean_proxy_reward",
-            "loss", "mean_oracle_power_dbm", "mean_fixed_power_dbm", "eval_seed"]
+    cols = ["global_step", "phase", "mean_eval_power_dbm", "mean_proxy_reward", "loss",
+            *(f"mean_{k.value}_power_dbm" for k in BASELINES), "eval_seed"]
     write_csv(path, cols, ([row.get(c, "") for c in cols] for row in log_rows),
               cfg.echo_json())
 
 
-def load_policy(cfg: ExperimentConfig, kind: PolicyKind, checkpoint):
-    """The callable(env) -> action of `kind`; dqn loads its checkpoint,
-    whose architecture must match the config's."""
-    params = None
-    if kind is PolicyKind.DQN_GREEDY:
-        if checkpoint is None:
-            raise EvalError("dqn policy requires --checkpoint")
-        params, _, _, _ = dqn.load_checkpoint(checkpoint)
-        expected = (cfg.env.state_dim, *cfg.train.hidden_sizes, dqn.N_ACTIONS)
-        if params.dims != expected:
-            raise EvalError(f"checkpoint architecture {params.dims} does not match "
-                            f"the config architecture {expected}")
-    return policy_callable(cfg, kind, params)
-
-
-def evaluate_policies(cfg: ExperimentConfig, policies: dict, episodes: int,
-                      trace_dir: Path | None = None) -> dict[str, MetricsRecord | Exception]:
+def evaluate_policies(cfg: ExperimentConfig, policies: dict, episodes: int, out: Path,
+                      traces: bool) -> dict[str, MetricsRecord | Exception]:
     """The metrics of each policy (name -> callable(env) -> action) over the
     same `episodes` seeded episodes, rolled out policy by policy, then
-    episode by episode; with a `trace_dir`, each episode's trace is
-    written there.
+    episode by episode; each policy's `metrics_<name>.json`, and with
+    `traces` each of its episodes' trace, is written to `out` before the
+    next policy runs.
 
     All envs read one `EpisodeBatch` holding one column per episode seed,
     so each episode's wire is computed once whatever the number of
     policies.  A policy whose rollout raises gets the exception in place
-    of its record, and the others still run.
+    of its record (a failed write too), and the others still run.
     """
     seeds = [derive_seed(cfg.seed, ep) for ep in range(episodes)]
     envs = make_envs(cfg, seeds * len(policies))
     records = {}
     for name, fn in policies.items():
         try:
-            records[name] = _evaluate(cfg, name, fn, envs[:episodes], trace_dir)
+            records[name] = _evaluate(cfg, name, fn, envs[:episodes], out, traces)
         except Exception as e:  # this policy failed; the others share the batch
             records[name] = e
         del envs[:episodes]  # free its envs; the batch keeps the wire states
     return records
 
 
-def _evaluate(cfg: ExperimentConfig, name: str, fn, envs, trace_dir) -> MetricsRecord:
-    """One policy's metrics over `envs`, with their traces in `trace_dir` if
-    given; the step records are dropped on return, before the next policy
-    runs."""
+def _evaluate(cfg: ExperimentConfig, name: str, fn, envs, out: Path,
+              traces: bool) -> MetricsRecord:
+    """One policy's metrics over `envs`, written to `out` with, if `traces`,
+    the episodes' traces; the step records are dropped on return, before
+    the next policy runs."""
     rollouts = [rollout_episode(env, fn) for env in envs]
-    if trace_dir is not None:
+    if traces:
         for ep, rows in enumerate(rollouts):
-            write_trace_csv(trace_dir / f"trace_{name}_ep{ep:03d}.csv", rows,
+            write_trace_csv(out / f"trace_{name}_ep{ep:03d}.csv", rows,
                             cfg.channel, cfg.array)
-    return aggregate_metrics(cfg, name, envs, rollouts)
+    record = aggregate_metrics(cfg, name, envs, rollouts)
+    write_text(out / f"metrics_{name}.json", record.to_json())
+    return record
 
 
 def run_eval(cfg: ExperimentConfig, checkpoint, policy: PolicyKind,
@@ -216,11 +211,10 @@ def run_eval(cfg: ExperimentConfig, checkpoint, policy: PolicyKind,
     if episodes <= 0:
         raise EvalError("episodes must be >= 1")
     fn = load_policy(cfg, policy, checkpoint)
-    out = Path(out_dir)
-    record = evaluate_policies(cfg, {policy.value: fn}, episodes, out)[policy.value]
+    record = evaluate_policies(cfg, {policy.value: fn}, episodes, Path(out_dir),
+                               traces=True)[policy.value]
     if isinstance(record, Exception):
         raise record
-    write_text(out / f"metrics_{policy.value}.json", record.to_json())
     return record
 
 
@@ -312,11 +306,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> Path:
 def run_sweep_cell(cfg: ExperimentConfig, cell_dir: Path,
                    policies: list[str]) -> dict[str, tuple[str, MetricsRecord | None]]:
     """Compute the named policies of one sweep cell: train its dqn policy
-    unless the checkpoint in `cell_dir` carries the cell's echo, evaluate
-    them together over one wire batch (`evaluate_policies`) and write each
-    one's metrics file.  Returns each policy's status, "ok" or "failed:
-    <error>", and its record (None when it failed); a failure is confined
-    to its policy."""
+    unless the checkpoint in `cell_dir` carries the cell's echo, then
+    evaluate them together over one wire batch (`evaluate_policies`, which
+    writes each one's metrics file as it finishes).  Returns each policy's
+    status, "ok" or "failed: <error>", and its record (None when it
+    failed); a failure is confined to its policy."""
     outcomes, fns = {}, {}
     for policy_name in policies:
         try:
@@ -328,14 +322,10 @@ def run_sweep_cell(cfg: ExperimentConfig, cell_dir: Path,
             fns[policy_name] = load_policy(cfg, kind, ckpt)
         except Exception as e:  # record the failure, keep sweeping
             outcomes[policy_name] = (f"failed: {e}", None)
-    for policy_name, record in evaluate_policies(cfg, fns, cfg.eval_episodes).items():
-        try:
-            if isinstance(record, Exception):
-                raise record
-            write_text(cell_dir / f"metrics_{policy_name}.json", record.to_json())
-            outcomes[policy_name] = ("ok", record)
-        except Exception as e:  # record the failure, keep sweeping
-            outcomes[policy_name] = (f"failed: {e}", None)
+    for name, record in evaluate_policies(cfg, fns, cfg.eval_episodes, cell_dir,
+                                          traces=False).items():
+        failed = isinstance(record, Exception)
+        outcomes[name] = (f"failed: {record}", None) if failed else ("ok", record)
     return outcomes
 
 

@@ -1,11 +1,13 @@
 """Bench harness: training/eval runs, sweeps, CLI, output files."""
 
 import ast
+import contextlib
 import importlib
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -16,7 +18,7 @@ import pytest
 
 from wirebeam import bench, channel, dqn, files, wire
 from wirebeam import env as envmod
-from wirebeam.bench import (derive_seed, make_envs, policy_callable,
+from wirebeam.bench import (derive_seed, load_policy, make_envs,
                             post_impulse_window, rollout_episode, run_eval,
                             run_sweep, run_train)
 from wirebeam.cli import main
@@ -51,7 +53,7 @@ class TestRollouts:
     def test_oracle_angle_error_settles_below_one_degree(self):
         cfg = default_config(**{"env.episode_duration_s": "1.0"})
         env = make_envs(cfg, [5])[0]
-        rows = rollout_episode(env, policy_callable(cfg, PolicyKind.ORACLE))
+        rows = rollout_episode(env, load_policy(cfg, PolicyKind.ORACLE))
         errors = [angle_error_deg(r.look, r.beam) for r in rows]
         assert float(np.mean(errors[10:])) <= 1.0
 
@@ -60,7 +62,7 @@ class TestRollouts:
         means = {}
         for kind in (PolicyKind.ORACLE, PolicyKind.FIXED_BEAM):
             env = make_envs(cfg, [3])[0]
-            rows = rollout_episode(env, policy_callable(cfg, kind))
+            rows = rollout_episode(env, load_policy(cfg, kind))
             means[kind] = np.mean([r.raw_power_dbm for r in rows])
         assert means[PolicyKind.FIXED_BEAM] < means[PolicyKind.ORACLE]
 
@@ -68,7 +70,7 @@ class TestRollouts:
         cfg = default_config(scenario="wind_plus_impulse",
                              **{"wire.impulse_times_s": "1.0"})
         env = make_envs(cfg, [1])[0]
-        rows = rollout_episode(env, policy_callable(cfg, PolicyKind.FIXED_BEAM))
+        rows = rollout_episode(env, load_policy(cfg, PolicyKind.FIXED_BEAM))
         assert len(rows) == cfg.env.episode_steps and rows[-1].episode_done
         window = post_impulse_window(env, rows)
         assert len(window) == 30
@@ -80,7 +82,7 @@ class TestRollouts:
         cfg = default_config(scenario="wind_plus_impulse",
                              **{"wire.impulse_times_s": "3.0"})
         env = make_envs(cfg, [1])[0]
-        rows = rollout_episode(env, policy_callable(cfg, PolicyKind.FIXED_BEAM))
+        rows = rollout_episode(env, load_policy(cfg, PolicyKind.FIXED_BEAM))
         assert post_impulse_window(env, rows) == []
 
 
@@ -308,10 +310,10 @@ class TestSweepCellBatch:
     def test_a_failing_policy_leaves_the_others_untouched(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(**self.SWEEP)
         run_sweep(cfg, out_dir=tmp_path / "whole")
-        real_callable = bench.policy_callable
+        real_load = bench.load_policy
 
-        def failing_callable(cell_cfg, kind, params=None):
-            fn = real_callable(cell_cfg, kind, params)
+        def failing_load(cell_cfg, kind, checkpoint=None):
+            fn = real_load(cell_cfg, kind, checkpoint)
             if kind is not PolicyKind.ORACLE or cell_cfg.wire.mass_total != 10.0:
                 return fn
             calls = []  # the cell's own count, in whichever process runs it
@@ -324,7 +326,7 @@ class TestSweepCellBatch:
                     raise RuntimeError("oracle lost the node")
                 return fn(env)
             return failing_oracle
-        monkeypatch.setattr(bench, "policy_callable", failing_callable)
+        monkeypatch.setattr(bench, "load_policy", failing_load)
         run_sweep(cfg, out_dir=tmp_path / "failed")
         cells = json.loads((tmp_path / "failed" / "sweep_mass_cells.json").read_text())
         assert [(c["value"], c["policy"], c["status"]) for c in cells["cells"]] == [
@@ -380,6 +382,91 @@ class TestSweepCellCheckpoint:
             sorted(p.name for p in clean.iterdir())
         for path in clean.iterdir():
             assert (killed / path.name).read_bytes() == path.read_bytes()
+
+
+class TestKilledSweep:
+    """A one-cell sweep of every policy, killed at each of its writes or
+    partway through a rollout, then rerun."""
+
+    SWEEP = {"sweep.axis": "mass", "sweep.values": "10", "sweep.repetitions": "1",
+             "sweep.policies": "oracle, fixed, dqn", "env.episode_duration_s": "0.2"}
+
+    class Killed(BaseException):
+        """Passes the `except Exception` handlers, as a kill does."""
+
+    @staticmethod
+    def tree(out):
+        """Each file under `out` -> its bytes, the cells file without its
+        per-entry statuses, which say whether an entry was cached."""
+        found = {}
+        for path in sorted(out.rglob("*")):
+            if path.is_file():
+                found[path.relative_to(out)] = path.read_bytes()
+        cells = json.loads(found.pop(Path("sweep_mass_cells.json")))
+        for entry in cells["cells"]:
+            assert entry.pop("status") in ("ok", "cached")
+        found["cells"] = cells
+        return found
+
+    def test_a_kill_at_any_write_reruns_to_the_clean_bytes(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(**self.SWEEP)
+        monkeypatch.setattr(bench, "usable_cpus", lambda: 1)  # the cell runs here
+        out = tmp_path / "sweep"  # one directory: the cells file names its paths
+        real_open, opened = files.atomic_open, []
+
+        @contextlib.contextmanager
+        def counting_open(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            with real_open(path, *args, **kwargs) as fh:
+                if len(opened) == kill_at:
+                    raise self.Killed  # the temporary file is open, the final one untouched
+                yield fh
+        monkeypatch.setattr(files, "atomic_open", counting_open)
+        monkeypatch.setattr(dqn, "atomic_open", counting_open)
+
+        kill_at = 0  # the write to abort, counted from 1; 0 aborts none
+        run_sweep(cfg, out_dir=out)
+        clean, writes = self.tree(out), list(opened)
+        assert writes == ["checkpoint.bin.json", "training_log.csv", "checkpoint.bin",
+                          "metrics_oracle.json", "metrics_fixed.json", "metrics_dqn.json",
+                          "sweep_mass_summary.csv", "sweep_mass_cells.json"]
+        for k, name in enumerate(writes, start=1):
+            shutil.rmtree(out)
+            opened.clear()
+            kill_at = k
+            with pytest.raises(self.Killed):
+                run_sweep(cfg, out_dir=out)
+            kill_at = 0
+            run_sweep(cfg, out_dir=out)
+            assert self.tree(out) == clean, name
+
+        # killed partway through the fixed beam's episodes, which come after
+        # the oracle's: the oracle's metrics are kept
+        shutil.rmtree(out)
+        real_rollout, rollouts = bench.rollout_episode, []
+
+        def killing_rollout(env, policy_fn):
+            rollouts.append(1)
+            if len(rollouts) <= cfg.eval_episodes:
+                return real_rollout(env, policy_fn)
+            calls = []
+
+            def killed_partway(env):
+                calls.append(1)
+                if len(calls) == 5:
+                    raise self.Killed
+                return policy_fn(env)
+            return real_rollout(env, killed_partway)
+        with monkeypatch.context() as m:
+            m.setattr(bench, "rollout_episode", killing_rollout)
+            with pytest.raises(self.Killed):
+                run_sweep(cfg, out_dir=out)
+        cell = Path("cell_mass_10_rep0")
+        assert (out / cell / "metrics_oracle.json").read_bytes() == \
+            clean[cell / "metrics_oracle.json"]
+        assert not (out / cell / "metrics_fixed.json").exists()
+        run_sweep(cfg, out_dir=out)
+        assert self.tree(out) == clean
 
 
 class TestSweepWorkers:
@@ -500,7 +587,7 @@ class TestWholeFiles:
         with pytest.raises(RuntimeError, match="cut short"):
             if writer == "trace":
                 env = make_envs(cfg, [0])[0]
-                rows = rollout_episode(env, policy_callable(cfg, PolicyKind.FIXED_BEAM))
+                rows = rollout_episode(env, load_policy(cfg, PolicyKind.FIXED_BEAM))
                 write_trace_csv(path, cut(rows), cfg.channel, cfg.array)
             elif writer == "pattern":
                 real_af, calls = channel.array_factor, []
@@ -598,6 +685,21 @@ def test_no_module_reads_another_modules_private_names():
                     not node.attr.endswith("__") and ast.unparse(node.value) in aliases:
                 found.append(f"{source.name}:{node.lineno}: reads "
                              f"{ast.unparse(node.value)}.{node.attr}")
+    assert found == []
+
+
+def test_only_policies_names_a_policy():
+    # the policy names live in PolicyKind: no other module spells one out
+    names = {kind.value for kind in PolicyKind}
+    package = Path(files.__file__).parent
+    found = []
+    for source in sorted(package.glob("*.py")):
+        if source.name == "policies.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and \
+                    (node.value in names or any(f"_{n}_" in node.value for n in names)):
+                found.append(f"{source.name}:{node.lineno}: {node.value!r}")
     assert found == []
 
 

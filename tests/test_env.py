@@ -11,7 +11,7 @@ from wirebeam import dqn
 from wirebeam import env as envmod
 from wirebeam import wire
 from wirebeam.bench import make_envs as make_experiment_envs
-from wirebeam.bench import policy_callable
+from wirebeam.bench import load_policy
 from wirebeam.channel import BeamOrientation, boresight_power, look_angles, received_power
 from wirebeam.config import default_config
 from wirebeam.env import (BeamTrackingEnv, ConfigError, EpisodeBatch, EpisodeFinishedError,
@@ -440,9 +440,9 @@ class TestEpisodeBatch:
                                 "wire.impulse_times_s": "0.0555"})
         params = dqn.init_mlp((cfg.env.state_dim, 8, 8, envmod.N_ACTIONS),
                               np.random.default_rng(0))
-        policies = [policy_callable(cfg, PolicyKind.ORACLE),
-                    policy_callable(cfg, PolicyKind.FIXED_BEAM),
-                    policy_callable(cfg, PolicyKind.DQN_GREEDY, params)]
+        policies = [load_policy(cfg, PolicyKind.ORACLE),
+                    load_policy(cfg, PolicyKind.FIXED_BEAM),
+                    dqn.greedy_policy(params)]
         envs = make_experiment_envs(cfg, [5, 5, 5])
         assert all(e._batch is envs[0]._batch for e in envs)
         assert envs[0]._batch.seeds == [5]
