@@ -126,6 +126,11 @@ class TransitionBatch:
     def __len__(self):
         return self.states.shape[0]
 
+    def take(self, idx) -> "TransitionBatch":
+        """The rows `idx`, gathered into a new batch."""
+        return TransitionBatch(self.states[idx], self.actions[idx], self.rewards[idx],
+                               self.next_states[idx], self.terminals[idx])
+
 
 def _batch_td_targets(batch: TransitionBatch, target_params: MlpParams,
                       gamma: float) -> np.ndarray:
@@ -221,17 +226,17 @@ def select_action(qvalues: np.ndarray, epsilon: float,
 
 
 class ReplayBuffer:
-    """Bounded FIFO of transitions with uniform without-replacement sampling."""
+    """Bounded FIFO of transitions with uniform without-replacement sampling,
+    held as one `TransitionBatch` of `capacity` rows."""
 
     def __init__(self, capacity: int, state_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._states = np.empty((capacity, state_dim))
-        self._actions = np.empty(capacity, dtype=np.int64)
-        self._rewards = np.empty(capacity)
-        self._next_states = np.empty((capacity, state_dim))
-        self._terminals = np.empty(capacity, dtype=bool)
+        self._rows = TransitionBatch(np.empty((capacity, state_dim)),
+                                     np.empty(capacity, dtype=np.int64), np.empty(capacity),
+                                     np.empty((capacity, state_dim)),
+                                     np.empty(capacity, dtype=bool))
         self._size = 0
         self._head = 0
 
@@ -241,21 +246,19 @@ class ReplayBuffer:
     def push(self, state, action, reward, next_state, terminal):
         if not -1.0 - 1e-9 <= reward <= 1.0 + 1e-9:
             raise ValueError(f"reward {reward} outside the clipped range [-1, 1]")
-        i = self._head
-        self._states[i] = state
-        self._actions[i] = action
-        self._rewards[i] = reward
-        self._next_states[i] = next_state
-        self._terminals[i] = terminal
+        i, rows = self._head, self._rows
+        rows.states[i] = state
+        rows.actions[i] = action
+        rows.rewards[i] = reward
+        rows.next_states[i] = next_state
+        rows.terminals[i] = terminal
         self._head = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, rng: np.random.Generator, n: int) -> TransitionBatch:
         if n > self._size:
             raise ValueError(f"cannot draw {n} transitions from a buffer of {self._size}")
-        idx = rng.choice(self._size, size=n, replace=False)
-        return TransitionBatch(self._states[idx], self._actions[idx], self._rewards[idx],
-                               self._next_states[idx], self._terminals[idx])
+        return self._rows.take(rng.choice(self._size, size=n, replace=False))
 
 
 # --------------------------------------------------------------------------
@@ -346,10 +349,9 @@ def train(build_env: Callable[[int], object], cfg: TrainConfig, seed: int,
         action = select_action(forward(params, s), cfg.epsilon_train, rng)
         out = env.step(action)
         buffer.push(s, action, out.proxy_reward, env.state_vector, out.episode_done)
-        s = np.asarray(env.state_vector, float)
         if out.episode_done:
             env = build_env(int(rng.integers(2 ** 63)))
-            s = np.asarray(env.state_vector, float)
+        s = np.asarray(env.state_vector, float)
 
         if global_step % cfg.target_sync_steps == 0:
             target.flat[:] = params.flat
@@ -362,10 +364,7 @@ def train(build_env: Callable[[int], object], cfg: TrainConfig, seed: int,
                 for _ in range(cfg.epochs):
                     order = rng.permutation(cfg.sample_block)
                     for lo in range(0, cfg.sample_block, cfg.minibatch):
-                        idx = order[lo:lo + cfg.minibatch]
-                        mb = TransitionBatch(block.states[idx], block.actions[idx],
-                                             block.rewards[idx], block.next_states[idx],
-                                             block.terminals[idx])
+                        mb = block.take(order[lo:lo + cfg.minibatch])
                         loss = _loss_and_grad(params, mb, target, cfg.discount, grads)
                         if not math.isfinite(loss):
                             raise TrainingDivergedError(

@@ -7,11 +7,13 @@ tau: the wire never reads the beam.  It holds one column per distinct
 seed, whose draws (the impulse time and the wire's noise seed, see
 `EpisodeSchedule`) the seed fixes, advances all of them together and
 keeps each state, so the envs can be rolled out one after another and
-envs of the same seed (one per policy) read the same column.  Each step
-applies the chosen steering action, takes the next wire state (the
-scheduled impulse acts when its time falls inside the interval), and the
-agent observes the sensed points of the state from `lookback` seconds
-ago together with the current steering vector.  The reward is the
+envs of the same seed (one per policy) read the same column.  The batch
+is the one holder of an episode's history: an env keeps only its step
+count and current state.  Each step applies the chosen steering action,
+takes the next wire state (the scheduled impulse acts when its time
+falls inside the interval), and the agent observes the sensed points of
+the state from `lookback` seconds ago, read back from the batch,
+together with the current steering vector.  The reward is the
 received power mapped through an affine clip to [-1, 1].  Each step
 computes the node's look geometry (`channel.look_angles`) once; the env
 keeps it and its `StepOutcome` carries it, so the reward, the oracle,
@@ -190,8 +192,9 @@ class EpisodeBatch:
     drawn from the seeds, and the stream advances every episode together.
     A batch's state is computed on its first read and kept, so envs can be
     rolled out one after another: the first to reach a step advances the
-    stream, and the others read what it computed.  `env_cfg`, checked
-    against the wire once, here, is the task of every env over the batch.
+    stream, and the others read what it computed; it is the only holder of
+    an episode's history.  `env_cfg`, checked against the wire once, here,
+    is the task of every env over the batch.
     """
 
     def __init__(self, env_cfg: EnvConfig, wire_params: wire.WireParams,
@@ -241,13 +244,14 @@ class StepOutcome:
 
 
 class BeamTrackingEnv:
-    """A view of one episode of an `EpisodeBatch`, the one of `seed`: the
-    wire states so far, steering and schedule.
+    """A view of one episode of an `EpisodeBatch`, the one of `seed`: its
+    step count, current wire state, steering and schedule.
 
-    The task's `cfg` is the batch's.  `states[k]` is the wire state after
-    k steps, `states[0]` the equilibrium, and `look` the current node's
-    look geometry.  Not safe for concurrent mutation; run independent
-    instances in parallel instead.  All randomness flows from the seed.
+    The task's `cfg` is the batch's.  `state` is the wire state after
+    `step_count` steps (at 0 the equilibrium), and `look` the current
+    node's look geometry; earlier states are read back from the batch.
+    Not safe for concurrent mutation; run independent instances in
+    parallel instead.  All randomness flows from the seed.
     """
 
     def __init__(self, batch: EpisodeBatch, seed: int, channel_cfg: ChannelConfig,
@@ -260,7 +264,8 @@ class BeamTrackingEnv:
         self._batch = batch
         self._episode = batch.seeds.index(seed)
         self.schedule = batch.schedules[self._episode]
-        self.states = [batch.state(self._episode, 0)]
+        self.step_count = 0
+        self.state = batch.state(self._episode, 0)
         self.look = look_angles(self.true_node_position, channel_cfg.rx_position)
         self.beam = self._initial_beam()
         self._observation = None
@@ -274,14 +279,6 @@ class BeamTrackingEnv:
     # -- stepping ----------------------------------------------------------
 
     @property
-    def state(self) -> wire.WireState:
-        return self.states[-1]
-
-    @property
-    def step_count(self) -> int:
-        return len(self.states) - 1
-
-    @property
     def done(self) -> bool:
         return self.step_count >= self.cfg.episode_steps
 
@@ -293,17 +290,18 @@ class BeamTrackingEnv:
     def state_vector(self) -> np.ndarray:
         """The observation after the last step, built on its first read."""
         if self._observation is None:
-            delayed = self.states[max(self.step_count - self.cfg.lag_steps, 0)]
+            delayed = self._batch.state(self._episode,
+                                        max(self.step_count - self.cfg.lag_steps, 0))
             self._observation = assemble_state(delayed, self._sense_idx, self.beam)
         return self._observation
 
     def step(self, action: int) -> StepOutcome:
-        k = len(self.states)  # the step count after this step
+        k = self.step_count + 1
         if k > self.cfg.episode_steps:
             raise EpisodeFinishedError("episode already finished; an env runs one episode")
         self.beam = apply_action(self.beam, action, self.cfg.refine_angle)
-        state = self._batch.state(self._episode, k)
-        self.states.append(state)
+        self.state = state = self._batch.state(self._episode, k)
+        self.step_count = k
         self._observation = None
         node = state.positions[self._tx_idx]
         self.look = look_angles(node, self.channel_cfg.rx_position)

@@ -28,7 +28,7 @@ and its mean-wind block in one call, copies the state it will yield,
 ignores float errors around the stride's `step` calls, and finds a
 divergence.  It yields the equilibrium, then the state after every
 stride, each episode bit for bit its batch of one.  No yielded state
-changes afterwards: the tracking environment keeps them all as its
+changes afterwards: the env's `EpisodeBatch` keeps them all as its
 sensor history.  `WireState.episode` reads one episode, or raises its
 divergence.  `simulate_trajectory` returns a finite slice of one chain.
 

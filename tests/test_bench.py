@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import importlib
 import json
 import math
@@ -361,9 +362,6 @@ class TestSweepCellCheckpoint:
                                                           name):
         # a kill lands between two writes; a rerun that trusted a checkpoint
         # written before the kill would skip training and never write the rest
-        class Killed(BaseException):
-            """Passes the `except Exception` handlers, as a kill does."""
-
         cfg = tiny_cfg()
         clean, killed = tmp_path / "clean", tmp_path / "killed"
         assert bench.run_sweep_cell(cfg, clean, ["dqn"])["dqn"][0] == "ok"
@@ -384,6 +382,97 @@ class TestSweepCellCheckpoint:
             assert (killed / path.name).read_bytes() == path.read_bytes()
 
 
+class Killed(BaseException):
+    """Passes the `except Exception` handlers, as a kill does."""
+
+
+class WriteKiller:
+    """Counts a run's `atomic_open` calls by file name, and kills the `at`-th
+    (counted from 1; 0 kills none) while its temporary file is open: by
+    raising `Killed`, or with `exiting` by letting it be written and then
+    ending the process with `os._exit`, as a real kill does."""
+
+    EXIT_CODE = 17
+
+    def __init__(self, monkeypatch):
+        self.opened, self.at, self.exiting = [], 0, False
+        real_open = files.atomic_open
+
+        @contextlib.contextmanager
+        def counting_open(path, *args, **kwargs):
+            self.opened.append(Path(path).name)
+            with real_open(path, *args, **kwargs) as fh:
+                killed = len(self.opened) == self.at
+                if killed and not self.exiting:
+                    raise Killed  # the temporary file is open, the final one untouched
+                yield fh
+                if killed:
+                    fh.flush()  # written, never closed or renamed
+                    os._exit(self.EXIT_CODE)
+        monkeypatch.setattr(files, "atomic_open", counting_open)
+        monkeypatch.setattr(dqn, "atomic_open", counting_open)
+
+    def kill(self, run, at: int, exiting: bool = False):
+        """`run()` with its `at`-th write killed; with `exiting`, in a forked
+        child, which must die of the kill."""
+        self.opened.clear()
+        self.at, self.exiting = at, exiting
+        try:
+            if not exiting:
+                with pytest.raises(Killed):
+                    run()
+                return
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    run()
+                finally:  # a run that ends here was never killed
+                    os._exit(1)
+            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == self.EXIT_CODE
+        finally:
+            self.at = 0
+
+
+def file_tree(out) -> dict[Path, str]:
+    """Each file under `out`, by its path relative to `out` -> the SHA-256
+    of its bytes."""
+    return {path.relative_to(out): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+class TestKilledRuns:
+    """A tiny `run_train` and a tiny `run_eval`, killed at each of their
+    writes, then rerun with no fault."""
+
+    @pytest.mark.parametrize("exiting", [False, True], ids=["raised", "exited"])
+    @pytest.mark.parametrize("verb", ["train", "eval"])
+    def test_a_kill_at_any_write_leaves_whole_files_and_reruns_to_the_clean_tree(
+            self, tmp_path, monkeypatch, verb, exiting):
+        cfg = tiny_cfg(**{"eval.episodes": "2"})
+        out = tmp_path / "out"
+        if verb == "train":
+            writes = ["checkpoint.bin.json", "training_log.csv", "checkpoint.bin"]
+            run = lambda: run_train(cfg, out)  # noqa: E731
+        else:
+            checkpoint = run_train(cfg, tmp_path / "trained")[0]
+            writes = ["trace_dqn_ep000.csv", "trace_dqn_ep001.csv", "metrics_dqn.json"]
+            run = lambda: run_eval(cfg, checkpoint, PolicyKind.DQN_GREEDY, 2, out)  # noqa: E731
+        killer = WriteKiller(monkeypatch)
+        run()
+        clean = file_tree(out)
+        assert killer.opened == writes and list(clean) == sorted(map(Path, writes))
+        for k, name in enumerate(writes, start=1):
+            shutil.rmtree(out)
+            killer.kill(run, k, exiting)
+            left = file_tree(out)
+            if exiting:  # the kill left the write's temporary file behind
+                assert left.pop(Path(name + ".tmp"))
+            # only whole files, those written before the kill
+            assert left == {Path(n): clean[Path(n)] for n in writes[:k - 1]}, name
+            run()
+            assert file_tree(out) == clean, name
+
+
 class TestKilledSweep:
     """A one-cell sweep of every policy, killed at each of its writes or
     partway through a rollout, then rerun."""
@@ -391,18 +480,13 @@ class TestKilledSweep:
     SWEEP = {"sweep.axis": "mass", "sweep.values": "10", "sweep.repetitions": "1",
              "sweep.policies": "oracle, fixed, dqn", "env.episode_duration_s": "0.2"}
 
-    class Killed(BaseException):
-        """Passes the `except Exception` handlers, as a kill does."""
-
     @staticmethod
     def tree(out):
-        """Each file under `out` -> its bytes, the cells file without its
+        """`file_tree(out)`, with the cells file parsed and without its
         per-entry statuses, which say whether an entry was cached."""
-        found = {}
-        for path in sorted(out.rglob("*")):
-            if path.is_file():
-                found[path.relative_to(out)] = path.read_bytes()
-        cells = json.loads(found.pop(Path("sweep_mass_cells.json")))
+        found = file_tree(out)
+        found.pop(Path("sweep_mass_cells.json"))
+        cells = json.loads((out / "sweep_mass_cells.json").read_text())
         for entry in cells["cells"]:
             assert entry.pop("status") in ("ok", "cached")
         found["cells"] = cells
@@ -412,31 +496,15 @@ class TestKilledSweep:
         cfg = tiny_cfg(**self.SWEEP)
         monkeypatch.setattr(bench, "usable_cpus", lambda: 1)  # the cell runs here
         out = tmp_path / "sweep"  # one directory: the cells file names its paths
-        real_open, opened = files.atomic_open, []
-
-        @contextlib.contextmanager
-        def counting_open(path, *args, **kwargs):
-            opened.append(Path(path).name)
-            with real_open(path, *args, **kwargs) as fh:
-                if len(opened) == kill_at:
-                    raise self.Killed  # the temporary file is open, the final one untouched
-                yield fh
-        monkeypatch.setattr(files, "atomic_open", counting_open)
-        monkeypatch.setattr(dqn, "atomic_open", counting_open)
-
-        kill_at = 0  # the write to abort, counted from 1; 0 aborts none
+        killer = WriteKiller(monkeypatch)
         run_sweep(cfg, out_dir=out)
-        clean, writes = self.tree(out), list(opened)
+        clean, writes = self.tree(out), list(killer.opened)
         assert writes == ["checkpoint.bin.json", "training_log.csv", "checkpoint.bin",
                           "metrics_oracle.json", "metrics_fixed.json", "metrics_dqn.json",
                           "sweep_mass_summary.csv", "sweep_mass_cells.json"]
         for k, name in enumerate(writes, start=1):
             shutil.rmtree(out)
-            opened.clear()
-            kill_at = k
-            with pytest.raises(self.Killed):
-                run_sweep(cfg, out_dir=out)
-            kill_at = 0
+            killer.kill(lambda: run_sweep(cfg, out_dir=out), k)
             run_sweep(cfg, out_dir=out)
             assert self.tree(out) == clean, name
 
@@ -454,16 +522,15 @@ class TestKilledSweep:
             def killed_partway(env):
                 calls.append(1)
                 if len(calls) == 5:
-                    raise self.Killed
+                    raise Killed
                 return policy_fn(env)
             return real_rollout(env, killed_partway)
         with monkeypatch.context() as m:
             m.setattr(bench, "rollout_episode", killing_rollout)
-            with pytest.raises(self.Killed):
+            with pytest.raises(Killed):
                 run_sweep(cfg, out_dir=out)
         cell = Path("cell_mass_10_rep0")
-        assert (out / cell / "metrics_oracle.json").read_bytes() == \
-            clean[cell / "metrics_oracle.json"]
+        assert file_tree(out)[cell / "metrics_oracle.json"] == clean[cell / "metrics_oracle.json"]
         assert not (out / cell / "metrics_fixed.json").exists()
         run_sweep(cfg, out_dir=out)
         assert self.tree(out) == clean

@@ -110,7 +110,7 @@ env.lookback_s = 0.08
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("wire.mass = 3\n")
-        with pytest.raises(ConfigError, match="unknown key"):
+        with pytest.raises(ConfigError, match=r"bad\.cfg:1: unknown key 'wire\.mass'"):
             build_config(parse_file(path))
 
     def test_build_config_rejects_unknown_keys(self):

@@ -45,6 +45,21 @@ def make_env(seed=0, quiet=False, **env_overrides) -> BeamTrackingEnv:
     return BeamTrackingEnv(batch, seed, channel_cfg(params), TABLE.array)
 
 
+def history(env) -> list[wire.WireState]:
+    """The env's wire states so far, read from its batch: entry k is the
+    state after k steps, and the last is the env's own `state`."""
+    states = [env._batch.state(env._episode, k) for k in range(env.step_count + 1)]
+    assert is_view_of(env.state, states[-1])
+    return states
+
+
+def is_view_of(state, batch_state) -> bool:
+    """`state` is `batch_state`: the same instant over the same memory."""
+    return (state.time == batch_state.time
+            and np.shares_memory(state.positions, batch_state.positions)
+            and np.shares_memory(state.velocities, batch_state.velocities))
+
+
 class TestActions:
     def test_action_set_closure(self):
         # row-major over {-1, 0, +1}^2, zenith slow: every pair exactly once
@@ -341,7 +356,7 @@ class TestObservationOnRead:
         assert lag == round(lookback / 0.01)
         actions = np.random.default_rng(8).integers(0, 9, size=e.cfg.episode_steps)
         for k in range(e.cfg.episode_steps + 1):
-            want = assemble_state(e.states[max(k - lag, 0)], idx, e.beam)
+            want = assemble_state(history(e)[max(k - lag, 0)], idx, e.beam)
             assert np.array_equal(e.state_vector, want)
             if k < e.cfg.episode_steps:
                 e.step(int(actions[k]))
@@ -355,8 +370,9 @@ class TestObservationOnRead:
             e.step(envmod.CENTER_ACTION)
         assert calls == []
         observed = e.state_vector
-        assert len(calls) == 1 and calls[0][0] is e.states[3]
-        assert np.array_equal(observed, real(e.states[3], np.array([9]), e.beam))
+        delayed = history(e)[3]
+        assert len(calls) == 1 and is_view_of(calls[0][0], delayed)
+        assert np.array_equal(observed, real(delayed, np.array([9]), e.beam))
 
 
 class TestSharedWireStream:
@@ -379,8 +395,9 @@ class TestSharedWireStream:
         expected = wire.simulate_trajectory(cfg.wire, cfg.wind, impulses, 1.5,
                                             cfg.env.substep_dt, e.schedule.noise_seed,
                                             sample_every=cfg.env.tau)
-        assert e.done and len(e.states) == len(expected) == 151
-        for got, want in zip(e.states, expected):
+        states = history(e)
+        assert e.done and len(states) == len(expected) == 151
+        for got, want in zip(states, expected):
             assert got.time == want.time
             assert np.array_equal(got.positions, want.positions)
             assert np.array_equal(got.velocities, want.velocities)
@@ -398,7 +415,7 @@ class TestSharedWireStream:
         rollout(e, lambda env: envmod.CENTER_ACTION, 5)
         with pytest.raises(EpisodeFinishedError, match="one episode"):
             e.step(envmod.CENTER_ACTION)
-        assert e.step_count == 2 and e.state is e.states[-1]
+        assert e.step_count == 2 and is_view_of(e.state, history(e)[2])
 
 
 class TestEpisodeBatch:
@@ -421,8 +438,9 @@ class TestEpisodeBatch:
             assert alone.schedule == env.schedule
             alone_outs, alone_seen = observed_rollout(
                 alone, lambda env: int(env.step_count % 9), 30)
-            assert len(env.states) == len(alone.states) == 31
-            for got, want in zip(env.states, alone.states):
+            states, alone_states = history(env), history(alone)
+            assert len(states) == len(alone_states) == 31
+            for got, want in zip(states, alone_states):
                 assert got.time == want.time
                 assert np.array_equal(got.positions, want.positions)
                 assert np.array_equal(got.velocities, want.velocities)
@@ -452,8 +470,9 @@ class TestEpisodeBatch:
         for env, fn, (outs, seen) in zip(envs, policies, shared):
             alone = make_experiment_envs(cfg, [5])[0]
             alone_outs, alone_seen = observed_rollout(alone, fn, cfg.env.episode_steps)
-            assert env.done and len(env.states) == len(alone.states) == 31
-            for got, want in zip(env.states, alone.states):
+            states, alone_states = history(env), history(alone)
+            assert env.done and len(states) == len(alone_states) == 31
+            for got, want in zip(states, alone_states):
                 assert got.time == want.time
                 assert np.array_equal(got.positions, want.positions)
                 assert np.array_equal(got.velocities, want.velocities)
@@ -515,8 +534,9 @@ class TestEpisodeBatch:
         for e in (0, 2):  # their columns stayed their own
             alone = build(seeds[e])
             rollout(alone, lambda env: envmod.CENTER_ACTION, cfg.episode_steps)
-            assert envs[e].done and len(envs[e].states) == len(alone.states)
-            for got, want in zip(envs[e].states, alone.states):
+            states, alone_states = history(envs[e]), history(alone)
+            assert envs[e].done and len(states) == len(alone_states)
+            for got, want in zip(states, alone_states):
                 assert np.array_equal(got.positions, want.positions)
                 assert np.array_equal(got.velocities, want.velocities)
 

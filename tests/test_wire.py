@@ -402,6 +402,97 @@ class TestTextbookSubstep:
             assert not np.array_equal(kicked[-1].velocities, quiet[-1].velocities)
 
 
+class TestFluctuationDissipation:
+    """In still mean wind the noise and the drag set the chain's velocity
+    spread: the stationary velocity variance of every interior point, per
+    axis, is D Dᵀ / (2 c0), whatever the springs and gravity, up to the
+    integrator's own terms derived here.
+
+    Per axis, with D = σ·I and y the displacement from equilibrium, the
+    interior points decouple into the modes of the negative discrete
+    Laplacian: shapes φ_k(i) = sqrt(2/(N−1))·sin(ikπ/(N−1)), orthonormal,
+    and ω_k² = (k0·N/m)·4·sin²(kπ/(2(N−1))).  One substep of h moves
+    mode k's (y, u) as
+
+        u' = (1 − c0·h)·u − ω²·h·y + σ·sqrt(h)·ξ,    y' = y + h·u'.
+
+    Stationarity of E[y'²] gives E[y·u'] = −h·V/2; of E[y'·u'] gives
+    E[y·u] = h·V/2 and then ω²·E[y²] = V·(1 − c0·h/2); of E[u'²] then
+
+        V_k = σ² / (2·c0) / (1 − c0·h/2 − (ω_k·h)²/4),
+
+    the free point's semi-implicit factor with the springs' (ω·h)² term.
+    A point's variance is Σ_k φ_k(i)²·V_k.  From rest, the moments after
+    n substeps are X∞ − Aⁿ·X∞·(Aⁿ)ᵀ (A the mode's update, X∞ its
+    stationary moments), so the expected window mean below carries the
+    burn-in's leftover exactly.
+
+    Each mode's squared velocity decorrelates over about 1/c0 (e^(−2·c0·τ)
+    free, e^(−c0·τ)·cos² when ringing), so a window of T seconds holds
+    about T·c0 effective samples per episode.  A point's velocity mixes
+    modes that all relax that fast, so the same count bounds its
+    estimator's standard error from above.  The mean over every point and
+    axis is, by Parseval, the mean of 3·(N − 2) independent modes."""
+
+    EPISODES, BURN_IN_S, WINDOW_S, STRIDE = 32, 3.0, 5.0, 10
+    Z = 4.0  # 58 comparisons: a false alarm below 0.4 % with exact errors
+
+    def mode_moments(self, params, h):
+        """Each mode's update A (M, 2, 2) on (y, u) and its stationary
+        moments X∞ (M, 2, 2), from the closed form above."""
+        n, c = params.n_points, params.drag_c
+        k = np.arange(1, n - 1)
+        w2 = params.spring_accel_coeff * 4.0 * np.sin(k * np.pi / (2 * (n - 1))) ** 2
+        sigma2 = params.wind_diffusion[0, 0] ** 2
+        v = sigma2 / (2.0 * c) / (1.0 - c * h / 2.0 - w2 * h * h / 4.0)
+        u_row = np.stack([-w2 * h, np.full_like(w2, 1.0 - c * h)], axis=-1)
+        a = np.stack([np.array([1.0, 0.0]) + h * u_row, u_row], axis=1)
+        x_inf = np.stack([np.stack([v * (1.0 - c * h / 2.0) / w2, h * v / 2.0], -1),
+                          np.stack([h * v / 2.0, v], -1)], axis=1)
+        return a, x_inf
+
+    def test_the_closed_form_is_the_update_s_fixed_point(self):
+        params, h = default_config().wire, 1e-3
+        a, x_inf = self.mode_moments(params, h)
+        b = np.array([h, 1.0]) * params.wind_diffusion[0, 0] * math.sqrt(h)
+        again = a @ x_inf @ a.transpose(0, 2, 1) + np.outer(b, b)
+        np.testing.assert_allclose(again, x_inf, rtol=1e-12, atol=0.0)
+
+    def test_each_point_s_velocity_variance_is_d_dt_over_2c(self):
+        params, h = default_config().wire, 1e-3
+        assert np.array_equal(params.wind_diffusion, 0.1 * np.eye(3))
+        assert params.drag_c == 1.0
+        burn, window = (round(s / (h * self.STRIDE)) for s in (self.BURN_IN_S, self.WINDOW_S))
+        stream = wire.trajectory(params, STILL, [()] * self.EPISODES, h,
+                                 list(range(self.EPISODES)), self.STRIDE)
+        kept = itertools.islice(stream, burn + 1, burn + window + 1)
+        v = np.stack([s.velocities[1:-1] for s in kept])  # (window, N-2, E, 3)
+        got = (v * v).mean(axis=(0, 2))                    # per point and axis
+
+        a, x_inf = self.mode_moments(params, h)
+        a_n = np.linalg.matrix_power(a, (burn + 1) * self.STRIDE)
+        a_stride = np.linalg.matrix_power(a, self.STRIDE)
+        left = np.zeros(len(a))  # each mode's mean unrelaxed velocity variance
+        for _ in range(window):
+            left += (a_n @ x_inf @ a_n.transpose(0, 2, 1))[:, 1, 1] / window
+            a_n = a_stride @ a_n
+        n = params.n_points
+        i, k = np.meshgrid(np.arange(1, n - 1), np.arange(1, n - 1), indexing="ij")
+        shapes2 = 2.0 / (n - 1) * np.sin(i * k * np.pi / (n - 1)) ** 2
+        stationary = shapes2 @ x_inf[:, 1, 1]
+        want = shapes2 @ (x_inf[:, 1, 1] - left)
+        free = 0.1 ** 2 / (2.0 * params.drag_c) / (1.0 - params.drag_c * h / 2.0)
+        assert np.all((stationary >= free) & (stationary < free * 1.003))
+        assert np.all(np.abs(want / stationary - 1.0) < 0.02)  # the burn-in's leftover
+
+        samples = self.EPISODES * self.WINDOW_S * params.drag_c
+        se_point = want * math.sqrt(2.0 / samples)
+        assert np.all(np.abs(got - want[:, None]) < self.Z * se_point[:, None])
+        modes = x_inf[:, 1, 1] - left
+        se_mean = math.sqrt(3 * np.sum(2.0 * modes ** 2 / samples)) / got.size
+        assert abs(got.mean() - want.mean()) < self.Z * se_mean
+
+
 class TestWindModel:
     def test_zero_at_t0(self):
         np.testing.assert_allclose(WIND.velocities(0.0, 1e-3, 1), 0.0,
