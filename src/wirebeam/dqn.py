@@ -73,30 +73,22 @@ def init_mlp(dims: tuple[int, ...], rng: np.random.Generator) -> MlpParams:
     return params
 
 
-def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Action values for one state (D,) -> (A,) or a batch (B,D) -> (B,A)."""
+def forward(params: MlpParams, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """Action values for one state (D,) -> (A,) or a batch (B,D) -> (B,A).
+    A list `acts` receives the input, then each hidden ReLU output."""
     x = np.asarray(x, float)
     single = x.ndim == 1
     h = x[None, :] if single else x
     if h.shape[1] != params.dims[0]:
         raise ValueError(f"input dim {h.shape[1]} != network input {params.dims[0]}")
+    if acts is not None:
+        acts.append(h)
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         h = np.maximum(h @ w + b, 0.0)
+        if acts is not None:
+            acts.append(h)
     q = h @ params.weights[-1] + params.biases[-1]
     return q[0] if single else q
-
-
-def _forward_cached(params: MlpParams, x: np.ndarray):
-    """Batch forward keeping pre-activations and activations for backprop."""
-    pre, act = [], [x]
-    h = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0)
-        act.append(h)
-    q = h @ params.weights[-1] + params.biases[-1]
-    return q, pre, act
 
 
 # --------------------------------------------------------------------------
@@ -141,11 +133,13 @@ def _batch_td_targets(batch: TransitionBatch, target_params: MlpParams,
 def _loss_and_grad(params: MlpParams, batch: TransitionBatch,
                    target_params: MlpParams, gamma: float, grads: MlpParams) -> float:
     """Mean Huber TD loss; its gradient is written into `grads`, an
-    MlpParams shaped like params.  No gradient flows to the target."""
+    MlpParams shaped like params.  No gradient flows to the target.  The
+    ReLU mask max(z, 0) > 0 is exactly z > 0: backprop masks on `act`."""
     if len(batch) == 0:
         raise ValueError("minibatch must be non-empty")
     y = _batch_td_targets(batch, target_params, gamma)
-    q, pre, act = _forward_cached(params, batch.states)
+    act = []
+    q = forward(params, batch.states, act)
     rows = np.arange(len(batch))
     resid = q[rows, batch.actions] - y
     loss = float(np.mean(huber(resid)))
@@ -157,7 +151,7 @@ def _loss_and_grad(params: MlpParams, batch: TransitionBatch,
         np.matmul(act[layer].T, dz, out=grads.weights[layer])
         dz.sum(axis=0, out=grads.biases[layer])
         if layer > 0:
-            dz = (dz @ params.weights[layer].T) * (pre[layer - 1] > 0.0)
+            dz = (dz @ params.weights[layer].T) * (act[layer] > 0.0)
     return loss
 
 
@@ -306,9 +300,9 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     params: MlpParams
+    target_params: MlpParams
     adam: AdamState
     log: list[dict] = field(default_factory=list)
-    target_params: MlpParams | None = None
 
 
 def _segment(env, policy_fn, steps: int) -> tuple[float, float]:
@@ -342,7 +336,7 @@ def train(build_env: Callable[[int], object], cfg: TrainConfig, seed: int,
     grads = MlpParams(params.dims)
     adam = init_adam(params)
     buffer = ReplayBuffer(cfg.replay_capacity, input_dim)
-    result = TrainResult(params=params, adam=adam)
+    result = TrainResult(params=params, target_params=target, adam=adam)
     phase = 0
 
     for global_step in range(1, cfg.total_steps + 1):
@@ -390,7 +384,6 @@ def train(build_env: Callable[[int], object], cfg: TrainConfig, seed: int,
                     build_env(eval_seed), fn, cfg.eval_steps)[0]
             result.log.append(row)
 
-    result.target_params = target
     return result
 
 

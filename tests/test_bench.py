@@ -492,21 +492,38 @@ class TestKilledSweep:
         found["cells"] = cells
         return found
 
-    def test_a_kill_at_any_write_reruns_to_the_clean_bytes(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("exiting", [False, True], ids=["raised", "exited"])
+    def test_a_kill_at_any_write_reruns_to_the_clean_bytes(self, tmp_path, monkeypatch,
+                                                           exiting):
         cfg = tiny_cfg(**self.SWEEP)
         monkeypatch.setattr(bench, "usable_cpus", lambda: 1)  # the cell runs here
         out = tmp_path / "sweep"  # one directory: the cells file names its paths
         killer = WriteKiller(monkeypatch)
         run_sweep(cfg, out_dir=out)
-        clean, writes = self.tree(out), list(killer.opened)
+        clean, clean_files, writes = self.tree(out), file_tree(out), list(killer.opened)
         assert writes == ["checkpoint.bin.json", "training_log.csv", "checkpoint.bin",
                           "metrics_oracle.json", "metrics_fixed.json", "metrics_dqn.json",
                           "sweep_mass_summary.csv", "sweep_mass_cells.json"]
+        path_of = {path.name: path for path in clean_files}
+        assert sorted(path_of) == sorted(writes)
         for k, name in enumerate(writes, start=1):
             shutil.rmtree(out)
-            killer.kill(lambda: run_sweep(cfg, out_dir=out), k)
+            killer.kill(lambda: run_sweep(cfg, out_dir=out), k, exiting)
+            left = file_tree(out)
+            if exiting:  # the kill left the write's temporary file behind
+                assert left.pop(path_of[name].with_name(name + ".tmp"))
+            # only whole files, those written before the kill
+            assert left == {path_of[n]: clean_files[path_of[n]] for n in writes[:k - 1]}, name
             run_sweep(cfg, out_dir=out)
             assert self.tree(out) == clean, name
+
+    def test_a_kill_partway_through_a_rollout_keeps_the_finished_policies(self, tmp_path,
+                                                                          monkeypatch):
+        cfg = tiny_cfg(**self.SWEEP)
+        monkeypatch.setattr(bench, "usable_cpus", lambda: 1)  # the cell runs here
+        out = tmp_path / "sweep"
+        run_sweep(cfg, out_dir=out)
+        clean = self.tree(out)
 
         # killed partway through the fixed beam's episodes, which come after
         # the oracle's: the oracle's metrics are kept

@@ -1,9 +1,11 @@
 """DQN numerics: forward/backward, Adam, exploration, replay, training."""
 
+import ast
 import math
 import re
 import struct
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +98,27 @@ def tiny_params(rng, dims=(3, 4, 3, 4, 9)) -> MlpParams:
     return init_mlp(dims, rng)
 
 
+def pre_activation_loss_and_grad(params, batch, target, gamma):
+    """The loss and flat gradient of a backward pass that keeps every
+    hidden layer's pre-activations z and masks on z > 0."""
+    pre, act = [], [batch.states]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        pre.append(act[-1] @ w + b)
+        act.append(np.maximum(pre[-1], 0.0))
+    q = act[-1] @ params.weights[-1] + params.biases[-1]
+    rows = np.arange(len(batch))
+    resid = q[rows, batch.actions] - dqn._batch_td_targets(batch, target, gamma)
+    dz = np.zeros_like(q)
+    dz[rows, batch.actions] = dqn.huber_grad(resid) / len(batch)
+    grads = MlpParams(params.dims)
+    for layer in range(len(params.weights) - 1, -1, -1):
+        np.matmul(act[layer].T, dz, out=grads.weights[layer])
+        dz.sum(axis=0, out=grads.biases[layer])
+        if layer > 0:
+            dz = (dz @ params.weights[layer].T) * (pre[layer - 1] > 0.0)
+    return float(np.mean(huber(resid))), grads.flat
+
+
 def batch_of(transitions) -> TransitionBatch:
     return TransitionBatch(np.stack([t.state for t in transitions]),
                            np.array([t.action for t in transitions]),
@@ -158,6 +181,22 @@ class TestForward:
         params = tiny_params(np.random.default_rng(1))
         with pytest.raises(ValueError):
             forward(params, np.zeros(5))
+
+    @pytest.mark.parametrize("shape", [(3,), (6, 3)], ids=["single", "batch"])
+    def test_recording_keeps_the_bits_and_records_each_layer_input(self, shape):
+        rng = np.random.default_rng(22)
+        params = tiny_params(rng)
+        x = rng.normal(size=shape)
+        acts = []
+        q = forward(params, x, acts)
+        assert q.shape == forward(params, x).shape
+        assert q.tobytes() == forward(params, x).tobytes()
+        want = [np.atleast_2d(x)]
+        for w, b in zip(params.weights[:-1], params.biases[:-1]):
+            want.append(np.maximum(want[-1] @ w + b, 0.0))
+        assert len(acts) == len(params.dims) - 1
+        assert [a.tobytes() for a in acts] == [a.tobytes() for a in want]
+        assert [a.shape for a in acts] == [a.shape for a in want]
 
 
 class TestHuber:
@@ -263,6 +302,27 @@ class TestGradient:
                 worst = max(worst, abs(fd - g[i]) / scale)
             assert worst < 1e-4
             checked += 1
+
+    def test_matches_the_pre_activation_masked_backward_bit_for_bit(self):
+        # zero-bias nets and zero input rows: those rows' pre-activations are
+        # exactly 0 in every hidden layer, the ReLU's edge
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            params, target = tiny_params(rng), tiny_params(rng)
+            states = rng.normal(size=(6, 3))
+            states[[1, 4]] = 0.0
+            batch = TransitionBatch(states, rng.integers(9, size=6),
+                                    rng.uniform(-1.0, 1.0, size=6), rng.normal(size=(6, 3)),
+                                    rng.integers(2, size=6).astype(bool))
+            acts = []
+            forward(params, states, acts)
+            for a, w, b in zip(acts, params.weights[:-1], params.biases[:-1]):
+                assert not (a[[1, 4]] @ w + b).any()
+            grads = MlpParams(params.dims)
+            loss = dqn._loss_and_grad(params, batch, target, 0.9, grads)
+            want_loss, want_grad = pre_activation_loss_and_grad(params, batch, target, 0.9)
+            assert loss == want_loss
+            assert grads.flat.tobytes() == want_grad.tobytes()
 
     def test_every_gradient_entry_is_overwritten(self):
         # the training loop reuses one gradient buffer across minibatches
@@ -485,6 +545,25 @@ class TestTraining:
         result = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=1)
         q = forward(result.params, ConstantRewardEnv().state_vector)
         assert np.mean(q) == pytest.approx(10.0, rel=0.02)
+
+
+def test_only_forward_applies_the_relu():
+    # one MLP forward: backprop reads the layer inputs that `forward` records
+    package = Path(dqn.__file__).parent
+    found = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        owner = {}  # each node's innermost enclosing function
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                owner.update((node, getattr(fn, "name", "<lambda>")) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "maximum":
+                name = owner.get(node, "<module>")
+                if (source.name, name) != ("dqn.py", "forward"):
+                    found.append(f"{source.name}:{node.lineno}: {name}")
+    assert found == []
 
 
 class TestCheckpoint:

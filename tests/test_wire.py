@@ -432,10 +432,41 @@ class TestFluctuationDissipation:
     about T·c0 effective samples per episode.  A point's velocity mixes
     modes that all relax that fast, so the same count bounds its
     estimator's standard error from above.  The mean over every point and
-    axis is, by Parseval, the mean of 3·(N − 2) independent modes."""
+    axis is, by Parseval, the mean of 3·(N − 2) independent modes.
+
+    The positions are checked against an independent solve: per axis, the
+    2(N − 2) coordinates (y, u) of the interior points move by one matrix
+    M per substep, with noise covariance Q, and their stationary
+    covariance is the discrete Lyapunov solution X = M·X·Mᵀ + Q.  Mode k's
+    squared displacement correlates at lag j as ρ_k(j)², with
+    ρ_k(j) = (Aʲ·X∞)_yy / X∞_yy; every mode rings, so each sums to about
+    1/c0.  By Cauchy–Schwarz over the modes a point mixes, the slowest
+    mode's sum bounds its estimator's standard error from above, and so
+    that of the mean over every point and axis."""
 
     EPISODES, BURN_IN_S, WINDOW_S, STRIDE = 32, 3.0, 5.0, 10
     Z = 4.0  # 58 comparisons: a false alarm below 0.4 % with exact errors
+    H = 1e-3
+
+    @pytest.fixture(scope="class")
+    def window(self):
+        """The default wire's interior displacements from equilibrium and
+        velocities over the window, (window, N-2, E, 3) each, in still mean
+        wind from rest at equilibrium."""
+        params = default_config().wire
+        assert np.array_equal(params.wind_diffusion, 0.1 * np.eye(3))
+        assert params.drag_c == 1.0
+        burn, window = self.strides()
+        stream = wire.trajectory(params, STILL, [()] * self.EPISODES, self.H,
+                                 list(range(self.EPISODES)), self.STRIDE)
+        rest = next(stream).positions[1:-1]
+        y, v = zip(*((s.positions[1:-1] - rest, s.velocities[1:-1])
+                     for s in itertools.islice(stream, burn, burn + window)))
+        return np.stack(y), np.stack(v)
+
+    def strides(self):
+        """The burn-in's and the window's lengths in strides."""
+        return tuple(round(s / (self.H * self.STRIDE)) for s in (self.BURN_IN_S, self.WINDOW_S))
 
     def mode_moments(self, params, h):
         """Each mode's update A (M, 2, 2) on (y, u) and its stationary
@@ -451,34 +482,61 @@ class TestFluctuationDissipation:
                           np.stack([h * v / 2.0, v], -1)], axis=1)
         return a, x_inf
 
+    @pytest.fixture(scope="class")
+    def axis_moments(self):
+        """The default wire's substep update M and noise covariance Q on one
+        axis's 2(N-2) coordinates (y, u) of the interior points, and their
+        stationary covariance X from the discrete Lyapunov equation
+        X = M·X·Mᵀ + Q."""
+        params, h = default_config().wire, self.H
+        n, c, sigma = params.n_points - 2, params.drag_c, params.wind_diffusion[0, 0]
+        eye = np.eye(n)
+        lap = params.spring_accel_coeff * (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * eye)
+        u_rows = np.hstack([h * lap, (1.0 - c * h) * eye])  # u' = u_rows·(y, u) + kick
+        m = np.vstack([np.hstack([eye, np.zeros((n, n))]) + h * u_rows, u_rows])  # y' = y + h·u'
+        b = sigma * math.sqrt(h) * np.vstack([h * eye, eye])
+        q = b @ b.T
+        x = np.linalg.solve(np.eye(4 * n * n) - np.kron(m, m), q.ravel())
+        return m, q, x.reshape(2 * n, 2 * n)
+
+    def point_shapes2(self, n):
+        """φ_k(i)², (N-2 points, N-2 modes)."""
+        i, k = np.meshgrid(np.arange(1, n - 1), np.arange(1, n - 1), indexing="ij")
+        return 2.0 / (n - 1) * np.sin(i * k * np.pi / (n - 1)) ** 2
+
     def test_the_closed_form_is_the_update_s_fixed_point(self):
-        params, h = default_config().wire, 1e-3
+        params, h = default_config().wire, self.H
         a, x_inf = self.mode_moments(params, h)
         b = np.array([h, 1.0]) * params.wind_diffusion[0, 0] * math.sqrt(h)
         again = a @ x_inf @ a.transpose(0, 2, 1) + np.outer(b, b)
         np.testing.assert_allclose(again, x_inf, rtol=1e-12, atol=0.0)
 
-    def test_each_point_s_velocity_variance_is_d_dt_over_2c(self):
-        params, h = default_config().wire, 1e-3
-        assert np.array_equal(params.wind_diffusion, 0.1 * np.eye(3))
-        assert params.drag_c == 1.0
-        burn, window = (round(s / (h * self.STRIDE)) for s in (self.BURN_IN_S, self.WINDOW_S))
-        stream = wire.trajectory(params, STILL, [()] * self.EPISODES, h,
-                                 list(range(self.EPISODES)), self.STRIDE)
-        kept = itertools.islice(stream, burn + 1, burn + window + 1)
-        v = np.stack([s.velocities[1:-1] for s in kept])  # (window, N-2, E, 3)
+    def test_the_lyapunov_solve_is_the_update_s_fixed_point_and_the_modes_sum(self,
+                                                                             axis_moments):
+        params, h = default_config().wire, self.H
+        m, q, x = axis_moments
+        np.testing.assert_allclose(m @ x @ m.T + q, x, rtol=0.0, atol=1e-12 * np.abs(x).max())
+        n = params.n_points - 2
+        _, x_inf = self.mode_moments(params, h)
+        shapes2 = self.point_shapes2(params.n_points)
+        np.testing.assert_allclose(np.diag(x)[:n], shapes2 @ x_inf[:, 0, 0], rtol=1e-9)
+        np.testing.assert_allclose(np.diag(x)[n:], shapes2 @ x_inf[:, 1, 1], rtol=1e-9)
+
+    def test_each_point_s_velocity_variance_is_d_dt_over_2c(self, window):
+        params, h = default_config().wire, self.H
+        burn, window_len = self.strides()
+        v = window[1]                                      # (window, N-2, E, 3)
         got = (v * v).mean(axis=(0, 2))                    # per point and axis
 
         a, x_inf = self.mode_moments(params, h)
         a_n = np.linalg.matrix_power(a, (burn + 1) * self.STRIDE)
         a_stride = np.linalg.matrix_power(a, self.STRIDE)
         left = np.zeros(len(a))  # each mode's mean unrelaxed velocity variance
-        for _ in range(window):
-            left += (a_n @ x_inf @ a_n.transpose(0, 2, 1))[:, 1, 1] / window
+        for _ in range(window_len):
+            left += (a_n @ x_inf @ a_n.transpose(0, 2, 1))[:, 1, 1] / window_len
             a_n = a_stride @ a_n
         n = params.n_points
-        i, k = np.meshgrid(np.arange(1, n - 1), np.arange(1, n - 1), indexing="ij")
-        shapes2 = 2.0 / (n - 1) * np.sin(i * k * np.pi / (n - 1)) ** 2
+        shapes2 = self.point_shapes2(n)
         stationary = shapes2 @ x_inf[:, 1, 1]
         want = shapes2 @ (x_inf[:, 1, 1] - left)
         free = 0.1 ** 2 / (2.0 * params.drag_c) / (1.0 - params.drag_c * h / 2.0)
@@ -490,6 +548,38 @@ class TestFluctuationDissipation:
         assert np.all(np.abs(got - want[:, None]) < self.Z * se_point[:, None])
         modes = x_inf[:, 1, 1] - left
         se_mean = math.sqrt(3 * np.sum(2.0 * modes ** 2 / samples)) / got.size
+        assert abs(got.mean() - want.mean()) < self.Z * se_mean
+
+    def test_each_point_s_position_variance_is_the_update_s_stationary_covariance(
+            self, window, axis_moments):
+        params, h = default_config().wire, self.H
+        burn, window_len = self.strides()
+        y = window[0]
+        got = (y * y).mean(axis=(0, 2))                    # per point and axis
+
+        m, _, x = axis_moments
+        m_n = np.linalg.matrix_power(m, (burn + 1) * self.STRIDE)
+        m_stride = np.linalg.matrix_power(m, self.STRIDE)
+        left = np.zeros_like(x)  # the mean unrelaxed covariance over the window
+        for _ in range(window_len):
+            left += m_n @ x @ m_n.T / window_len
+            m_n = m_stride @ m_n
+        n = params.n_points - 2
+        want_cov = (x - left)[:n, :n]
+        want = np.diag(want_cov)
+        assert np.all(np.abs(want / np.diag(x)[:n] - 1.0) < 0.02)  # the burn-in's leftover
+
+        # each mode's integrated correlation time of y², in strides, over 40 s
+        a, x_inf = self.mode_moments(params, h)
+        a_stride, lag = np.linalg.matrix_power(a, self.STRIDE), x_inf
+        tau = np.ones(len(a))
+        for _ in range(round(40.0 / (h * self.STRIDE))):
+            lag = a_stride @ lag
+            tau += 2.0 * (lag[:, 0, 0] / x_inf[:, 0, 0]) ** 2
+        samples = self.EPISODES * window_len / tau.max()
+        se_point = want * math.sqrt(2.0 / samples)
+        assert np.all(np.abs(got - want[:, None]) < self.Z * se_point[:, None])
+        se_mean = math.sqrt(3 * np.sum(2.0 * want_cov ** 2 / samples)) / got.size
         assert abs(got.mean() - want.mean()) < self.Z * se_mean
 
 
