@@ -26,10 +26,11 @@ noise, and `WindModel.velocities` the one owner of the mean wind.
 stride: it draws the noise, computes the stride's kicks in one product
 and its mean-wind block in one call, copies the state it will yield,
 ignores float errors around the stride's `step` calls, and finds a
-divergence.  It yields the equilibrium, then the state after every
-stride, each episode bit for bit its batch of one.  No yielded state
-changes afterwards: the env's `EpisodeBatch` keeps them all as its
-sensor history.  `WireState.episode` reads one episode, or raises its
+divergence by replaying the stride with its own forcing, kicks and
+winds.  It yields the equilibrium, then the state after every stride,
+each episode bit for bit its batch of one.  No yielded state changes
+afterwards: the env's `EpisodeBatch` keeps them all as its sensor
+history.  `WireState.episode` reads one episode, or raises its
 divergence.  `simulate_trajectory` returns a finite slice of one chain.
 
 Point numbering follows the P1..PN convention: user-facing indices are
@@ -351,22 +352,6 @@ def _finite(state: WireState) -> np.ndarray:
             & np.isfinite(state.velocities[1:-1]).all(axis=-1))
 
 
-def _divergence(start: WireState, forcing: Forcing, kicks: np.ndarray,
-                winds: np.ndarray) -> IntegrationDivergedError:
-    """The error of a batch of one that stops being finite within the
-    substeps of `kicks` and `winds` from `start`, found by replaying a copy
-    of it one substep at a time: a non-finite value stays non-finite, so
-    the first substep that leaves a point non-finite names the divergence."""
-    state = start.copy()
-    for k in range(len(kicks)):
-        t = state.time
-        step(state, forcing, kicks[k:k + 1], winds[k:k + 1])
-        bad = ~_finite(state)
-        if bad.any():
-            break
-    return IntegrationDivergedError(int(np.argmax(bad)) + 2, t)
-
-
 def trajectory(params: WireParams, wind: WindModel,
                impulses: Sequence[Sequence[ImpulseEvent]], dt: float,
                seeds: Sequence[int], stride: int) -> Iterator[WireState]:
@@ -382,13 +367,14 @@ def trajectory(params: WireParams, wind: WindModel,
     one copy, the state it advances in place and yields, and ignores float
     errors once, around its `step` calls and any replay.  A stride that
     leaves a value non-finite finds the episodes that stopped being finite
-    in it, and `_divergence` names each one's point and time by replaying
-    its column from the same kicks and winds.  The episode's
-    columns are NaN from that state on, `diverged` holds its error (which
-    `WireState.episode` raises), and the others go on untouched until every
-    episode diverged.  A stride below 1, an `impulses` whose length is not
-    the number of seeds, or a dt that is not positive is refused at the
-    first `next()`.
+    in it, and replays the stride from a copy of its start with the same
+    forcing, kicks and winds, checked after each substep, to name each
+    one's point and time.  A stride whose non-finite columns had all
+    diverged replays nothing.  The episode's columns are NaN from that
+    state on, `diverged` holds its error (which `WireState.episode`
+    raises), and the others go on untouched until every episode diverged.
+    A stride below 1, an `impulses` whose length is not the number of
+    seeds, or a dt that is not positive is refused at the first `next()`.
     """
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
@@ -420,13 +406,17 @@ def trajectory(params: WireParams, wind: WindModel,
             # exact once per stride: no substep turns an inf or NaN finite again
             bad = ~_finite(work).all(axis=0)
             bad[list(work.diverged)] = False  # their columns are NaN already
-            for e in np.flatnonzero(bad).tolist():
-                one = np.s_[..., e:e + 1, :]  # episode e as a batch of one
-                work.diverged[e] = _divergence(
-                    WireState(start.time, start.positions[one], start.velocities[one]),
-                    Forcing(params, wind, impulses[e:e + 1], dt), kicks[one], winds[one])
-                work.positions[:, e] = np.nan
-                work.velocities[:, e] = np.nan
+            if not bad.any():
+                continue
+            work.positions[:, bad] = work.velocities[:, bad] = np.nan
+            replay = start.copy()  # the stride again, checked after each substep
+            for k in range(stride):
+                t = replay.time
+                step(replay, forcing, kicks[k:k + 1], winds[k:k + 1])
+                finite = _finite(replay)
+                for e in np.flatnonzero(bad & ~finite.all(axis=0)).tolist():
+                    point = int(np.argmin(finite[:, e])) + 2  # its lowest non-finite point
+                    work.diverged[e], bad[e] = IntegrationDivergedError(point, t), False
 
 
 def simulate_trajectory(params: WireParams, wind: WindModel,

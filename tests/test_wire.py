@@ -583,6 +583,81 @@ class TestFluctuationDissipation:
         assert abs(got.mean() - want.mean()) < self.Z * se_mean
 
 
+class TestNormalModes:
+    """In still mean wind with no noise, once the impulse window has ended,
+    each axis's displacement y from equilibrium splits into the modes of
+    the negative discrete Laplacian: shapes s_k(i) = sin(k·i·π/(N−1)) and
+    ω_k = 2·sqrt(k0·N/m)·sin(kπ/(2(N−1))).  One substep of h moves
+    v' = (1 − c0·h)·v − ω_k²·h·y and y' = y + h·v' in each, so eliminating
+    v, each mode's projection y_k obeys
+
+        y_k' = (2 − c0·h − (ω_k·h)²)·y_k − (1 − c0·h)·y_k⁻
+
+    up to rounding and the equilibrium's residual r = (k0·N/m)·Lx_eq + g.
+
+    The bound, to first order in u = 2⁻⁵³, with X, V the largest |x|, |v|
+    of the axis over the record: `step` makes x' = x + h·v' + δ, where the
+    product and the sum round by |δ| ≤ u·(X + h·V), and
+    v' = (1 − c0·h)·v + h·a + ε, a the exact acceleration.  ε holds the
+    rounding of x₊ + x₋ (2u·X, times k0·N/m·h), of six more operations
+    below A = 4·(k0·N/m)·X + |g| + c0·V once scaled to an acceleration
+    (u·A each, times h), and of v + h·a (u·V).  Eliminating v leaves
+    δ' − (1 − c0·h)·δ + h·ε + h²·r per point, so y_k misses the recurrence
+    by at most
+
+        Σ_i |s_k(i)|·(u·(2·(X + h·V) + h·(V + h·(2·(k0·N/m)·X + 6·A))) + h²·|r_i|).
+
+    The check's own arithmetic runs in long double, of unit roundoff u_L
+    (π too, and k·i is reduced by the period first): the shapes, the
+    subtraction, the N−2 term sums and the recurrence's products add at
+    most 2N·u_L·Σ_i |s_k(i)|·4·Y, Y the largest |y|.  Where long double
+    is float64, u_L = u and the bound still holds."""
+
+    H = 1e-3
+
+    @pytest.mark.parametrize("drag_c", [0.0, 1.0])
+    def test_each_mode_obeys_its_recurrence(self, drag_c):
+        # a 10 ms push at P4, then 4000 free substeps, recorded at each
+        params = quiet_params(drag_c=drag_c)
+        n, h, coeff = params.n_points, self.H, params.spring_accel_coeff
+        push = wire.ImpulseEvent(point_number=4, force=[30.0, -10.0, 470.0],
+                                 apply_time=0.0, duration_s=0.01)
+        stream = wire.trajectory(params, STILL, [[push]], h, [0], 1)
+        eq = next(stream).positions[:, 0]
+        record = list(itertools.islice(stream, 9, 9 + 4001))
+        assert record[0].time == pytest.approx(0.01)  # the window's last substep is done
+        x = np.stack([s.positions[1:-1, 0] for s in record])   # (T, N-2, 3)
+        v = np.stack([s.velocities[1:-1, 0] for s in record])
+
+        ld = np.longdouble
+        pi, k = 4 * np.arctan(ld(1)), np.arange(1, n - 1)
+        shapes = np.sin(np.outer(k, k) % (2 * (n - 1)) * pi / (n - 1))  # (modes, points)
+        eq = eq.astype(ld)
+        y = x.astype(ld) - eq[1:-1]
+        y_k = np.einsum("ki,tia->tka", shapes, y)               # (T, modes, 3)
+
+        def residual(stiffer):
+            w2h2 = 4 * ld(coeff) * stiffer * ld(h) ** 2 * np.sin(k * pi / (2 * (n - 1))) ** 2
+            damp = 1 - ld(drag_c) * ld(h)
+            return np.abs(y_k[2:] - (1 + damp - w2h2)[:, None] * y_k[1:-1]
+                          + damp * y_k[:-2]).max(axis=0)     # (modes, 3)
+
+        u, u_l = np.finfo(float).eps / 2, np.finfo(ld).eps / 2
+        big_x, big_v = np.abs(x).max(axis=(0, 1)), np.abs(v).max(axis=(0, 1))
+        big_a = 4.0 * coeff * big_x + np.abs(params.gravity) + drag_c * big_v
+        per_point = u * (2.0 * (big_x + h * big_v)
+                         + h * (big_v + h * (2.0 * coeff * big_x + 6.0 * big_a)))
+        r = ld(coeff) * (eq[2:] + eq[:-2] - 2 * eq[1:-1]) + params.gravity.astype(ld)
+        big_y = np.abs(y).max(axis=(0, 1))
+        weight = np.abs(shapes)
+        bound = (weight.sum(axis=1)[:, None] * (per_point + 2 * n * u_l * 4 * big_y)
+                 + h * h * (weight @ np.abs(r)))
+        got = residual(1.0)
+        assert np.all(got <= bound), (got / bound).max()
+        # springs 0.1 % stiffer in the expected ω_k miss it on every mode and axis
+        assert np.all(residual(1.001) > bound)
+
+
 class TestWindModel:
     def test_zero_at_t0(self):
         np.testing.assert_allclose(WIND.velocities(0.0, 1e-3, 1), 0.0,
@@ -748,9 +823,11 @@ class TestTrajectory:
                             lambda ev, dt: calls.append(dt) or acts(ev, dt))
         ev = wire.ImpulseEvent(point_number=4, force=[0, 0, 470.0], apply_time=0.0,
                                duration_s=0.01)
-        stream = wire.trajectory(quiet_params(), STILL, [[ev], [ev]], 1e-3, [0, 1], 10)
-        for _ in range(5):
-            next(stream)
+        # episode 1 diverges in the fourth stride: its replay reuses the
+        # stream's windows
+        stream = wire.trajectory(quiet_params(), STILL, [[ev], [huge(6, 0.0305)]], 1e-3,
+                                 [0, 1], 10)
+        assert 1 in list(itertools.islice(stream, 7))[-1].diverged
         assert calls == [1e-3, 1e-3]
 
     def test_csv_export_columns(self, tmp_path):
@@ -945,6 +1022,31 @@ class TestDivergence:
         for got, a in zip(episode_states(batch, 2, n), alone):
             assert_same_state(got, a)
 
+    def test_episodes_diverging_in_different_strides(self):
+        # episode 1 diverges in the fourth stride (30..40 ms) at P4, and
+        # episode 0 in the sixth (50..60 ms) at P9, when episode 1's column
+        # is NaN already: that stride's replay must not report it again
+        params, seeds, n = table_params(), [11, 12, 13], 8
+        impulses = [[huge(9, 0.0515)], [huge(4, 0.0305)], []]
+        batch = list(itertools.islice(
+            wire.trajectory(params, WIND, impulses, 1e-3, seeds, 10), n))
+        for e, (point, when, first) in enumerate([(9, 0.051, 6), (4, 0.030, 4)]):
+            _, alone = diverge_alone(params, WIND, impulses[e], 1e-3, seeds[e], 10)
+            assert (alone.point_number, alone.time) == (point, pytest.approx(when))
+            for k, state in enumerate(batch):
+                err = state.diverged.get(e)
+                if k < first:
+                    assert err is None and np.isfinite(state.positions[:, e]).all()
+                else:
+                    assert (err.point_number, err.time, str(err)) == (
+                        alone.point_number, alone.time, str(alone))
+                    assert np.isnan(state.positions[:, e]).all()
+                    assert np.isnan(state.velocities[:, e]).all()
+        assert all(state.diverged[1] is batch[4].diverged[1] for state in batch[4:])
+        alone = one_chain(params, WIND, impulses[2], seeds[2], n)
+        for got, a in zip(episode_states(batch, 2, n), alone):
+            assert_same_state(got, a)
+
     def test_states_already_yielded_are_left_unchanged(self):
         # the env keeps every state it reads; the replay and the NaN columns
         # of a divergence must not reach back into them
@@ -961,7 +1063,7 @@ class TestDivergence:
 def test_only_trajectory_constructs_the_divergence_error():
     # one divergence path: `step` only integrates, and the env re-raises
     # the errors `trajectory` stores; a second check would drift from it
-    allowed = {"wire.trajectory", "wire._divergence"}
+    allowed = {"wire.trajectory"}
     found = set()
     for source in sorted(Path(wire.__file__).parent.glob("*.py")):
         for top in ast.parse(source.read_text()).body:
@@ -970,5 +1072,5 @@ def test_only_trajectory_constructs_the_divergence_error():
                         node.exc if isinstance(node, ast.Raise) else None)
                 if made is not None and ast.unparse(made).endswith("IntegrationDivergedError"):
                     found.add(f"{source.stem}.{getattr(top, 'name', '<module>')}")
-    assert "wire._divergence" in found
+    assert "wire.trajectory" in found
     assert sorted(found - allowed) == []
