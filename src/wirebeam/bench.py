@@ -136,11 +136,21 @@ def aggregate_metrics(cfg: ExperimentConfig, policy: str, envs: list[BeamTrackin
 # --------------------------------------------------------------------------
 
 def run_train(cfg: ExperimentConfig, out_dir) -> tuple[Path, Path]:
-    """Train per the config; returns (checkpoint path, training-log path)."""
+    """Train per the config; returns (checkpoint path, training-log path).
+    Each phase is evaluated on fresh envs of its eval seed: greedy, then each baseline."""
     out = Path(out_dir)
     baselines = {k.value: load_policy(cfg, k) for k in BASELINES}
-    result = dqn.train(lambda seed: make_envs(cfg, [seed])[0], cfg.train, cfg.seed,
-                       baselines)
+
+    def evaluate(params: dqn.MlpParams, eval_seed: int) -> dict:
+        # each step's (power, reward), not its outcome, which holds its wire state
+        runs = {name: [(o.raw_power_dbm, o.proxy_reward) for o in rollout(
+                    make_envs(cfg, [eval_seed])[0], fn, cfg.train.eval_steps)]
+                for name, fn in {"eval": dqn.greedy_policy(params), **baselines}.items()}
+        return {"mean_proxy_reward": float(np.mean([r for _, r in runs["eval"]])),
+                **{f"mean_{name}_power_dbm": float(np.mean([p for p, _ in steps]))
+                   for name, steps in runs.items()}}
+
+    result = dqn.train(lambda seed: make_envs(cfg, [seed])[0], cfg.train, cfg.seed, evaluate)
 
     sidecar = {"seed": cfg.seed, "total_steps": cfg.train.total_steps,
                "scenario": cfg.scenario, "state_mode": cfg.state_mode,
@@ -159,10 +169,10 @@ def run_train(cfg: ExperimentConfig, out_dir) -> tuple[Path, Path]:
 
 
 def _write_training_log(path, cfg: ExperimentConfig, log_rows: list[dict]):
+    """One line per phase; a row missing a column raises KeyError and writes nothing."""
     cols = ["global_step", "phase", "mean_eval_power_dbm", "mean_proxy_reward", "loss",
             *(f"mean_{k.value}_power_dbm" for k in BASELINES), "eval_seed"]
-    write_csv(path, cols, ([row.get(c, "") for c in cols] for row in log_rows),
-              cfg.echo_json())
+    write_csv(path, cols, ([row[c] for c in cols] for row in log_rows), cfg.echo_json())
 
 
 def evaluate_policies(cfg: ExperimentConfig, policies: dict, episodes: int, out: Path,

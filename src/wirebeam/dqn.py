@@ -3,8 +3,9 @@
 A plain MLP (three ReLU hidden layers, linear head over the nine steering
 actions) is trained with Huber TD errors against a periodically frozen
 target network, uniform replay sampling, and hand-rolled bias-corrected
-Adam.  Every stochastic choice flows from one injected generator, so a
-fixed seed reproduces parameters bit for bit.
+Adam.  Every stochastic choice, each phase's eval seed included, flows from
+one injected generator, so a fixed seed reproduces parameters bit for bit.
+`train` only learns: the caller's `evaluate` runs the phase-end evaluation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .env import N_ACTIONS, rollout
+from .env import N_ACTIONS
 from .files import atomic_open
 
 CHECKPOINT_MAGIC = b"WBQN"
@@ -305,27 +306,41 @@ class TrainResult:
     log: list[dict] = field(default_factory=list)
 
 
-def _segment(env, policy_fn, steps: int) -> tuple[float, float]:
-    """(mean raw power, mean proxy reward) of a policy over up to `steps` steps."""
-    outcomes = rollout(env, policy_fn, steps)
-    return (float(np.mean([o.raw_power_dbm for o in outcomes])),
-            float(np.mean([o.proxy_reward for o in outcomes])))
+def _update_phase(params: MlpParams, target: MlpParams, adam: AdamState,
+                  buffer: ReplayBuffer, cfg: TrainConfig, rng: np.random.Generator,
+                  global_step: int, phase: int) -> list[float]:
+    """outer_iterations blocks of sample_block transitions, drawn with `rng` and each
+    fitted for `epochs` passes of minibatch Adam; returns the losses, evaluates nothing
+    and draws no eval seed.  A non-finite loss raises TrainingDivergedError."""
+    grads, losses = MlpParams(params.dims), []  # every update overwrites all of grads
+    for _ in range(cfg.outer_iterations):
+        block = buffer.sample(rng, cfg.sample_block)
+        for _ in range(cfg.epochs):
+            order = rng.permutation(cfg.sample_block)
+            for lo in range(0, cfg.sample_block, cfg.minibatch):
+                mb = block.take(order[lo:lo + cfg.minibatch])
+                loss = _loss_and_grad(params, mb, target, cfg.discount, grads)
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(
+                        "non-finite loss",
+                        {"global_step": global_step, "phase": phase, "loss": loss,
+                         "q_max": float(np.max(np.abs(forward(params, mb.states))))})
+                _adam_update_inplace(params, adam, grads.flat, cfg.learning_rate,
+                                     cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+                losses.append(loss)
+    return losses
 
 
 def train(build_env: Callable[[int], object], cfg: TrainConfig, seed: int,
-          baseline_policies: dict[str, Callable] | None = None) -> TrainResult:
-    """Run the full DQN protocol and return parameters plus the phase log.
+          evaluate: Callable[[MlpParams, int], dict]) -> TrainResult:
+    """Run the DQN protocol and return parameters plus the phase log.
 
-    build_env(seed) must build a fresh episode handle, one per training
-    episode or segment, exposing .state_vector, read after every step, and
-    .step(action), whose outcome has .proxy_reward and .episode_done.  Every
-    update_period_steps environment steps (once the buffer holds a full sample
-    block), outer_iterations blocks of sample_block transitions are drawn and
-    fitted for `epochs` passes of minibatch Adam updates; the target network
-    refreshes every target_sync_steps; after each update phase a fresh greedy
-    episode segment is evaluated and logged, together with any baseline
-    policies run on the same evaluation seed.
-    """
+    build_env(seed) builds a fresh training episode exposing .state_vector,
+    read after every step, and .step(action), whose outcome has .proxy_reward
+    and .episode_done.  Every update_period_steps steps, once the buffer holds
+    a sample block, `_update_phase` runs, then an eval seed is drawn from the
+    training rng and evaluate(params, eval_seed) returns the row's other columns.
+    The target network refreshes every target_sync_steps."""
     rng = np.random.default_rng(seed)
     env = build_env(int(rng.integers(2 ** 63)))
     s = np.asarray(env.state_vector, float)
@@ -333,11 +348,9 @@ def train(build_env: Callable[[int], object], cfg: TrainConfig, seed: int,
 
     params = init_mlp((input_dim, *cfg.hidden_sizes, N_ACTIONS), rng)
     target = params.copy()
-    grads = MlpParams(params.dims)
     adam = init_adam(params)
     buffer = ReplayBuffer(cfg.replay_capacity, input_dim)
     result = TrainResult(params=params, target_params=target, adam=adam)
-    phase = 0
 
     for global_step in range(1, cfg.total_steps + 1):
         action = select_action(forward(params, s), cfg.epsilon_train, rng)
@@ -351,38 +364,12 @@ def train(build_env: Callable[[int], object], cfg: TrainConfig, seed: int,
             target.flat[:] = params.flat
 
         if global_step % cfg.update_period_steps == 0 and len(buffer) >= cfg.sample_block:
-            phase += 1
-            losses = []
-            for _ in range(cfg.outer_iterations):
-                block = buffer.sample(rng, cfg.sample_block)
-                for _ in range(cfg.epochs):
-                    order = rng.permutation(cfg.sample_block)
-                    for lo in range(0, cfg.sample_block, cfg.minibatch):
-                        mb = block.take(order[lo:lo + cfg.minibatch])
-                        loss = _loss_and_grad(params, mb, target, cfg.discount, grads)
-                        if not math.isfinite(loss):
-                            raise TrainingDivergedError(
-                                "non-finite loss",
-                                {"global_step": global_step, "phase": phase,
-                                 "loss": loss,
-                                 "q_max": float(np.max(np.abs(forward(params, mb.states))))})
-                        _adam_update_inplace(params, adam, grads.flat,
-                                             cfg.learning_rate, cfg.adam_beta1,
-                                             cfg.adam_beta2, cfg.adam_eps)
-                        losses.append(loss)
-
+            phase = len(result.log) + 1
+            losses = _update_phase(params, target, adam, buffer, cfg, rng, global_step, phase)
             eval_seed = int(rng.integers(2 ** 63))
-            mean_power, mean_reward = _segment(build_env(eval_seed),
-                                               greedy_policy(params), cfg.eval_steps)
-            row = {"global_step": global_step, "phase": phase,
-                   "mean_eval_power_dbm": mean_power,
-                   "mean_proxy_reward": mean_reward,
-                   "loss": float(np.mean(losses)),
-                   "eval_seed": eval_seed}
-            for name, fn in (baseline_policies or {}).items():
-                row[f"mean_{name}_power_dbm"] = _segment(
-                    build_env(eval_seed), fn, cfg.eval_steps)[0]
-            result.log.append(row)
+            result.log.append({"global_step": global_step, "phase": phase,
+                               "loss": float(np.mean(losses)), "eval_seed": eval_seed,
+                               **evaluate(params, eval_seed)})
 
     return result
 

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import csv
 import hashlib
 import importlib
 import json
@@ -28,6 +29,7 @@ from wirebeam.env import angle_error_deg, write_trace_csv
 from wirebeam.policies import PolicyKind
 
 from test_dqn import OVERSIZED_HEADERS, write_oversized_checkpoint
+from test_golden import TINY
 
 TINY_TRAIN = {
     "env.episode_duration_s": "0.5",
@@ -191,6 +193,59 @@ class TestRunTrain:
         with pytest.raises(RuntimeError, match="learner diverged"):
             run_train(tiny_cfg(), out)
         assert not out.exists()
+
+    def test_a_log_row_missing_a_column_writes_nothing(self, tmp_path):
+        cfg = tiny_cfg()
+        _, log = run_train(cfg, tmp_path / "run")
+        rows = list(csv.DictReader(log.read_text().splitlines()[1:]))
+        for column in rows[0]:
+            out = tmp_path / column / "training_log.csv"
+            with pytest.raises(KeyError, match=column):
+                bench._write_training_log(out, cfg, [*rows[:-1], {
+                    k: v for k, v in rows[-1].items() if k != column}])
+            assert list(out.parent.iterdir()) == []
+
+
+class TestTrainingDraws:
+    """No draw of `dqn.train` depends on the network or on the evaluation, so
+    a run's env seeds and eval seeds follow from its config and seed alone."""
+
+    @staticmethod
+    def run(tmp_path, monkeypatch, learning_rate: str):
+        """`run_train` on the golden run's config at `learning_rate`: (the
+        config, the seeds of every env it built, in order, its TrainResult)."""
+        cfg = default_config(**{**TINY, "train.learning_rate": learning_rate})
+        seeds, results = [], []
+        real_make_envs, real_train = bench.make_envs, dqn.train
+
+        def recording_make_envs(cfg, env_seeds):
+            seeds.extend(env_seeds)
+            return real_make_envs(cfg, env_seeds)
+
+        def recording_train(*args):
+            results.append(real_train(*args))
+            return results[-1]
+        with monkeypatch.context() as m:
+            m.setattr(bench, "make_envs", recording_make_envs)
+            m.setattr(dqn, "train", recording_train)
+            run_train(cfg, tmp_path / learning_rate)
+        return cfg, seeds, results[0]
+
+    def test_seeds_do_not_depend_on_the_network(self, tmp_path, monkeypatch):
+        (_, seeds, slow), (_, fast_seeds, fast) = (
+            self.run(tmp_path, monkeypatch, lr) for lr in ("1e-4", "1e-2"))
+        # four training episodes, and three segments after each of two phases
+        assert len(seeds) == 10 and fast_seeds == seeds
+        assert [r["eval_seed"] for r in fast.log] == [r["eval_seed"] for r in slow.log]
+        assert not np.array_equal(fast.params.flat, slow.params.flat)
+
+    def test_the_learner_does_not_depend_on_the_evaluation(self, tmp_path, monkeypatch):
+        cfg, _, logged = self.run(tmp_path, monkeypatch, "1e-4")
+        bare = dqn.train(lambda seed: make_envs(cfg, [seed])[0], cfg.train, cfg.seed,
+                         lambda params, eval_seed: {})
+        assert np.array_equal(bare.params.flat, logged.params.flat)
+        assert [(r["phase"], r["loss"], r["eval_seed"]) for r in bare.log] == \
+            [(r["phase"], r["loss"], r["eval_seed"]) for r in logged.log]
 
 
 # (axis, a good value, a value that forms no valid config)

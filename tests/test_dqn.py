@@ -506,7 +506,8 @@ class TestTraining:
         # 600 steps, update every 300, block of 256: exactly 2 phases logged
         cfg = stub_cfg(update_period_steps=300, sample_block=256, total_steps=600,
                        target_sync_steps=3000)
-        result = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=0)
+        result = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=0,
+                           evaluate=lambda p, s: {})
         assert len(result.log) == 2
         assert [r["phase"] for r in result.log] == [1, 2]
         assert [r["global_step"] for r in result.log] == [300, 600]
@@ -515,20 +516,24 @@ class TestTraining:
         # block of 2048 is never filled within 600 steps: no updates at all
         cfg = stub_cfg(update_period_steps=300, sample_block=2048,
                        replay_capacity=4096, total_steps=600)
-        result = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=0)
+        result = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=0,
+                           evaluate=lambda p, s: {})
         assert result.log == []
 
     def test_bit_identical_under_fixed_seed(self):
         cfg = stub_cfg(total_steps=150)
-        r1 = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=42)
-        r2 = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=42)
+        r1 = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=42,
+                       evaluate=lambda p, s: {})
+        r2 = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=42,
+                       evaluate=lambda p, s: {})
         assert same_params(r1.params, r2.params)
         assert r1.log == r2.log
 
     def test_target_network_isolated_between_syncs(self):
         # no sync ever happens: the target must still equal the initial net
         cfg = stub_cfg(total_steps=200, target_sync_steps=10_000)
-        result = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=3)
+        result = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=3,
+                           evaluate=lambda p, s: {})
         rng = np.random.default_rng(3)
         rng.integers(2 ** 63)  # the factory seed draw precedes initialization
         init = init_mlp((5, 16, 16, 16, 9), rng)
@@ -542,9 +547,21 @@ class TestTraining:
         cfg = stub_cfg(discount=0.9, epsilon_train=1.0, learning_rate=4e-4,
                        update_period_steps=20, epochs=8, target_sync_steps=40,
                        total_steps=3_000)
-        result = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=1)
+        result = dqn.train(lambda seed: ConstantRewardEnv(), cfg, seed=1,
+                           evaluate=lambda p, s: {})
         q = forward(result.params, ConstantRewardEnv().state_vector)
         assert np.mean(q) == pytest.approx(10.0, rel=0.02)
+
+    def test_a_non_finite_loss_raises_with_its_diagnostics(self):
+        # the first Adam steps at this rate carry the weights past float range
+        cfg = stub_cfg(total_steps=300, learning_rate=1e150)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(dqn.TrainingDivergedError, match="non-finite loss") as err:
+            dqn.train(lambda seed: ConstantRewardEnv(), cfg, 0, lambda p, s: {})
+        diagnostics = err.value.diagnostics
+        assert sorted(diagnostics) == ["global_step", "loss", "phase", "q_max"]
+        assert (diagnostics["global_step"], diagnostics["phase"]) == (130, 1)
+        assert math.isnan(diagnostics["loss"])
 
 
 def test_only_forward_applies_the_relu():
