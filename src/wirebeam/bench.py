@@ -92,10 +92,10 @@ def rollout_episode(env: BeamTrackingEnv, policy_fn) -> list[StepOutcome]:
 def post_impulse_window(env: BeamTrackingEnv, outcomes: list[StepOutcome]) -> list[float]:
     """Powers at the steps of `env`'s episode, rolled out from its start,
     within (t_impulse, t_impulse + 300 ms]."""
-    t0 = env.schedule.impulse_time
-    if t0 is None:
+    impulse = env.schedule.impulse
+    if impulse is None:
         return []
-    lo, hi, tau = t0, t0 + POST_IMPULSE_WINDOW_S, env.cfg.tau
+    lo, hi, tau = impulse.apply_time, impulse.apply_time + POST_IMPULSE_WINDOW_S, env.cfg.tau
     return [r.raw_power_dbm for k, r in enumerate(outcomes, start=1)
             if lo < k * tau <= hi + 1e-9]
 
@@ -142,7 +142,7 @@ def run_train(cfg: ExperimentConfig, out_dir) -> tuple[Path, Path]:
     baselines = {k.value: load_policy(cfg, k) for k in BASELINES}
 
     def evaluate(params: dqn.MlpParams, eval_seed: int) -> dict:
-        # each step's (power, reward), not its outcome, which holds its wire state
+        # each step's (power, reward) alone, the whole of what the means read
         runs = {name: [(o.raw_power_dbm, o.proxy_reward) for o in rollout(
                     make_envs(cfg, [eval_seed])[0], fn, cfg.train.eval_steps)]
                 for name, fn in {"eval": dqn.greedy_policy(params), **baselines}.items()}
@@ -422,9 +422,9 @@ def export_trajectory(cfg: ExperimentConfig, out_dir, duration: float,
     params = cfg.wire
     if not with_wind:
         params = dataclasses.replace(params, wind_diffusion=np.zeros((3, 3)))
-    samples = simulate_trajectory(params, wind, [cfg.env.impulse_at(impulse_time)],
-                                  duration, cfg.env.substep_dt, cfg.seed,
-                                  sample_every=cfg.env.tau)
+    impulse = dataclasses.replace(cfg.env.impulses[0], apply_time=impulse_time)
+    samples = simulate_trajectory(params, wind, [impulse], duration, cfg.env.substep_dt,
+                                  cfg.seed, sample_every=cfg.env.tau)
     path = Path(out_dir) / "trajectory.csv"
     write_trajectory_csv(path, samples)
     return path

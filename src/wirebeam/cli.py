@@ -28,30 +28,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="wirebeam",
                                 description="Beam tracking on an overhead "
                                             "messenger wire: training, "
-                                            "evaluation and sweeps")
+                                            "evaluation and sweeps",
+                                allow_abbrev=False)
     sub = p.add_subparsers(dest="verb", required=True)
     policy_names = [k.value for k in PolicyKind]
     # an option whose dest is a config key overrides that key (see _load)
 
-    def common(sp):
+    def verb(name, help):
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.add_argument("--config", required=True, help="key=value config file")
         sp.add_argument("--seed", type=int, default=None, help="override the seed")
         sp.add_argument("--out", default=None, help="output directory (default: output_dir)")
         sp.add_argument("--smoke", action="store_true",
                         help="reduced-scale profile for quick runs")
+        return sp
 
-    sp = sub.add_parser("train", help="train the DQN policy")
-    common(sp)
+    verb("train", "train the DQN policy")
 
-    sp = sub.add_parser("eval", help="evaluate a policy over seeded episodes")
-    common(sp)
+    sp = verb("eval", "evaluate a policy over seeded episodes")
     sp.add_argument("--policy", choices=policy_names, required=True)
     sp.add_argument("--checkpoint", default=None, help="required for --policy dqn")
     sp.add_argument("--episodes", dest="eval.episodes", type=int, default=None,
                     help="override eval.episodes")
 
-    sp = sub.add_parser("sweep", help="run the configured parameter sweep")
-    common(sp)
+    sp = verb("sweep", "run the configured parameter sweep")
     sp.add_argument("--axis", dest="sweep.axis", choices=tuple(SWEEP_AXES), default=None)
     sp.add_argument("--values", dest="sweep.values", default=None,
                     help="comma-separated axis values")
@@ -59,13 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--policies", dest="sweep.policies", default=None,
                     help=f"comma-separated subset of {','.join(policy_names)}")
 
-    sp = sub.add_parser("pattern", help="export the beam-pattern CSV")
-    common(sp)
+    sp = verb("pattern", "export the beam-pattern CSV")
     sp.add_argument("--span-deg", type=float, default=60.0)
     sp.add_argument("--step-deg", type=float, default=1.0)
 
-    sp = sub.add_parser("trajectory", help="export an impulse-response trajectory")
-    common(sp)
+    sp = verb("trajectory", "export an impulse-response trajectory")
     sp.add_argument("--duration-s", type=float, default=0.5)
     sp.add_argument("--impulse-time-s", type=float, default=0.0)
     sp.add_argument("--with-wind", action="store_true")
@@ -106,7 +104,7 @@ def main(argv=None) -> int:
         elif args.verb == "trajectory":
             print(bench.export_trajectory(cfg, out, args.duration_s,
                                           args.impulse_time_s, args.with_wind))
-    except (ConfigError, bench.EvalError, ValueError) as e:
+    except ValueError as e:  # ConfigError and bench.EvalError among them
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failure

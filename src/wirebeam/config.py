@@ -6,9 +6,10 @@ empty file is a valid Table-style baseline run, and the config dataclasses
 have none and take every value explicitly.  Building materializes all
 defaults, records where each value came from ("file" or "default[:note]"),
 derives the quantities that depend on the wire shape (receiver position,
-auto reward offset), and validates the cross-module invariants.  The echo
-of a built config is embedded in every output file so results stay
-re-derivable from their own headers.
+auto reward offset), validates the cross-module invariants, and makes
+the configured impulse once, a `wire.ImpulseEvent` per time, which checks
+itself.  The echo of a built config is embedded in every output file so
+results stay re-derivable from their own headers.
 """
 
 from __future__ import annotations
@@ -333,14 +334,17 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     sense_points = r.number("env.sense_points", int, count=None)
     reward_offset = r.number("env.reward_offset_dbm", none_if="auto")
     impulse_duration = r.number("wire.impulse_duration_s", none_if="substep")
-    impulse_times = r.number("wire.impulse_times_s", count=None)
-    # in either scenario: an episode's ImpulseEvent would not name the key
-    if impulse_duration is not None and impulse_duration <= 0:
-        raise ConfigError("wire.impulse_duration_s: expected a positive number or "
-                          f"'substep', got {r.raw('wire.impulse_duration_s')!r}")
-    if min(impulse_times) < 0:
-        raise ConfigError("wire.impulse_times_s: expected numbers >= 0, got "
-                          f"{r.raw('wire.impulse_times_s')!r}")
+    # made, and so checked, in either scenario; the point only where applied
+    with _section("wire.impulse_duration_s"):
+        impulse = wire_mod.ImpulseEvent(r.number("wire.impulse_point", int),
+                                        r.number("wire.impulse_force_n", count=3),
+                                        0.0, impulse_duration)
+    with _section("wire.impulse_times_s"):
+        impulses = tuple(replace(impulse, apply_time=t)
+                         for t in r.number("wire.impulse_times_s", count=None))
+    if scenario == "wind_plus_impulse":
+        with _section("wire.impulse_point"):
+            impulse.validate_for(wire_params)
 
     env_cfg = EnvConfig(
         tau=r.number("env.tau_s"),
@@ -352,10 +356,7 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         reward_offset_dbm=0.0 if reward_offset is None else reward_offset,  # auto: below
         reward_scale_db=r.number("env.reward_scale_db"),
         impulse_enabled=(scenario == "wind_plus_impulse"),
-        impulse_times_s=impulse_times,
-        impulse_point=r.number("wire.impulse_point", int),
-        impulse_force=r.number("wire.impulse_force_n", count=3),
-        impulse_duration_s=impulse_duration,
+        impulses=impulses,
         substep_dt=r.number("wire.substep_dt_s"),
     )
     check_invariants(env_cfg, wire_params)

@@ -2,25 +2,25 @@
 
 An environment is a view of one episode of an `EpisodeBatch`.  The batch
 owns the task's `EnvConfig`, checked against the wire once, and one
-`wire.trajectory` stream, one state per beam-refinement interval
-tau: the wire never reads the beam.  It holds one column per distinct
-seed, whose draws (the impulse time and the wire's noise seed, see
-`EpisodeSchedule`) the seed fixes, advances all of them together and
-keeps each state, so the envs can be rolled out one after another and
-envs of the same seed (one per policy) read the same column.  The batch
-is the one holder of an episode's history: an env keeps only its step
-count and current state.  Each step applies the chosen steering action,
-takes the next wire state (the scheduled impulse acts when its time
-falls inside the interval), and the agent observes the sensed points of
-the state from `lookback` seconds ago, read back from the batch,
-together with the current steering vector.  The reward is the
+`wire.trajectory` stream, one state per beam-refinement interval tau:
+the wire never reads the beam.  It holds one column per distinct seed,
+whose draws (one of the configured `wire.ImpulseEvent`s and the wire's
+noise seed, see `EpisodeSchedule`) the seed fixes, advances all of them
+together and keeps each state, so the envs can be rolled out one after
+another and envs of the same seed (one per policy) read the same column.
+The batch is the one holder of an episode's history: an env keeps only
+its step count and current state.  Each step applies the chosen steering
+action, takes the next wire state (the scheduled impulse acts when its
+time falls inside the interval), and the agent observes the sensed
+points of the state from `lookback` seconds ago, read back from the
+batch, together with the current steering vector.  The reward is the
 received power mapped through an affine clip to [-1, 1].  Each step
 computes the node's look geometry (`channel.look_angles`) once; the env
 keeps it and its `StepOutcome` carries it, so the reward, the oracle,
 the trace and the metrics all read it.  `rollout` steps a policy and
 returns one `StepOutcome` per step; every evaluation path records steps
-that way.  `state_vector` builds the observation on its first read
-after each step: the oracle and the fixed beam never pay for it.
+that way.  `state_vector` builds the observation on its first read after
+each step: the oracle and the fixed beam never pay for it.
 
 The observation vector is, per sensed point, [position (3), velocity (3)],
 blocks in sense-point order, followed by the unit steering vector (3).
@@ -69,16 +69,12 @@ class EnvConfig:
     reward_offset_dbm: float    # b_c
     reward_scale_db: float      # d_c
     impulse_enabled: bool
-    impulse_times_s: tuple[float, ...]
-    impulse_point: int
-    impulse_force: tuple[float, float, float]
-    impulse_duration_s: float | None  # None: single physics substep
+    impulses: tuple[wire.ImpulseEvent, ...]  # the configured event at each time
     substep_dt: float           # physics substep [s]
 
     def __post_init__(self):
         object.__setattr__(self, "sense_points", tuple(self.sense_points))
-        object.__setattr__(self, "impulse_times_s", tuple(self.impulse_times_s))
-        object.__setattr__(self, "impulse_force", tuple(self.impulse_force))
+        object.__setattr__(self, "impulses", tuple(self.impulses))
         if self.refine_angle <= 0:
             raise ConfigError("refine_angle must be positive")
         if self.reward_scale_db <= 0:
@@ -111,16 +107,11 @@ class EnvConfig:
     def state_dim(self) -> int:
         return 6 * len(self.sense_points) + 3
 
-    def impulse_at(self, t: float) -> wire.ImpulseEvent:
-        """The configured impulse, starting at time t [s]."""
-        return wire.ImpulseEvent(self.impulse_point, self.impulse_force, t,
-                                 self.impulse_duration_s)
-
 
 def check_invariants(env_cfg: EnvConfig, wire_params: wire.WireParams):
     """Invariants tying the task to its wire: the substep below the
-    stability bound, sense points on the wire, interior radio and impulse
-    points.  Raises ConfigError."""
+    stability bound, sense points on the wire, an interior radio point.
+    Raises ConfigError.  An impulse point is its event's own check."""
     bound = wire_params.max_stable_dt()
     if env_cfg.substep_dt >= bound:
         raise ConfigError(
@@ -133,9 +124,6 @@ def check_invariants(env_cfg: EnvConfig, wire_params: wire.WireParams):
             raise ConfigError(f"sense point P{p} outside 1..{n}")
     if not 1 < env_cfg.tx_point < n:
         raise ConfigError(f"tx_point P{env_cfg.tx_point} must be interior (2..{n - 1})")
-    if env_cfg.impulse_enabled and not 1 < env_cfg.impulse_point < n:
-        raise ConfigError(f"impulse point P{env_cfg.impulse_point} must be "
-                          f"interior (2..{n - 1})")
 
 
 def _is_multiple(value: float, unit: float) -> bool:
@@ -170,18 +158,19 @@ def proxy_reward(raw_dbm: float, offset_dbm: float, scale_db: float) -> float:
 
 @dataclass(frozen=True)
 class EpisodeSchedule:
-    """An episode's random draws, made from its env seed."""
+    """An episode's draws from its env seed: one of `env_cfg.impulses`
+    (None without impulses) and the wire's noise seed."""
 
-    impulse_time: float | None
+    impulse: wire.ImpulseEvent | None
     noise_seed: int
 
     @classmethod
     def draw(cls, env_cfg: EnvConfig, seed: int) -> "EpisodeSchedule":
         rng = np.random.default_rng(seed)
-        impulse_time = None
+        impulse = None
         if env_cfg.impulse_enabled:
-            impulse_time = float(rng.choice(np.asarray(env_cfg.impulse_times_s, float)))
-        return cls(impulse_time=impulse_time, noise_seed=int(rng.integers(2 ** 63)))
+            impulse = env_cfg.impulses[int(rng.choice(len(env_cfg.impulses)))]
+        return cls(impulse=impulse, noise_seed=int(rng.integers(2 ** 63)))
 
 
 class EpisodeBatch:
@@ -203,8 +192,7 @@ class EpisodeBatch:
         self.env_cfg = env_cfg
         self.seeds = list(dict.fromkeys(seeds))
         self.schedules = [EpisodeSchedule.draw(env_cfg, s) for s in self.seeds]
-        impulses = [() if s.impulse_time is None else (env_cfg.impulse_at(s.impulse_time),)
-                    for s in self.schedules]
+        impulses = [() if s.impulse is None else (s.impulse,) for s in self.schedules]
         self._stream = wire.trajectory(wire_params, wind, impulses, env_cfg.substep_dt,
                                        [s.noise_seed for s in self.schedules],
                                        env_cfg.substeps_per_tau)
@@ -239,7 +227,7 @@ class StepOutcome:
     action: int
     time_s: float
     beam: BeamOrientation
-    node: np.ndarray  # radio node position (3,)
+    node: np.ndarray  # radio node position (3,), its own copy
     look: Look        # (range, zenith, azimuth) of the receiver from the node
 
 
@@ -303,7 +291,7 @@ class BeamTrackingEnv:
         self.state = state = self._batch.state(self._episode, k)
         self.step_count = k
         self._observation = None
-        node = state.positions[self._tx_idx]
+        node = state.positions[self._tx_idx].copy()  # not a view pinning the state
         self.look = look_angles(node, self.channel_cfg.rx_position)
         raw = received_power(self.look, self.beam, self.channel_cfg, self.array_cfg)
         reward = proxy_reward(raw, self.cfg.reward_offset_dbm, self.cfg.reward_scale_db)

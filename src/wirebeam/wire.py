@@ -177,16 +177,16 @@ class ImpulseEvent:
     """
 
     point_number: int            # 1-based P-number, never an endpoint
-    force: np.ndarray            # [N], 3-vector
+    force: tuple[float, ...]     # [N], 3-vector: a tuple, so events compare
     apply_time: float            # [s]
     duration_s: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "force", np.asarray(self.force, dtype=float))
+        object.__setattr__(self, "force", tuple(map(float, self.force)))
         if self.apply_time < 0:
-            raise ValueError("apply_time must be >= 0")
+            raise ValueError(f"apply_time must be >= 0, got {self.apply_time!r}")
         if self.duration_s is not None and self.duration_s <= 0:
-            raise ValueError("duration_s must be positive when given")
+            raise ValueError(f"duration_s must be positive when given, got {self.duration_s!r}")
 
     def validate_for(self, params: WireParams):
         if not 1 < self.point_number < params.n_points:
@@ -235,8 +235,8 @@ class Forcing:
             for ev in events:
                 ev.validate_for(params)
                 with np.errstate(over="ignore"):  # `trajectory` reports what overflows
-                    self._pushes.append(((ev.point_number - 2, e), per_mass * ev.force,
-                                         ev.acts(dt)))
+                    accel = per_mass * np.array(ev.force)
+                self._pushes.append(((ev.point_number - 2, e), accel, ev.acts(dt)))
 
     def add(self, acc: np.ndarray, t: float):
         """Add the acceleration of every event active at substep start t."""

@@ -1018,6 +1018,20 @@ class TestCli:
         assert "pattern needs step_deg > 0 and span_deg >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb, flag", [("sweep", "--val"), ("sweep", "--ax"),
+                                            ("eval", "--ep")])
+    def test_an_abbreviated_flag_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                            verb, flag):
+        # argparse would take --val for --values, which sets a config key
+        out = tmp_path / "out"
+        cfg = self.write_cfg(tmp_path, self.SMALL_SWEEP)
+        policy = ["--policy", "oracle"] if verb == "eval" else []
+        with pytest.raises(SystemExit) as info:
+            main([verb, "--config", cfg, "--out", str(out), *policy, flag, "1"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_trusts_a_cell_file_only_with_the_cells_echo(self, tmp_path, capsys):
         text = "".join(f"{k} = {v}\n" for k, v in TINY_TRAIN.items())
         out = tmp_path / "sweep"

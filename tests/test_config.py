@@ -11,8 +11,8 @@ from wirebeam.channel import ArrayConfig, ChannelConfig, boresight_power, look_a
 from wirebeam.config import (ConfigError, ExperimentConfig, SweepSpec, build_config,
                              default_config, parse_file)
 from wirebeam.dqn import TrainConfig
-from wirebeam.env import EnvConfig
-from wirebeam.wire import WindModel, solve_equilibrium
+from wirebeam.env import EnvConfig, EpisodeSchedule
+from wirebeam.wire import ImpulseEvent, WindModel, solve_equilibrium
 
 
 class TestDefaultsMatchTableParameters:
@@ -138,8 +138,10 @@ env.lookback_s = 0.08
             build_config(parse_file(path))
 
     def test_wire_invariants_shared_with_the_env(self):
-        # the env's own check runs at load time, with the env's message
-        with pytest.raises(ConfigError, match="impulse point P21 must be interior"):
+        # the checks the env and the stream make run at load time, with their
+        # messages; the impulse's under its key
+        with pytest.raises(ConfigError, match=r"^wire.impulse_point: impulse point P21 "
+                                              r"must be interior \(2..20\)$"):
             default_config(scenario="wind_plus_impulse", **{"wire.impulse_point": "21"})
         default_config(**{"wire.impulse_point": "21"})  # no impulses: not checked
         with pytest.raises(ConfigError, match="sense point P30 outside 1..21"):
@@ -158,9 +160,27 @@ env.lookback_s = 0.08
 
     def test_impulse_duration_modes(self):
         cfg = default_config()
-        assert cfg.env.impulse_duration_s == 0.01
+        assert {ev.duration_s for ev in cfg.env.impulses} == {0.01}
+        assert cfg.derived["impulse_duration_s"] == 0.01
         literal = default_config(**{"wire.impulse_duration_s": "substep"})
-        assert literal.env.impulse_duration_s is None
+        assert {ev.duration_s for ev in literal.env.impulses} == {None}
+        assert literal.derived["impulse_duration_s"] is None
+
+    @pytest.mark.parametrize("duration", ["0.02", "substep"])
+    @pytest.mark.parametrize("scenario", cfgmod.SCENARIOS)
+    def test_impulses_are_the_configured_event_at_each_time(self, scenario, duration):
+        values = {"wire.impulse_point": "6", "wire.impulse_force_n": "1, -2, 300",
+                  "wire.impulse_duration_s": duration, "wire.impulse_times_s": "1.25, 0, 2"}
+        cfg = default_config(scenario=scenario, **values)
+        assert cfg.env.impulse_enabled == (scenario == "wind_plus_impulse")
+        seconds = None if duration == "substep" else 0.02
+        assert cfg.env.impulses == tuple(ImpulseEvent(6, (1.0, -2.0, 300.0), t, seconds)
+                                         for t in (1.25, 0.0, 2.0))
+        # events are values: two builds' tasks and draws compare, and hash
+        again = default_config(scenario=scenario, **values)
+        assert again.env == cfg.env and hash(again.env) == hash(cfg.env)
+        assert all(EpisodeSchedule.draw(again.env, s) == EpisodeSchedule.draw(cfg.env, s)
+                   for s in range(5))
 
     def test_echo_contains_every_key_and_derived(self):
         cfg = default_config()
@@ -248,14 +268,15 @@ class TestNumbers:
         ("channel.pathloss_ref_db", "free space", "channel.pathloss_ref_db: expected one "
                                                   "finite number or 'free_space', got "
                                                   "'free space'"),
-        # refused with or without impulses: an episode drawing one raised a
-        # bare ValueError, and wind_only accepted them
-        ("wire.impulse_duration_s", "0", "wire.impulse_duration_s: expected a positive "
-                                         "number or 'substep', got '0'"),
-        ("wire.impulse_duration_s", "-0.01", "wire.impulse_duration_s: expected a "
-                                             "positive number or 'substep', got '-0.01'"),
-        ("wire.impulse_times_s", "1, -2, 3", "wire.impulse_times_s: expected numbers >= 0, "
-                                             "got '1, -2, 3'"),
+        # refused with or without impulses, by the event build_config makes:
+        # an episode drawing one raised a bare ValueError, and wind_only
+        # accepted them
+        ("wire.impulse_duration_s", "0", "wire.impulse_duration_s: duration_s must be "
+                                         "positive when given, got 0.0"),
+        ("wire.impulse_duration_s", "-0.01", "wire.impulse_duration_s: duration_s must be "
+                                             "positive when given, got -0.01"),
+        ("wire.impulse_times_s", "1, -2, 3", "wire.impulse_times_s: apply_time must be "
+                                             ">= 0, got -2.0"),
     ])
     def test_malformed_value_names_key_and_value(self, key, value, message):
         for scenario in cfgmod.SCENARIOS:

@@ -32,6 +32,11 @@ def wire_params(**overrides):
     return wire.WireParams(**base)
 
 
+def impulses_at(*times, **overrides):
+    """The table config's impulse at each of `times`, with `overrides`."""
+    return tuple(replace(TABLE.env.impulses[0], apply_time=t, **overrides) for t in times)
+
+
 def channel_cfg(params):
     sag = wire.sag_depth(params)
     return replace(TABLE.channel, rx_position=np.array([0.0, 5.0, sag]))
@@ -187,11 +192,20 @@ class TestEnvConfigValidation:
     @pytest.mark.parametrize("overrides, match", [
         (dict(sense_points=(10, 22)), "sense point P22 outside 1..21"),
         (dict(tx_point=21, sense_points=(21,)), "tx_point P21 must be interior"),
-        (dict(impulse_enabled=True, impulse_point=1), "impulse point P1 must be interior"),
     ])
     def test_points_must_fit_the_wire(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             make_env(**overrides)
+
+    def test_the_stream_refuses_an_impulse_point_off_the_interior(self):
+        # check_invariants leaves the point to the event: a hand-built config
+        # is refused by the stream that would apply it (`Forcing`)
+        bad = impulses_at(1.0, point_number=1)
+        envmod.check_invariants(replace(TABLE.env, impulse_enabled=True, impulses=bad),
+                                wire_params())
+        with pytest.raises(ValueError, match=r"^impulse point P1 must be interior \(2..20\)$"):
+            make_env(impulse_enabled=True, impulses=bad)
+        make_env(impulses=bad)  # no impulses: not applied, not checked
 
     def test_invariants_checked_once_per_batch(self, monkeypatch):
         calls, real_check = [], envmod.check_invariants
@@ -232,10 +246,28 @@ class TestReset:
         assert envmod.angle_error_deg(e.look, e.beam) < 1.0
 
     def test_impulse_schedule_draw(self):
-        times = {make_env(seed=s, impulse_enabled=True).schedule.impulse_time
+        times = {make_env(seed=s, impulse_enabled=True).schedule.impulse.apply_time
                  for s in range(40)}
         assert times <= {1.0, 2.0, 3.0}
         assert len(times) == 3
+
+    @pytest.mark.parametrize("n_times", [1, 2, 3, 4, 5])
+    def test_impulse_draw_is_the_choice_over_the_times(self, n_times):
+        # the draw picks an event by index where it once picked the time
+        # itself; every seeded result depends on the same time and the same
+        # noise seed coming out
+        times = (1.0, 0.0555, 2.5, 0.5055, 3.0)[:n_times]
+        cfg = replace(TABLE.env, impulse_enabled=True, impulses=impulses_at(*times))
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            time = float(rng.choice(np.asarray(times, float)))
+            noise_seed = int(rng.integers(2 ** 63))
+            schedule = envmod.EpisodeSchedule.draw(cfg, seed)
+            assert schedule.impulse is cfg.impulses[times.index(time)]
+            assert schedule.noise_seed == noise_seed
+            quiet = envmod.EpisodeSchedule.draw(replace(cfg, impulse_enabled=False), seed)
+            assert quiet.impulse is None
+            assert quiet.noise_seed == int(np.random.default_rng(seed).integers(2 ** 63))
 
 
 class TestStepping:
@@ -287,9 +319,20 @@ class TestStepping:
             assert o1.proxy_reward == o2.proxy_reward
             assert np.array_equal(s1, s2)
 
+    def test_an_outcome_owns_its_node(self):
+        # a kept outcome once held a view of its step's whole (N, E, 3)
+        # positions, and so pinned the wire state
+        envs = make_experiment_envs(default_config(), [1, 2])
+        for e in envs:
+            outs = rollout(e, lambda env: envmod.CENTER_ACTION, 20)
+            states = history(e)
+            assert all(o.node.base is None for o in outs)
+            for k, o in enumerate(outs, start=1):
+                assert np.array_equal(o.node, states[k].positions[9])
+
     def test_impulse_fires_within_scheduled_interval(self):
         e = make_env(seed=2, quiet=True, impulse_enabled=True,
-                     impulse_times_s=(1.0,), impulse_duration_s=0.01)
+                     impulses=impulses_at(1.0, duration_s=0.01))
         v_before = []
         for _ in range(120):
             e.step(envmod.CENTER_ACTION)
@@ -389,7 +432,7 @@ class TestSharedWireStream:
         rollout(e, lambda env: int(actions[env.step_count]), cfg.env.episode_steps)
         impulses = []
         if scenario == "wind_plus_impulse":
-            assert e.schedule.impulse_time == 0.5055
+            assert e.schedule.impulse.apply_time == 0.5055
             impulses = [wire.ImpulseEvent(point_number=4, force=[0.0, 0.0, 470.0],
                                           apply_time=0.5055, duration_s=0.01)]
         expected = wire.simulate_trajectory(cfg.wire, cfg.wind, impulses, 1.5,
@@ -401,14 +444,6 @@ class TestSharedWireStream:
             assert got.time == want.time
             assert np.array_equal(got.positions, want.positions)
             assert np.array_equal(got.velocities, want.velocities)
-
-    def test_impulse_at_builds_the_configured_event(self):
-        cfg = replace(TABLE.env, impulse_point=6, impulse_force=(1.0, -2.0, 300.0),
-                      impulse_duration_s=0.02)
-        ev = cfg.impulse_at(1.25)
-        assert (ev.point_number, ev.apply_time, ev.duration_s) == (6, 1.25, 0.02)
-        np.testing.assert_array_equal(ev.force, [1.0, -2.0, 300.0])
-        assert replace(cfg, impulse_duration_s=None).impulse_at(0.0).duration_s is None
 
     def test_a_finished_episode_stays_finished(self):
         e = make_env(seed=4, quiet=True, episode_duration=0.02)
@@ -429,7 +464,7 @@ class TestEpisodeBatch:
         seeds = [3, 4, 5, 6]
         envs = make_experiment_envs(cfg, seeds)
         if scenario == "wind_plus_impulse":
-            assert len({e.schedule.impulse_time for e in envs}) > 1
+            assert len({e.schedule.impulse.apply_time for e in envs}) > 1
         # roll the batch out one episode after another, as run_eval does
         batched = [observed_rollout(e, lambda env: int(env.step_count % 9), 30)
                    for e in envs]
@@ -483,16 +518,16 @@ class TestEpisodeBatch:
             for a, b in zip(seen, alone_seen):
                 assert np.array_equal(a, b)
         if scenario == "wind_plus_impulse":
-            assert envs[0].schedule.impulse_time == 0.0555
+            assert envs[0].schedule.impulse.apply_time == 0.0555
         assert len({tuple(o.action for o in outs) for outs, _ in shared}) > 1
 
     # the force's (N/m)*F overflows: an episode whose impulse comes at
     # 55.5 ms diverges in its sixth step; at 5 s it never comes
     DIVERGING = replace(TABLE.env, episode_duration=0.1, impulse_enabled=True,
-                        impulse_times_s=(0.0555, 5.0), impulse_force=(0.0, 0.0, 1e308))
+                        impulses=impulses_at(0.0555, 5.0, force=(0.0, 0.0, 1e308)))
 
     def seeds_by_impulse_time(self):
-        times = {s: envmod.EpisodeSchedule.draw(self.DIVERGING, s).impulse_time
+        times = {s: envmod.EpisodeSchedule.draw(self.DIVERGING, s).impulse.apply_time
                  for s in range(20)}
         return ([s for s in times if times[s] == 5.0],
                 [s for s in times if times[s] == 0.0555])

@@ -1,7 +1,8 @@
 """The README's claims that a test can check: the test and benchmark files
-it names exist, and its command-line examples parse."""
+and the package modules it names exist, and its command-line examples
+parse."""
 
-import argparse
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -25,12 +26,22 @@ def test_readme_paths_exist_and_cli_examples_parse():
                 if line.startswith("wirebeam ")]
     assert {argv[1] for argv in commands} == {"train", "eval", "sweep", "pattern", "trajectory"}
     parser = _build_parser()
-    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for argv in commands:
+        # the parser takes no abbreviated flag, so each must be spelled in full
         try:
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"the README example does not parse: {shlex.join(argv)}")
-        # argparse also takes an abbreviation, so each flag must be spelled in full
-        flags = {s for a in verbs.choices[argv[1]]._actions for s in a.option_strings}
-        assert [t for t in argv if t.startswith("--") and t.split("=")[0] not in flags] == []
+
+
+def test_readme_modules_exist():
+    readme = (ROOT / "README.md").read_text()
+    modules = set(re.findall(r"\bwirebeam\.(\w+)", readme))
+    assert {"wire", "env", "config", "files"} <= modules
+    missing = []
+    for name in sorted(modules):
+        try:
+            importlib.import_module(f"wirebeam.{name}")
+        except ModuleNotFoundError:
+            missing.append(f"wirebeam.{name}")
+    assert missing == []

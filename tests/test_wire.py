@@ -321,7 +321,7 @@ def textbook_stream(params, wind, impulses, dt, seed, stride, n):
     and gravity and wind as (3,) vectors broadcast in every operation."""
     coeff = params.spring_k * params.n_points / params.mass_total
     drag_c, gravity, amplitude = params.drag_c, params.gravity, wind.amplitude
-    pushes = [(ev.point_number - 2, params.n_points / params.mass_total * ev.force,
+    pushes = [(ev.point_number - 2, params.n_points / params.mass_total * np.array(ev.force),
                ev.acts(dt)) for ev in impulses]
     rng = np.random.default_rng(seed)
     eq = wire.solve_equilibrium(params)
