@@ -18,9 +18,10 @@ each policy's files land as soon as it is aggregated, so a run killed
 midway keeps those of the policies it finished.  A sweep cell evaluates
 all its pending policies that way, without traces; `run_eval` is the
 one-policy case, with them.  A sweep's cells are independent (each has
-its own seed and directory), so they run in forked worker processes, one
-per usable CPU, and write the same bytes as they would one after another
-in this process.
+its own seed and directory), so they run in forked worker processes, as
+many as fill the last round best (`_worker_count`: up to twice the usable
+CPUs), and write the same bytes as they would one after another in this
+process.
 """
 
 from __future__ import annotations
@@ -347,19 +348,30 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _worker_count(cells: int, cpus: int) -> int:
+    """The pool size for `cells` pending cells on `cpus` CPUs: of `cpus` to
+    `2 * cpus` workers, the fewest whose rounds take the fewest CPU-slots,
+    ceil(cells / w) * w, and never more than `cells`."""
+    return min(cells, min(range(cpus, 2 * cpus + 1), key=lambda w: -(-cells // w) * w))
+
+
 def _run_cells(jobs: list[tuple]) -> list[dict]:
     """`run_sweep_cell(*job)` of each job, in job order.
 
-    The jobs run in a pool of `min(usable_cpus(), len(jobs))` forked
-    workers; with one, or where the platform cannot fork, they run here,
-    one after another.  Fork, not spawn: a worker re-imports nothing, so a
+    The jobs run in a pool of `_worker_count(len(jobs), usable_cpus())`
+    forked workers; with one, or where the platform cannot fork, they run
+    here, one after another.  A cell is one CPU-bound process on one BLAS
+    thread, so three workers time-sharing two CPUs finish three cells in
+    one and a half cells' time where two workers take two: the pool grows
+    past the CPUs, up to twice them, when that leaves fewer CPUs idle in
+    the last round.  Fork, not spawn: a worker re-imports nothing, so a
     caller's script needs no `__main__` guard, and it keeps this process's
     numpy and BLAS set-up, so a cell computes the same bits as in-process.
     A job whose worker exited before returning (killed, out of memory)
     gets every policy failed; the pool then stops, and so do the jobs it
     had not finished.
     """
-    workers = min(usable_cpus(), len(jobs))
+    workers = _worker_count(len(jobs), usable_cpus())
     if workers < 2 or not hasattr(os, "fork"):
         return [run_sweep_cell(*job) for job in jobs]
     # imported here, so that importing wirebeam stays as cheap without a pool

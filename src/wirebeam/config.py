@@ -187,10 +187,15 @@ class ExperimentConfig:
 # --------------------------------------------------------------------------
 
 def parse_file(path) -> dict[str, str]:
-    """The key -> value strings set in the config file at `path`."""
+    """The key -> value strings set in the UTF-8 config file at `path`."""
     values, lines = {}, {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raws = fh.readlines()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path} is not UTF-8 text ({e.reason}: "
+                              f"{e.object[e.start:e.end]!r})") from None
+        for lineno, raw in enumerate(raws, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -426,7 +426,11 @@ def load_checkpoint(path) -> tuple[MlpParams, AdamState, int, str]:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         dims = struct.unpack(f"<{n_dims}I", _read_header(fh, path, 4 * n_dims))
         adam_t, global_step, blob_len = struct.unpack("<QQQ", _read_header(fh, path, 24))
-        config_json = _read_header(fh, path, blob_len).decode("utf-8")
+        try:
+            config_json = _read_header(fh, path, blob_len).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: checkpoint config echo is not UTF-8 "
+                             f"({e.reason} at byte {e.start})") from None
         n = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
         found = _bytes_left(fh)
         if found != 3 * 8 * n:

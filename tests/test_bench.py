@@ -28,8 +28,9 @@ from wirebeam.config import ConfigError, default_config
 from wirebeam.env import angle_error_deg, write_trace_csv
 from wirebeam.policies import PolicyKind
 
-from test_dqn import OVERSIZED_HEADERS, write_oversized_checkpoint
-from test_golden import TINY
+from test_dqn import (OVERSIZED_HEADERS, write_non_utf8_echo_checkpoint,
+                      write_oversized_checkpoint)
+from test_golden import TINY, note_pid_and_wait
 
 TINY_TRAIN = {
     "env.episode_duration_s": "0.5",
@@ -411,6 +412,17 @@ class TestSweepCellCheckpoint:
         for name in ("checkpoint.bin", "training_log.csv", "metrics_dqn.json"):
             assert (bad / name).read_bytes() == (clean / name).read_bytes()
 
+    def test_a_checkpoint_echo_that_is_not_utf8_is_retrained(self, tmp_path):
+        cfg = tiny_cfg()
+        clean, bad = tmp_path / "clean", tmp_path / "bad"
+        clean.mkdir()
+        bad.mkdir()
+        assert bench.run_sweep_cell(cfg, clean, ["dqn"])["dqn"][0] == "ok"
+        write_non_utf8_echo_checkpoint(bad / "checkpoint.bin")
+        assert bench.run_sweep_cell(cfg, bad, ["dqn"])["dqn"][0] == "ok"
+        for name in ("checkpoint.bin", "training_log.csv", "metrics_dqn.json"):
+            assert (bad / name).read_bytes() == (clean / name).read_bytes()
+
     @pytest.mark.parametrize("name", ["checkpoint.bin.json", "training_log.csv",
                                       "checkpoint.bin"])
     def test_a_cell_killed_mid_training_retrains_on_rerun(self, tmp_path, monkeypatch,
@@ -613,6 +625,36 @@ class TestSweepWorkers:
 
     SWEEP = {"sweep.axis": "mass", "sweep.values": "10, 12", "sweep.repetitions": "1",
              "sweep.policies": "oracle, dqn", "env.episode_duration_s": "0.2"}
+
+    @pytest.mark.parametrize("cells, cpus, workers", [
+        (3, 2, 3), (4, 2, 2), (5, 2, 2), (9, 2, 3), (9, 4, 5), (9, 8, 9), (7, 4, 7),
+        (0, 2, 0), (1, 2, 1), (2, 2, 2), (1, 1, 1), (3, 1, 1), (9, 1, 1)])
+    def test_the_worker_count_leaves_the_fewest_cpu_slots_idle(self, cells, cpus, workers):
+        assert bench._worker_count(cells, cpus) == workers
+
+    def test_three_cells_on_two_cpus_run_in_three_workers_at_once(self, tmp_path,
+                                                                 monkeypatch):
+        cfg = tiny_cfg(**{**self.SWEEP, "sweep.values": "10, 11, 12",
+                          "sweep.policies": "oracle"})
+        pid_log, real_evaluate = tmp_path / "pids", bench.evaluate_policies
+
+        def noting_pid(*args, **kwargs):  # its process, once all three cells started
+            note_pid_and_wait(pid_log, 3)
+            return real_evaluate(*args, **kwargs)
+        written = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(bench, "usable_cpus", lambda n=cpus: n)
+            if cpus == 2:
+                monkeypatch.setattr(bench, "evaluate_policies", noting_pid)
+            # the cells file names each cell by its path: the same one for both counts
+            (tmp_path / f"cpus{cpus}").mkdir()
+            monkeypatch.chdir(tmp_path / f"cpus{cpus}")
+            summary = run_sweep(cfg, "sweep")
+            written[cpus] = (summary.read_bytes(),
+                             Path("sweep", "sweep_mass_cells.json").read_bytes())
+        pids = [int(p) for p in pid_log.read_text().split()]
+        assert len(set(pids)) == 3 and os.getpid() not in pids
+        assert written[1] == written[2]
 
     def test_a_worker_that_exits_fails_only_its_cell(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(**self.SWEEP)
@@ -1084,6 +1126,29 @@ class TestCli:
         assert main(["eval", "--config", cfg, "--policy", "dqn", "--checkpoint",
                      str(ckpt), "--out", str(tmp_path)]) == 1
         assert "checkpoint header is cut short" in capsys.readouterr().err
+
+    def test_eval_with_a_checkpoint_echo_that_is_not_utf8_exits_1_and_writes_nothing(
+            self, tmp_path, capsys):
+        ckpt, out = tmp_path / "checkpoint.bin", tmp_path / "out"
+        write_non_utf8_echo_checkpoint(ckpt)
+        cfg = self.write_cfg(tmp_path, "eval.episodes = 1\n"
+                                       "env.episode_duration_s = 0.2\n")
+        assert main(["eval", "--config", cfg, "--policy", "dqn", "--checkpoint",
+                     str(ckpt), "--out", str(out)]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: {ckpt}: checkpoint config echo is not UTF-8")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", [["train"], ["eval", "--policy", "oracle"], ["sweep"],
+                                      ["pattern"], ["trajectory"]])
+    def test_a_config_that_is_not_utf8_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                                  verb):
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "out"
+        cfg.write_bytes(b"seed = 1\n\xff\n")
+        assert main([*verb, "--config", str(cfg), "--out", str(out)]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: {cfg} is not UTF-8 text")
+        assert not out.exists()
 
     @pytest.mark.parametrize("which", sorted(OVERSIZED_HEADERS))
     def test_eval_with_an_oversized_checkpoint_header_is_a_bad_input(self, tmp_path, capsys,

@@ -113,6 +113,13 @@ env.lookback_s = 0.08
         with pytest.raises(ConfigError, match=r"bad\.cfg:1: unknown key 'wire\.mass'"):
             build_config(parse_file(path))
 
+    def test_a_file_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"seed = 1\n\xff\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg is not UTF-8 text "
+                                              r"\(invalid start byte: b'\\xff'\)$"):
+            parse_file(path)
+
     def test_build_config_rejects_unknown_keys(self):
         # a stray key would otherwise ride along in every echo
         with pytest.raises(ConfigError, match="unknown key 'bogus.key'"):

@@ -94,6 +94,16 @@ def write_oversized_checkpoint(path, which: str):
     path.write_bytes(dqn.CHECKPOINT_MAGIC + header)
 
 
+def write_non_utf8_echo_checkpoint(path):
+    """A whole checkpoint file whose one-byte config echo, 0xff, is not UTF-8."""
+    params = tiny_params(np.random.default_rng(22))
+    dqn.save_checkpoint(path, params, init_adam(params), 0, "x")
+    raw = path.read_bytes()
+    echo_at = 4 + 8 + 4 * len(params.dims) + 24  # magic, version and count, dims, counters
+    assert raw[echo_at:echo_at + 1] == b"x"
+    path.write_bytes(raw[:echo_at] + b"\xff" + raw[echo_at + 1:])
+
+
 def tiny_params(rng, dims=(3, 4, 3, 4, 9)) -> MlpParams:
     return init_mlp(dims, rng)
 
@@ -653,6 +663,13 @@ class TestCheckpoint:
         path.write_bytes(raw[:4] + struct.pack("<I", 99) + raw[8:])
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}: unsupported checkpoint version 99")):
+            dqn.load_checkpoint(path)
+
+    def test_an_echo_that_is_not_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        write_non_utf8_echo_checkpoint(path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: checkpoint config echo is not UTF-8 (invalid start byte at byte 0)")):
             dqn.load_checkpoint(path)
 
     @pytest.mark.parametrize("which", sorted(OVERSIZED_HEADERS))

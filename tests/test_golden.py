@@ -26,8 +26,9 @@ a plain tuple and the oracle's two functions became one.
 A tiny sweep over the same scenario pins the summary's bytes, both after
 a fresh run and after a resume pass that finds every cell cached; its
 digest was recorded before cached cells were checked against their echo.
-The same sweep run in this process and in two forked workers writes the
-same summary and cells-file bytes.
+The same sweep run in this process, in two forked workers and, on three
+CPUs, in four workers at once writes the same summary and cells-file
+bytes.
 
 The benchmark's `eval_paired` unit, run once at full scale on its default
 seed, must give the digests `perfbench/workloads.py` pins for it: 300-step
@@ -39,6 +40,7 @@ import csv
 import hashlib
 import importlib
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -147,6 +149,16 @@ def train_and_evaluate(values: dict, out: Path) -> Path:
     return out
 
 
+def note_pid_and_wait(pid_log: Path, together: int):
+    """Append this process's pid to `pid_log`, then wait, up to 20 s, until
+    it holds `together` pids: the cells that noted them ran at once."""
+    with open(pid_log, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    deadline = time.monotonic() + 20
+    while len(pid_log.read_text().split()) < together and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -204,12 +216,11 @@ def test_sweep_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     pid_log, real_evaluate = tmp_path / "pids", bench.evaluate_policies
 
     def noting_pid(*args, **kwargs):  # one line per cell evaluated: its process
-        with open(pid_log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
+        note_pid_and_wait(pid_log, together)
         return real_evaluate(*args, **kwargs)
     monkeypatch.setattr(bench, "evaluate_policies", noting_pid)
     written, pids = {}, {}
-    for cpus in (1, 2):
+    for cpus, together in ((1, 1), (2, 1), (3, 4)):
         monkeypatch.setattr(bench, "usable_cpus", lambda n=cpus: n)
         # the cells file names each cell by its path: the same one for both counts
         (tmp_path / f"cpus{cpus}").mkdir()
@@ -228,6 +239,11 @@ def test_sweep_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     assert len(pids[2, "fresh"]) == 4 and 1 <= len(set(pids[2, "fresh"])) <= 2
     assert os.getpid() not in pids[2, "fresh"]
     assert pids[1, "resume"] == pids[2, "resume"] == []  # every cell cached: no worker
+    # 4 cells on 3 CPUs fill one round of 4 workers
+    assert written[1, "fresh"] == written[3, "fresh"]
+    assert written[1, "resume"] == written[3, "resume"]
+    assert len(set(pids[3, "fresh"])) == 4 and os.getpid() not in pids[3, "fresh"]
+    assert pids[3, "resume"] == []
 
 
 def test_full_scale_eval_paired_unit_matches_the_benchmark_pins(tmp_path, monkeypatch):
